@@ -1,10 +1,11 @@
 """Reproduce the three figure datasets at desk scale.
 
-Writes fig1.csv / fig2.csv / fig3.csv under ./demo_out, each fully
-determined by the master seed.  Scale the n_list / trials up to match
-the published settings (the defaults in cascadelab.experiment) when you
-have a few minutes to spare; this demo keeps sizes small so it finishes
-in well under a minute.
+Writes demo_out/fig1/fig1.csv, demo_out/fig2/fig2.csv and
+demo_out/fig3/fig3.csv, each fully determined by the master seed.  Every
+experiment gets its own directory because an out dir holds one manifest.
+Scale the n_list / trials up to match the published settings (the
+defaults in cascadelab.experiment) when you have a few minutes to spare;
+this demo keeps sizes small so it finishes in well under a minute.
 """
 
 from pathlib import Path
@@ -17,7 +18,7 @@ SEED = 2024
 fig1 = cl.ExperimentConfig(
     experiment="fig1", models=("er", "pa"), n_list=(2_000,), d=10,
     trials=30, master_seed=SEED)
-csv1 = cl.run_fig1(fig1, out_dir=OUT)
+csv1 = cl.run_fig1(fig1, out_dir=OUT / "fig1")
 print(f"fig1.csv: {len(csv1.splitlines()) - 1} rows "
       f"(injury vs max infection, attack sizes 1..5 ln n)")
 
@@ -25,7 +26,7 @@ fig2 = cl.ExperimentConfig(
     experiment="fig2", models=("er", "pa", "security"),
     n_list=(100, 300, 1_000, 3_000), d=10, a=1.5, trials=30,
     master_seed=SEED)
-csv2 = cl.run_fig2(fig2, out_dir=OUT)
+csv2 = cl.run_fig2(fig2, out_dir=OUT / "fig2")
 print("fig2.csv: largest cascade among random-threshold attacks of size ln n")
 for line in csv2.strip().splitlines()[1:]:
     print("   ", line)
@@ -34,10 +35,10 @@ fig3 = cl.ExperimentConfig(
     experiment="fig3", models=("er", "pa", "security"),
     n_list=(1_000, 3_000, 10_000), d=5, a=1.5, epsilon=0.1,
     master_seed=SEED)
-csv3 = cl.run_fig3(fig3, out_dir=OUT)
+csv3 = cl.run_fig3(fig3, out_dir=OUT / "fig3")
 print("fig3.csv: smallest uniform threshold containing a ln n attack at 10%")
 for line in csv3.strip().splitlines()[1:]:
     print("   ", line)
 
-print(f"\nwrote {OUT}/fig1.csv, fig2.csv, fig3.csv (+ manifests); "
+print(f"\nwrote {OUT}/fig1, fig2 and fig3 (a CSV and a manifest each); "
       "rerunning resumes completed cells")

@@ -10,6 +10,14 @@ expansion, O(m) work per cascade.
 Fraction comparisons are exact: per node we precompute the least integer
 count k with k/deg >= phi (in IEEE double semantics), so the engine agrees
 bit-for-bit with a naive rescan that compares fractions directly.
+
+One resumable kernel, ``_propagate``, advances every cascade here.
+Top-degree attack sets are nested prefixes of one degree order, so
+``prefix_infection_counts`` resumes each attack size from the previous
+fixed point: with F(S) the final set from S and S a subset of S', the
+cascade from F(S) plus S' ends at F(S').  ``prefix_injury_counts``
+builds the injury curve in one reverse union-find pass over the removed
+nodes.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.sparse import csgraph
 
 from .graph import LabeledGraph, largest_connected_component
 from .seeding import rng_from
@@ -123,6 +132,37 @@ def _gather_neighbors(indptr, indices, frontier) -> np.ndarray:
     return indices[np.arange(total, dtype=np.int64) + shift]
 
 
+def _propagate(indptr, indices, need, infected, cnt, frontier,
+               inside=None) -> list[int]:
+    """Advance a cascade in place until no node qualifies.
+
+    ``infected`` (bool) and ``cnt`` (infected-neighbor counts) are the
+    caller's state; ``frontier`` holds the nodes infected since ``cnt``
+    last counted them.  With ``inside`` (a bool mask) only those nodes
+    receive counts and can become infected.  Returns the number of nodes
+    newly infected in each round.
+    """
+    n = infected.shape[0]
+    growth = []
+    while frontier.size:
+        nbrs = _gather_neighbors(indptr, indices, frontier)
+        if inside is not None:
+            nbrs = nbrs[inside[nbrs]]
+        if nbrs.size == 0:
+            break
+        if nbrs.size >= n // 4:
+            cnt += np.bincount(nbrs, minlength=n)
+        else:
+            np.add.at(cnt, nbrs, 1)
+        hit = nbrs[(~infected[nbrs]) & (cnt[nbrs] >= need[nbrs])]
+        if hit.size == 0:
+            break
+        frontier = np.unique(hit)
+        infected[frontier] = True
+        growth.append(int(frontier.size))
+    return growth
+
+
 def infection_set(g: LabeledGraph, s, theta: ThresholdAssignment) -> CascadeOutcome:
     """Least fixed point of threshold infection starting from attack set s.
 
@@ -135,30 +175,41 @@ def infection_set(g: LabeledGraph, s, theta: ThresholdAssignment) -> CascadeOutc
     growth = [int(attack.size)]
     if attack.size:
         indptr, indices = g.adjacency()
-        need = _need_counts(g, theta)
-        cnt = np.zeros(g.n, dtype=np.int64)
-        frontier = attack
-        while frontier.size:
-            nbrs = _gather_neighbors(indptr, indices, frontier)
-            if nbrs.size == 0:
-                break
-            if nbrs.size >= g.n // 4:
-                cnt += np.bincount(nbrs, minlength=g.n)
-            else:
-                np.add.at(cnt, nbrs, 1)
-            cand = np.unique(nbrs)
-            newly = cand[(~infected[cand]) & (cnt[cand] >= need[cand])]
-            if newly.size == 0:
-                break
-            infected[newly] = True
-            growth.append(int(newly.size))
-            frontier = newly
+        growth += _propagate(indptr, indices, _need_counts(g, theta), infected,
+                             np.zeros(g.n, dtype=np.int64), attack)
     return CascadeOutcome(
         infected=np.flatnonzero(infected).astype(np.int64),
         rounds=len(growth) - 1,
         growth=tuple(growth),
         num_nodes=g.n,
     )
+
+
+def prefix_infection_counts(g: LabeledGraph, order,
+                            theta: ThresholdAssignment) -> np.ndarray:
+    """Infected count for every attack prefix ``order[:k]``, k = 1..len(order).
+
+    Entry k-1 equals ``infection_set(g, order[:k], theta).infected.size``:
+    each prefix resumes the cascade from the previous fixed point, so the
+    whole sweep costs about one cascade.
+    """
+    order = np.asarray(order, dtype=np.int64)
+    if order.size and (order.min() < 0 or order.max() >= g.n):
+        raise IndexError("attack order contains out-of-range node ids")
+    indptr, indices = g.adjacency()
+    need = _need_counts(g, theta)
+    infected = np.zeros(g.n, dtype=bool)
+    cnt = np.zeros(g.n, dtype=np.int64)
+    counts = np.empty(order.size, dtype=np.int64)
+    total = 0
+    for i in range(order.size):
+        v = order[i]
+        if not infected[v]:
+            infected[v] = True
+            total += 1 + sum(_propagate(indptr, indices, need, infected, cnt,
+                                        order[i:i + 1]))
+        counts[i] = total
+    return counts
 
 
 def injury_set(g: LabeledGraph, s) -> np.ndarray:
@@ -175,12 +226,69 @@ def injury_set(g: LabeledGraph, s) -> np.ndarray:
     return np.flatnonzero(injured).astype(np.int64)
 
 
-def top_degree_nodes(g: LabeledGraph, k: int) -> np.ndarray:
-    """The k highest-degree nodes, ties broken toward smaller ids (sorted)."""
+def prefix_injury_counts(g: LabeledGraph, order) -> np.ndarray:
+    """Injured count for every removal prefix ``order[:k]``, k = 1..len(order).
+
+    Entry k-1 equals ``injury_set(g, order[:k]).size``, that is
+    n - k - (largest component size of g minus order[:k]).  One component
+    labelling of g minus the whole order, then the removed nodes are added
+    back in reverse order with union-find.  order must not repeat a node.
+    """
+    order = np.asarray(order, dtype=np.int64)
+    n, size = g.n, order.size
+    if size and (order.min() < 0 or order.max() >= n):
+        raise IndexError("removal order contains out-of-range node ids")
+    if np.unique(order).size != size:
+        raise ValueError("removal order repeats a node")
+    removed = np.zeros(n, dtype=bool)
+    removed[order] = True
+    survivors = np.flatnonzero(~removed)
+    _, labels = csgraph.connected_components(
+        g.csr()[survivors][:, survivors], directed=False)
+    # union-find over components: survivors' components, then one
+    # singleton per removed node (ids ncomp + i, in order)
+    comp_sizes = np.bincount(labels)
+    ncomp = comp_sizes.shape[0]
+    comp_of = np.empty(n, dtype=np.int64)
+    comp_of[survivors] = labels
+    comp_of[order] = ncomp + np.arange(size)
+    sizes = comp_sizes.tolist() + [1] * size
+    parent = list(range(ncomp + size))
+
+    def find(c):
+        while parent[c] != c:
+            parent[c] = c = parent[parent[c]]  # path halving
+        return c
+
+    indptr, indices = g.adjacency()
+    lcc = max(comp_sizes.tolist(), default=0)
+    counts = np.empty(size, dtype=np.int64)
+    for k in range(size, 0, -1):
+        counts[k - 1] = n - k - lcc
+        v = order[k - 1]
+        removed[v] = False  # v rejoins: state of prefix k-1
+        nbrs = indices[indptr[v]:indptr[v + 1]]
+        root = find(comp_of[v])
+        for c in np.unique(comp_of[nbrs[~removed[nbrs]]]).tolist():
+            other = find(c)
+            if other != root:
+                parent[other] = root
+                sizes[root] += sizes[other]
+        lcc = max(lcc, sizes[root])
+    return counts
+
+
+def degree_order(g: LabeledGraph, k: int) -> np.ndarray:
+    """The k highest-degree nodes in descending degree order, ties broken
+    toward smaller ids; every prefix is a top-degree attack set."""
     if not 0 <= k <= g.n:
         raise ValueError(f"k must be in [0, n], got {k}")
-    order = np.lexsort((np.arange(g.n), -g.degrees))
-    return np.sort(order[:k]).astype(np.int64)
+    return np.lexsort((np.arange(g.n), -g.degrees))[:k].astype(np.int64)
+
+
+def top_degree_nodes(g: LabeledGraph, k: int) -> np.ndarray:
+    """The k highest-degree nodes, ties broken toward smaller ids (sorted)."""
+    return np.sort(degree_order(g, k))
 
 
 def security_threshold(g: LabeledGraph, s, grid, epsilon: float):
@@ -233,20 +341,8 @@ def _classify(g: LabeledGraph, x: Community, theta: ThresholdAssignment,
     infected = np.zeros(g.n, dtype=bool)
     frontier = members[cnt[members] >= need[members]]
     infected[frontier] = True
-    while frontier.size:
-        nbrs = _gather_neighbors(indptr, indices, frontier)
-        if nbrs.size == 0:
-            break
-        inside = nbrs[member_mask[nbrs]]
-        if inside.size == 0:
-            break
-        np.add.at(cnt, inside, 1)
-        cand = np.unique(inside)
-        newly = cand[(~infected[cand]) & (cnt[cand] >= need[cand])]
-        if newly.size == 0:
-            break
-        infected[newly] = True
-        frontier = newly
+    _propagate(indptr, indices, need, infected, cnt, frontier,
+               inside=member_mask)
     return (CommunityStrength.VULNERABLE if infected[x.seed]
             else CommunityStrength.STRONG)
 

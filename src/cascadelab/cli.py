@@ -20,8 +20,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .cascade import (infection_set, injury_set, random_thresholds,
-                      top_degree_nodes, uniform_thresholds)
+from .cascade import (degree_order, infection_set, prefix_injury_counts,
+                      random_thresholds, top_degree_nodes, uniform_thresholds)
 from .experiment import (ConfigError, config_from_values, parse_config_file,
                          run_experiment, _fmt)
 from .generators import generate
@@ -85,10 +85,9 @@ def _cmd_injure(args) -> int:
     g = load_graph(args.graph)
     if args.attack != "top":
         raise ConfigError("injure supports only --attack top")
-    rows = []
-    for k in range(1, args.k + 1):
-        injured = injury_set(g, top_degree_nodes(g, k))
-        rows.append(f"{k},{injured.shape[0]},{_fmt(injured.shape[0] / g.n)}")
+    injured = prefix_injury_counts(g, degree_order(g, max(args.k, 0)))
+    rows = [f"{k},{count},{_fmt(count / g.n)}"
+            for k, count in enumerate(injured.tolist(), start=1)]
     _write_csv(args.out, "attack_size,injured,injured_fraction", rows)
     print(f"wrote {args.out}: attack sizes 1..{args.k}")
     return 0

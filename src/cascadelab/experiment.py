@@ -20,8 +20,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
-from .cascade import (infection_set, injury_set, random_thresholds,
+from .cascade import (degree_order, infection_set, prefix_infection_counts,
+                      prefix_injury_counts, random_thresholds,
                       security_threshold, top_degree_nodes)
 from .generators import generate
 from .seeding import derive_seed, derive_trial_seed, rng_from
@@ -150,8 +153,11 @@ _ALIASES = {"seed": "master_seed", "fig": "experiment"}
 
 
 def parse_config_file(path) -> dict:
-    """Flat key=value config; '#' starts a comment, blank lines ignored."""
+    """Flat key=value config; '#' starts a comment, blank lines ignored.
+
+    A key may be set once; an alias counts as its target key."""
     values: dict = {}
+    first_line: dict = {}
     text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -161,6 +167,10 @@ def parse_config_file(path) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key = _ALIASES.get(key.strip(), key.strip())
+        if key in first_line:
+            raise ConfigError(f"{path}:{lineno}: {key!r} repeats the setting "
+                              f"on line {first_line[key]}")
+        first_line[key] = lineno
         values[key] = value.strip()
     return values
 
@@ -244,26 +254,25 @@ def _compute_cell(cfg: ExperimentConfig, model: str, n: int) -> list[str]:
     """All CSV data rows of one (model, n) cell, in canonical order."""
     if cfg.experiment == "fig1":
         k_max = attack_size(n, 5.0)
-        injury = [0.0] * (k_max + 1)
-        max_inf = [0.0] * (k_max + 1)
+        injury = np.zeros(k_max)
+        max_inf = np.zeros(k_max)
         for j in range(cfg.graphs_per_cell):
             g = _make_graph(cfg, model, n, j)
             tag = _trial_tag(cfg, j)
-            thetas = [
-                random_thresholds(
+            order = degree_order(g, k_max)
+            best = np.zeros(k_max)
+            for t in range(cfg.trials):
+                theta = random_thresholds(
                     g, derive_trial_seed(cfg.master_seed, tag, model, n, t))
-                for t in range(cfg.trials)
-            ]
-            for k in range(1, k_max + 1):
-                attack = top_degree_nodes(g, k)
-                injury[k] += injury_set(g, attack).shape[0] / n
-                max_inf[k] += max(
-                    infection_set(g, attack, theta).fraction for theta in thetas)
+                best = np.maximum(
+                    best, prefix_infection_counts(g, order, theta) / n)
+            injury += prefix_injury_counts(g, order) / n
+            max_inf += best
         scale = 1.0 / cfg.graphs_per_cell
         return [
-            f"{model},{n},{cfg.d},{k},{_fmt(injury[k] * scale)},"
-            f"{_fmt(max_inf[k] * scale)}"
-            for k in range(1, k_max + 1)
+            f"{model},{n},{cfg.d},{k},{_fmt(inj * scale)},{_fmt(inf * scale)}"
+            for k, (inj, inf) in enumerate(
+                zip(injury.tolist(), max_inf.tolist()), start=1)
         ]
 
     if cfg.experiment == "fig2":
@@ -332,8 +341,9 @@ def _read_manifest(out_dir: Path, cfg: ExperimentConfig) -> set[str]:
     lines = path.read_text(encoding="utf-8").splitlines()
     if len(lines) < 3 or lines[0] != "cascadelab-manifest v1":
         return set()
-    if lines[2] != f"config {config_hash(cfg)}":
-        return set()  # different config: start over
+    if (lines[1] != f"version {__version__}"
+            or lines[2] != f"config {config_hash(cfg)}"):
+        return set()  # another version or config: start over
     return {line.removeprefix("cell ").strip()
             for line in lines[3:] if line.startswith("cell ")}
 

@@ -24,8 +24,6 @@ import numpy as np
 from .graph import EdgeTag, LabeledGraph
 from .seeding import rng_from
 
-_LN_D_WARN = 4  # the security analysis assumes d >= 4; generators allow d >= 1
-
 
 @dataclass(frozen=True)
 class GenParams:

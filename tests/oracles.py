@@ -64,6 +64,27 @@ def async_sweep_infection(g, s, theta, rng: np.random.Generator) -> set[int]:
     return infected
 
 
+def sync_round_growth(g, s, theta) -> list[int]:
+    """Round-synchronous schedule: every node qualifying against the
+    infected set at the start of a round joins at its end.  Returns the
+    attack-set size followed by the size of each non-empty round."""
+    infected = set(int(x) for x in s)
+    deg = g.degrees
+    growth = [len(infected)]
+    while True:
+        ready = set()
+        for v in range(g.n):
+            if v in infected or theta.uninfectable[v] or deg[v] == 0:
+                continue
+            hit = sum(1 for w in g.neighbors(v) if int(w) in infected)
+            if hit / deg[v] >= theta.phi[v]:
+                ready.add(v)
+        if not ready:
+            return growth
+        infected |= ready
+        growth.append(len(ready))
+
+
 def random_small_graph(rng: np.random.Generator, index: int):
     """A small mixed-model graph for oracle comparisons (n <= 32)."""
     import cascadelab as cl

@@ -73,6 +73,9 @@ def test_injure_sweep(security_file, tmp_path):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "attack_size,injured,injured_fraction"
     assert [int(line.split(",")[0]) for line in lines[1:]] == [1, 2, 3, 4, 5, 6]
+    g = cl.load_graph(security_file)
+    assert [int(line.split(",")[1]) for line in lines[1:]] == [
+        cl.injury_set(g, cl.top_degree_nodes(g, k)).size for k in range(1, 7)]
 
 
 @pytest.mark.parametrize("report,header", [
@@ -139,6 +142,15 @@ def test_experiment_cli_config_error(tmp_path, capsys):
     cfg.write_text("experiment=fig1\nmodels=security\nd=4\na=1.5\nn_list=60\n")
     assert run_cli("experiment", "--config", cfg) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_experiment_cli_repeated_key(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("experiment=fig2\nmodels=er\nn_list=60\nd=4\n"
+                   "trials=1\nmaster_seed=2\nseed=3\n")
+    assert run_cli("experiment", "--config", cfg) == 2
+    err = capsys.readouterr().err
+    assert "exp.cfg:7:" in err and "line 6" in err
 
 
 def test_experiment_cli_missing_config_file(tmp_path):

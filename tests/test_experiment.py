@@ -87,6 +87,14 @@ def test_config_file_bad_line(tmp_path):
         xp.parse_config_file(path)
 
 
+def test_config_file_repeated_key(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_text("experiment=fig2\nmaster_seed=3\nd=5\nseed=4\n",
+                    encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"exp\.cfg:4: 'master_seed'.*line 2"):
+        xp.parse_config_file(path)
+
+
 def test_config_requires_experiment():
     with pytest.raises(ConfigError, match="experiment"):
         xp.config_from_values({"d": "5"})
@@ -189,6 +197,21 @@ def test_resume_invalidated_by_config_change(tmp_path):
     changed = xp.run_experiment(tiny_cfg(trials=4), out_dir=tmp_path)
     assert changed.ok
     assert changed.skipped == ()
+
+
+def test_resume_invalidated_by_version_change(tmp_path):
+    cfg = tiny_cfg()
+    first = xp.run_experiment(cfg, out_dir=tmp_path)
+    manifest = tmp_path / "manifest.txt"
+    lines = manifest.read_text(encoding="utf-8").splitlines()
+    assert lines[1] == f"version {xp.__version__}"
+    lines[1] = "version 0.0.0-other"
+    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rerun = xp.run_experiment(cfg, out_dir=tmp_path)
+    assert rerun.ok and rerun.skipped == ()
+    assert set(rerun.computed) == {"fig2_er_n60", "fig2_er_n120",
+                                   "fig2_pa_n60", "fig2_pa_n120"}
+    assert rerun.csv_text == first.csv_text
 
 
 def test_parallel_matches_serial(tmp_path):

@@ -1,0 +1,168 @@
+"""Warm-started prefix sweeps and the shared propagation kernel, checked
+against the cold per-prefix engines they replace in fig1 and `injure`.
+
+Graphs are small: random edge sets (isolated nodes, several components,
+equal-size components) and the three generators through
+``oracles.random_small_graph``.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import cascadelab as cl
+from cascadelab import (Community, CommunityStrength, LabeledGraph,
+                        classify_community, communities, infection_set,
+                        injury_set, random_thresholds, top_degree_nodes,
+                        uniform_thresholds)
+from cascadelab.cascade import (degree_order, prefix_infection_counts,
+                                prefix_injury_counts)
+
+from oracles import random_small_graph, sync_round_growth
+
+SWEEP_SETTINGS = settings(max_examples=150, deadline=None)
+
+
+@st.composite
+def edge_graphs(draw, max_n=20):
+    n = draw(st.integers(1, max_n))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = {(min(u, v), max(u, v)) for u, v in draw(st.lists(pairs, max_size=3 * n))
+             if u != v}
+    return LabeledGraph.from_edges(n, sorted(edges))
+
+
+@st.composite
+def generated_graphs(draw):
+    index = draw(st.integers(0, 10_000))
+    return random_small_graph(np.random.default_rng(index), index)
+
+
+graphs = st.one_of(edge_graphs(), generated_graphs())
+
+
+@st.composite
+def thresholds(draw, g):
+    if draw(st.booleans()):
+        return random_thresholds(g, draw(st.integers(0, 2**32)))
+    phi = draw(st.sampled_from((0.05, 0.2, 1 / 3, 0.5, 2 / 3, 1.0)))
+    return uniform_thresholds(g, phi)
+
+
+@st.composite
+def orders(draw, g):
+    """A repeat-free attack order; sometimes every node, sometimes the
+    degree order fig1 uses."""
+    if draw(st.booleans()):
+        return degree_order(g, draw(st.integers(0, g.n)))
+    perm = draw(st.permutations(range(g.n)))
+    return np.asarray(perm[:draw(st.integers(0, g.n))], dtype=np.int64)
+
+
+@SWEEP_SETTINGS
+@given(st.data())
+def test_prefix_infection_counts_match_cold_cascades(data):
+    g = data.draw(graphs)
+    theta = data.draw(thresholds(g))
+    order = data.draw(orders(g))
+    warm = prefix_infection_counts(g, order, theta)
+    cold = [infection_set(g, order[:k], theta).infected.size
+            for k in range(1, order.size + 1)]
+    assert warm.tolist() == cold
+
+
+@SWEEP_SETTINGS
+@given(st.data())
+def test_prefix_injury_counts_match_injury_set(data):
+    g = data.draw(graphs)
+    order = data.draw(orders(g))
+    swept = prefix_injury_counts(g, order)
+    cold = [injury_set(g, order[:k]).size for k in range(1, order.size + 1)]
+    assert swept.tolist() == cold
+
+
+@SWEEP_SETTINGS
+@given(st.data())
+def test_infection_set_growth_matches_synchronous_rounds(data):
+    g = data.draw(graphs)
+    theta = data.draw(thresholds(g))
+    order = data.draw(orders(g))
+    out = infection_set(g, order, theta)
+    growth = sync_round_growth(g, order, theta)
+    assert out.growth == tuple(growth)
+    assert out.rounds == len(growth) - 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 120), st.integers(2, 4), st.integers(0, 10_000),
+       st.data())
+def test_classify_on_shared_kernel_matches_global_cascade(n, d, seed, data):
+    g = cl.gen_security(max(n, d + 1), d, 1.5, master_seed=seed)
+    theta = data.draw(thresholds(g))
+    everyone = set(range(g.n))
+    for com in communities(g):
+        outside = sorted(everyone - set(com.members.tolist()))
+        full = infection_set(g, outside, theta)
+        expected = (CommunityStrength.VULNERABLE
+                    if com.seed in set(full.infected.tolist())
+                    else CommunityStrength.STRONG)
+        assert classify_community(g, com, theta) is expected
+
+
+# ---- the cases the sweeps must get right, spelled out -------------------------
+
+
+def test_next_prefix_node_already_infected():
+    # attacking the hub of a star infects every leaf (phi = 1); the next
+    # attack nodes are infected already and must not be counted twice
+    g = LabeledGraph.from_edges(5, [(0, i) for i in range(1, 5)])
+    theta = uniform_thresholds(g, 1.0)
+    assert prefix_infection_counts(g, [0, 3, 1], theta).tolist() == [5, 5, 5]
+
+
+def test_degree_zero_nodes_only_join_when_attacked():
+    g = LabeledGraph.from_edges(4, [(0, 1)])
+    theta = random_thresholds(g, 3)
+    assert theta.uninfectable[2] and theta.uninfectable[3]
+    assert prefix_infection_counts(g, [0, 2, 3], theta).tolist() == [2, 3, 4]
+
+
+def test_injury_ties_between_equal_components():
+    # two triangles joined through node 6: removing it leaves a tie
+    edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 6), (3, 6)]
+    g = LabeledGraph.from_edges(7, edges)
+    assert prefix_injury_counts(g, [6, 0]).tolist() == [3, 2]
+    assert [injury_set(g, [6]).size, injury_set(g, [6, 0]).size] == [3, 2]
+
+
+def test_injury_whole_graph_removed():
+    g = LabeledGraph.from_edges(3, [(0, 1)])
+    assert prefix_injury_counts(g, [0, 2, 1]).tolist() == [1, 0, 0]
+
+
+def test_injury_order_must_not_repeat():
+    g = LabeledGraph.from_edges(3, [(0, 1)])
+    with pytest.raises(ValueError, match="repeats"):
+        prefix_injury_counts(g, [1, 1])
+
+
+def test_classify_infects_only_inside_the_community():
+    # X = {0 (seed), 1, 4, 5}; outside nodes 2 and 3 count as infected
+    # once, through the preloaded external counts.  Member 1 falls at
+    # once, and node 2 would reach its own threshold from it; letting 2
+    # "fall" again would push seed 0 over phi = 1/2 by double counting.
+    g = LabeledGraph.from_edges(
+        6, [(0, 2), (0, 4), (0, 5), (1, 2), (1, 3)],
+        color=[0, 0, 1, 1, 0, 0], is_seed=[1, 0, 1, 0, 0, 0])
+    x = Community(color=0, members=np.array([0, 1, 4, 5]), seed=0)
+    theta = uniform_thresholds(g, 0.5)
+    assert 0 not in infection_set(g, [2, 3], theta).infected.tolist()
+    assert classify_community(g, x, theta) is CommunityStrength.STRONG
+
+
+def test_top_degree_nodes_is_sorted_degree_order():
+    g = cl.gen_pa(300, 3, master_seed=4)
+    for k in (0, 1, 17, 300):
+        assert np.array_equal(top_degree_nodes(g, k),
+                              np.sort(degree_order(g, k)))
