@@ -22,9 +22,9 @@ from .experiment import (ConfigError, ExperimentConfig, ExperimentResult,
 from .generators import (GenParams, attachment_probability,
                          expected_seed_count, gen_er, gen_pa, gen_security,
                          generate)
-from .graph import (EdgeTag, GraphFormatError, LabeledGraph, degree,
-                    deserialize, largest_connected_component, load_graph,
-                    save_graph, serialize)
+from .graph import (EdgeTag, GraphFormatError, LabeledGraph, deserialize,
+                    largest_connected_component, load_graph, save_graph,
+                    serialize)
 from .seeding import derive_seed, derive_trial_seed, rng_from, splitmix64
 from .structure import (Community, CommunityConductance, DegreeProfile,
                         DistanceStats, NavigationResult, PowerlawFit,
@@ -36,7 +36,7 @@ from .structure import (Community, CommunityConductance, DegreeProfile,
 __all__ = [
     "__version__",
     # graph core
-    "LabeledGraph", "EdgeTag", "GraphFormatError", "degree",
+    "LabeledGraph", "EdgeTag", "GraphFormatError",
     "largest_connected_component", "serialize", "deserialize",
     "save_graph", "load_graph",
     # generators

@@ -19,6 +19,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .cascade import (degree_order, infection_set, prefix_injury_counts,
                       random_thresholds, top_degree_nodes, uniform_thresholds)
@@ -104,14 +106,11 @@ def _analyze_rows(g, args) -> tuple[str, list[str]]:
         return "color,size,volume,cut,conductance", rows
     if report == "degree-priority":
         summary = degree_priority_summary(g)
-        own = summary.own_color_first(g)
-        deg = g.degrees
-        rows = [
-            f"{v},{g.color[v]},{int(g.is_seed[v])},{deg[v]},"
-            f"{summary.length[v]},{summary.first_degree[v]},"
-            f"{summary.second_degree[v]},{int(own[v])}"
-            for v in range(g.n)
-        ]
+        columns = [np.arange(g.n), g.color, g.is_seed, g.degrees,
+                   summary.length, summary.first_degree,
+                   summary.second_degree, summary.own_color_first(g)]
+        rows = list(map("{},{},{},{},{},{},{},{}".format,
+                        *(c.astype(np.int64).tolist() for c in columns)))
         return ("node,color,is_seed,degree,length,first_degree,"
                 "second_degree,own_color_first"), rows
     if report == "powerlaw":

@@ -47,6 +47,7 @@ _DEFAULTS = {
 }
 
 _DEFAULT_PHI_GRID = tuple(i / 100 for i in range(1, 51))
+_FIG1_ATTACK_SCALE = 5.0  # fig1 attack sizes run k = 1..ceil(5 ln n)
 
 
 class ConfigError(ValueError):
@@ -98,6 +99,12 @@ class ExperimentConfig:
                 raise ConfigError("homophyly exponent a must exceed 1")
         if any(n < self.d + 1 for n in self.n_list):
             raise ConfigError("every n must be at least d + 1")
+        if self.experiment == "fig1":
+            for n in self.n_list:
+                k_max = attack_size(n, _FIG1_ATTACK_SCALE)
+                if k_max > n:
+                    raise ConfigError(f"fig1 attacks up to ceil(5 ln n) = "
+                                      f"{k_max} nodes, more than n={n}")
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
         if not 0.0 < self.epsilon < 1.0:
@@ -253,7 +260,7 @@ def _max_infection_fraction(cfg, g, model, n, attack, graph_index) -> float:
 def _compute_cell(cfg: ExperimentConfig, model: str, n: int) -> list[str]:
     """All CSV data rows of one (model, n) cell, in canonical order."""
     if cfg.experiment == "fig1":
-        k_max = attack_size(n, 5.0)
+        k_max = attack_size(n, _FIG1_ATTACK_SCALE)
         injury = np.zeros(k_max)
         max_inf = np.zeros(k_max)
         for j in range(cfg.graphs_per_cell):

@@ -20,10 +20,22 @@ File format (version 1, UTF-8, LF line endings)::
 Provenance is one of INITIAL, PA_GLOBAL, SEED_LINK, HOMOPHYLY, PLAIN.
 The format is canonical: node lines must appear in id order and edge lines
 in ascending (u, v) order, so serialization round-trips bit-exactly.
+
+Both directions work on whole columns.  :func:`serialize` formats rows
+from ``tolist()`` chunks.  :func:`deserialize` first checks the whole file
+against the canonical grammar with one regex per section, parses every
+integer in one ``np.fromstring`` call, confirms the header counts by the
+edge-line and integer counts, and checks ids, ``u < v < n`` and the edge
+order with array operations.  A file
+that fails any of these goes to the line-by-line parser, which is the only
+code that writes format errors (so they keep naming the first bad line) and
+which still reads the lenient spellings it always has (``+5``, a missing
+final newline).
 """
 
 from __future__ import annotations
 
+import re
 from enum import IntEnum
 
 import numpy as np
@@ -41,7 +53,6 @@ class EdgeTag(IntEnum):
     PLAIN = 4       # baseline models (ER / PA) with no provenance story
 
 
-_TAG_NAMES = {tag: tag.name for tag in EdgeTag}
 _TAG_BY_NAME = {tag.name: tag for tag in EdgeTag}
 
 FORMAT_MAGIC = "cascadelab-graph"
@@ -77,11 +88,16 @@ class LabeledGraph:
         swap = u > v
         if swap.any():
             u, v = np.where(swap, v, u), np.where(swap, u, v)
-        # canonical edge order (u, v) ascending, deterministic for equal graphs
-        order = np.lexsort((v, u))
-        self.edge_u = u[order]
-        self.edge_v = v[order]
-        self.edge_tag = tag[order]
+        # canonical edge order (u, v) ascending, deterministic for equal graphs;
+        # the sort is stable, so edges already in order (generator output,
+        # parsed files) skip it and keep their arrays
+        du = np.diff(u)
+        if ((du < 0) | ((du == 0) & (np.diff(v) < 0))).any():
+            order = np.lexsort((v, u))
+            u, v, tag = u[order], v[order], tag[order]
+        self.edge_u = u
+        self.edge_v = v
+        self.edge_tag = tag
         self._derived: dict = {}
         if validate:
             self._validate()
@@ -120,6 +136,8 @@ class LabeledGraph:
         for name in ("color", "is_seed", "birth_time"):
             if getattr(self, name).shape != (n,):
                 raise ValueError(f"{name} must have length n={n}")
+        if not self.edge_v.shape == self.edge_tag.shape == (m,):
+            raise ValueError("edge arrays must have equal length")
         if m:
             if self.edge_u.min(initial=0) < 0 or self.edge_v.max(initial=-1) >= n:
                 raise ValueError("edge endpoint out of range")
@@ -130,6 +148,8 @@ class LabeledGraph:
                 i = int(np.flatnonzero(dup)[0])
                 raise ValueError(
                     f"duplicate edge ({self.edge_u[i]}, {self.edge_v[i]})")
+        if self.edge_tag.max(initial=0) >= len(EdgeTag):
+            raise ValueError("unknown edge tag")
         if (self.color < 0).any():
             raise ValueError("colors must be non-negative")
         if (self.birth_time < 0).any():
@@ -223,11 +243,6 @@ class LabeledGraph:
         return f"LabeledGraph(n={self.n}, m={self.m}, {tags or 'no edges'})"
 
 
-def degree(g: LabeledGraph, v: int) -> int:
-    """Degree of node v; raises IndexError for out-of-range ids."""
-    return g.degree(v)
-
-
 def largest_connected_component(g: LabeledGraph, excluded=()) -> np.ndarray:
     """Node set of the largest connected component of g minus `excluded`.
 
@@ -270,25 +285,92 @@ def _lcc_of(g: LabeledGraph, survivors: np.ndarray) -> np.ndarray:
 # ---- serialization ---------------------------------------------------------
 
 
+_CHUNK = 1 << 16  # rows per str.join, which bounds the temporary lists
+_TAG_NAME_ARRAY = np.array([tag.name for tag in EdgeTag], dtype=object)
+
+
+def _rows(template: str, *columns: np.ndarray):
+    """Encoded ``template.format`` rows over equal-length columns, by chunk."""
+    for a in range(0, columns[0].shape[0], _CHUNK):
+        chunk = [c[a:a + _CHUNK].tolist() for c in columns]
+        yield "".join(map(template.format, *chunk)).encode("utf-8")
+
+
 def serialize(g: LabeledGraph) -> bytes:
     """Serialize to the canonical v1 text format (UTF-8 bytes, LF endings)."""
-    lines = [f"{FORMAT_MAGIC} {FORMAT_VERSION} {g.n} {g.m}"]
-    seeds = g.is_seed.astype(np.int64)
-    for i in range(g.n):
-        lines.append(f"N {i} {g.color[i]} {seeds[i]} {g.birth_time[i]}")
-    tag_names = [_TAG_NAMES[EdgeTag(int(t))] for t in g.edge_tag]
-    eu, ev = g.edge_u, g.edge_v
-    for j in range(g.m):
-        lines.append(f"E {eu[j]} {ev[j]} {tag_names[j]}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    head = f"{FORMAT_MAGIC} {FORMAT_VERSION} {g.n} {g.m}\n".encode("utf-8")
+    nodes = _rows("N {} {} {} {}\n", np.arange(g.n), g.color,
+                  g.is_seed.astype(np.int64), g.birth_time)
+    edges = _rows("E {} {} {}\n", g.edge_u, g.edge_v,
+                  _TAG_NAME_ARRAY[g.edge_tag])
+    return b"".join([head, *nodes, *edges])
+
+
+# Canonical lines only: \d is ASCII-only in a bytes pattern, 18 digits
+# always fit int64, and the possessive *+ keeps no per-line backtracking
+# state (a plain * costs memory in proportion to the file).
+_HEADER = re.compile(re.escape(f"{FORMAT_MAGIC} {FORMAT_VERSION} ".encode())
+                     + rb"(\d{1,18}) (\d{1,18})\n")
+_NODE_LINES = re.compile(rb"(?:N \d{1,18} \d{1,18} [01] \d{1,18}\n)*+")
+_EDGE_LINES = re.compile(
+    rb"(?:E \d{1,18} \d{1,18} (?:%s)\n)*+"
+    % "|".join(tag.name for tag in EdgeTag).encode())
+_LETTERS_TO_BLANKS = bytes.maketrans(b"ABCDEFGHIJKLMNOPQRSTUVWXYZ_", b" " * 27)
+# a tag name is identified by its last and fourth-to-last letters
+_TAG_BY_LETTERS = np.zeros((256, 256), dtype=np.uint8)
+for _tag in EdgeTag:
+    _TAG_BY_LETTERS[ord(_tag.name[-1]), ord(_tag.name[-4])] = _tag
+assert len({(t.name[-1], t.name[-4]) for t in EdgeTag}) == len(EdgeTag)
+
+
+def deserialize(data: bytes) -> LabeledGraph:
+    """Parse the v1 format; errors name the offending line.
+
+    A canonical file is checked and parsed in bulk.  Any other input goes
+    to the line-by-line parser, which reads the few lenient spellings it
+    accepts (``+5``, non-ASCII digits, a missing final newline) and
+    otherwise names the first bad line.
+    """
+    g = _parse_canonical(data)
+    return _parse_lines(data) if g is None else g
+
+
+def _parse_canonical(data: bytes) -> LabeledGraph | None:
+    """Bulk parse of a canonical file; None if any check fails."""
+    head = _HEADER.match(data)
+    if head is None:
+        return None
+    n, m = int(head[1]), int(head[2])
+    nodes_at = head.end()
+    edges_at = _NODE_LINES.match(data, nodes_at).end()
+    if (_EDGE_LINES.fullmatch(data, edges_at) is None
+            or data.count(b"\n", edges_at) != m):
+        return None
+    values = np.fromstring(data[nodes_at:].translate(_LETTERS_TO_BLANKS),
+                           dtype=np.int64, sep=" ")
+    # m is confirmed by the line count and now n by the value count; only
+    # from here on may the header counts size an array
+    if values.shape[0] != 4 * n + 2 * m:
+        return None
+    node = values[:4 * n].reshape(n, 4)
+    u, v = values[4 * n:].reshape(m, 2).T
+    du = np.diff(u)
+    if not ((node[:, 0] == np.arange(n)).all() and (u < v).all()
+            and (v < n).all()
+            and ((du > 0) | ((du == 0) & (np.diff(v) > 0))).all()):
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    ends = edges_at + np.flatnonzero(buf[edges_at:] == ord("\n"))
+    tag = _TAG_BY_LETTERS[buf[ends - 1], buf[ends - 4]]
+    return LabeledGraph(n, node[:, 1], node[:, 2] == 1, node[:, 3], u, v, tag)
 
 
 def _fail(lineno: int, message: str):
     raise GraphFormatError(f"line {lineno}: {message}")
 
 
-def deserialize(data: bytes) -> LabeledGraph:
-    """Parse the canonical v1 format; errors name the offending line."""
+def _parse_lines(data: bytes) -> LabeledGraph:
+    """Line-by-line parse; the only source of format error messages."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

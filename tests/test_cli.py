@@ -2,6 +2,7 @@ import pytest
 
 import cascadelab as cl
 from cascadelab.cli import main
+from cascadelab.structure import degree_priority_summary
 
 
 def run_cli(*argv):
@@ -98,6 +99,23 @@ def test_analyze_reports(security_file, tmp_path, report, header):
     assert len(lines) >= 2
 
 
+def test_degree_priority_rows_match_per_node_format(security_file, tmp_path):
+    out = tmp_path / "dp.csv"
+    assert run_cli("analyze", "--graph", security_file, "--report",
+                   "degree-priority", "--out", out) == 0
+    g = cl.load_graph(security_file)
+    summary = degree_priority_summary(g)
+    own = summary.own_color_first(g)
+    deg = g.degrees
+    expected = [
+        f"{v},{g.color[v]},{int(g.is_seed[v])},{deg[v]},"
+        f"{summary.length[v]},{summary.first_degree[v]},"
+        f"{summary.second_degree[v]},{int(own[v])}"
+        for v in range(g.n)
+    ]
+    assert out.read_text().split("\n")[1:-1] == expected
+
+
 def test_analyze_uncolored_graph_errors(tmp_path, capsys):
     path = tmp_path / "er.graph"
     run_cli("generate", "--model", "er", "--n", 100, "--d", 4, "--seed", 0,
@@ -142,6 +160,13 @@ def test_experiment_cli_config_error(tmp_path, capsys):
     cfg.write_text("experiment=fig1\nmodels=security\nd=4\na=1.5\nn_list=60\n")
     assert run_cli("experiment", "--config", cfg) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_experiment_cli_fig1_n_below_attack_size(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("experiment=fig1\nmodels=er\nn_list=12\nd=4\ntrials=1\n")
+    assert run_cli("experiment", "--config", cfg) == 2
+    assert "n=12" in capsys.readouterr().err
 
 
 def test_experiment_cli_repeated_key(tmp_path, capsys):

@@ -124,6 +124,18 @@ def test_fig1_row_count_and_k_range():
         assert 0.0 <= float(r[5]) <= 1.0
 
 
+def test_fig1_rejects_n_below_its_largest_attack():
+    # ceil(5 ln 12) = 13 > 12, while ceil(5 ln 13) = 13
+    with pytest.raises(ConfigError, match="n=12"):
+        xp.default_config("fig1", n_list=(12,), d=4)
+    with pytest.raises(ConfigError, match="n=12"):
+        xp.default_config("fig1", n_list=(12, 13), d=4)
+    cfg = xp.default_config("fig1", n_list=(13,), d=4, trials=2)
+    rows = xp.run_fig1(cfg).strip().split("\n")[1:]
+    assert [int(r.split(",")[3]) for r in rows if r.startswith("er,")] == \
+        list(range(1, 14))
+
+
 # ---- fig2 -----------------------------------------------------------------------
 
 def test_fig2_boundary_n_runs():

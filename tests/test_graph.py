@@ -1,8 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from cascadelab import (EdgeTag, GraphFormatError, LabeledGraph, degree,
-                        deserialize, gen_security, largest_connected_component,
+from cascadelab import (EdgeTag, GraphFormatError, LabeledGraph, deserialize,
+                        gen_security, generate, largest_connected_component,
                         serialize)
 
 
@@ -23,25 +25,25 @@ def star_graph(leaves):
 
 def test_degree_complete_graph():
     g = complete_graph(4)
-    assert all(degree(g, v) == 3 for v in range(4))
+    assert all(g.degree(v) == 3 for v in range(4))
 
 
 def test_degree_single_node():
     g = LabeledGraph.from_edges(1, [])
-    assert degree(g, 0) == 0
+    assert g.degree(0) == 0
 
 
 def test_degree_cycle():
     g = cycle_graph(4)
-    assert all(degree(g, v) == 2 for v in range(4))
+    assert all(g.degree(v) == 2 for v in range(4))
 
 
 def test_degree_out_of_range():
     g = cycle_graph(4)
     with pytest.raises(IndexError):
-        degree(g, 4)
+        g.degree(4)
     with pytest.raises(IndexError):
-        degree(g, -1)
+        g.degree(-1)
 
 
 def test_edge_count_is_half_degree_sum():
@@ -138,6 +140,29 @@ def test_security_graph_byte_identical_reserialization():
     again = serialize(deserialize(data))
     assert data == again
     assert deserialize(data) == g
+
+
+# SHA-256 of serialize(generate(model, 2000, 10, a, master_seed=seed)), taken
+# before the bulk writer replaced the per-line one.  A change here means the
+# generators' output or the file bytes changed.
+GOLDEN_SHA256 = {
+    ("er", 1): "d78401886d3255688133d5e06796b9dc436af1f341e2b304b551b207d7041779",
+    ("er", 2): "70ee7b81606b80d4046d3027d02819a0e899db46a9960509e42cac701fc4cc4a",
+    ("pa", 1): "750831ee422656d57650451954cb97f46d4f7081ad35730b93e224f846706b18",
+    ("pa", 2): "2eae1521c4061171de45730154bed75a0e89a965f0098c3dbfc26da044704314",
+    ("security", 1):
+        "4f33ba14ee1c955b92d872e5111e1652807d82dba99a0d441ffc0b23b469dec8",
+    ("security", 2):
+        "2773f453a27c447c34c165ff9de0510ca3352b58a7cfa25653535d15dfdf7e39",
+}
+
+
+@pytest.mark.parametrize("model,seed", sorted(GOLDEN_SHA256))
+def test_generated_graph_golden_hash(model, seed):
+    a = 1.5 if model == "security" else None
+    data = serialize(generate(model, 2000, 10, a, master_seed=seed))
+    assert hashlib.sha256(data).hexdigest() == GOLDEN_SHA256[model, seed]
+    assert serialize(deserialize(data)) == data
 
 
 def test_header_errors():

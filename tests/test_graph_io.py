@@ -1,0 +1,179 @@
+"""The bulk graph-file writer and parser, checked against the per-line
+ones they replaced (``oracles.per_line_serialize`` / ``per_line_deserialize``).
+
+Every input must give the same bytes, the same graph, or the same error
+(type and message) as the oracle.  A canonical file must take the bulk
+path; a file the bulk checks reject falls back to the line-by-line parser.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cascadelab import EdgeTag, LabeledGraph, deserialize, serialize
+from cascadelab.graph import _parse_canonical
+
+from oracles import per_line_deserialize, per_line_serialize, random_small_graph
+
+IO_SETTINGS = settings(max_examples=200, deadline=None)
+
+# field values: small, many-digit, and past the 18 digits the bulk parser reads
+values = st.one_of(st.integers(0, 30), st.integers(0, 10**18 - 1),
+                   st.integers(10**18, 2**63 - 1))
+
+
+@st.composite
+def edge_graphs(draw, max_n=20):
+    """Random simple graphs with random metadata, including n=0, m=0 and
+    isolated nodes."""
+    n = draw(st.integers(0, max_n))
+    edges = set()
+    if n > 1:
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        edges = {(min(u, v), max(u, v))
+                 for u, v in draw(st.lists(pairs, max_size=3 * n)) if u != v}
+    edges = sorted(edges)
+    tags = draw(st.lists(st.sampled_from(list(EdgeTag)),
+                         min_size=len(edges), max_size=len(edges)))
+    return LabeledGraph.from_edges(
+        n, [(u, v, t) for (u, v), t in zip(edges, tags)],
+        color=np.asarray(draw(st.lists(values, min_size=n, max_size=n)),
+                         dtype=np.int64),
+        is_seed=np.asarray(draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+                           dtype=bool),
+        birth_time=np.asarray(draw(st.lists(values, min_size=n, max_size=n)),
+                              dtype=np.int64))
+
+
+@st.composite
+def generated_graphs(draw):
+    index = draw(st.integers(0, 10_000))
+    return random_small_graph(np.random.default_rng(index), index)
+
+
+graphs = st.one_of(edge_graphs(), generated_graphs())
+
+
+def outcome(parse, data):
+    """What a parser makes of data: the graph's bytes, or the error raised."""
+    try:
+        return "graph", per_line_serialize(parse(data))
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return "error", type(exc).__name__, str(exc)
+
+
+def assert_parses_like_oracle(data):
+    assert outcome(deserialize, data) == outcome(per_line_deserialize, data)
+
+
+def fits_bulk_parser(g):
+    return all(int(a.max(initial=0)) < 10**18 for a in (g.color, g.birth_time))
+
+
+@IO_SETTINGS
+@given(graphs)
+def test_round_trip_matches_per_line_format(g):
+    data = serialize(g)
+    assert data == per_line_serialize(g)
+    assert deserialize(data) == g
+    assert per_line_deserialize(data) == g
+    # canonical files with fields the bulk parser reads never fall back
+    assert (_parse_canonical(data) is not None) == fits_bulk_parser(g)
+
+
+MUTATIONS = ("byte", "delete", "duplicate", "swap")
+# bytes a corruption writes: digits, separators, signs, letters of the
+# format, a carriage return, a NUL and a byte that is not UTF-8
+NOISE = b"0159 \n\r+-_NEPLAINTKYZ\x00\xff"
+
+
+@IO_SETTINGS
+@given(graphs, st.sampled_from(MUTATIONS), st.data())
+def test_mutated_file_parses_like_oracle(g, kind, data):
+    raw = serialize(g)
+    if kind == "byte":
+        at = data.draw(st.integers(0, len(raw) - 1))
+        byte = data.draw(st.sampled_from(NOISE))
+        mutated = raw[:at] + bytes([byte]) + raw[at + 1:]
+    else:
+        lines = raw.split(b"\n")[:-1]
+        i = data.draw(st.integers(0, len(lines) - 1))
+        if kind == "delete":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            j = data.draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        mutated = b"".join(line + b"\n" for line in lines)
+    assert_parses_like_oracle(mutated)
+
+
+def small_file(*, newline=b"\n"):
+    lines = [b"cascadelab-graph v1 3 2", b"N 0 1 1 0", b"N 1 0 0 1",
+             b"N 2 1 0 2", b"E 0 1 SEED_LINK", b"E 1 2 HOMOPHYLY"]
+    return newline.join(lines) + newline
+
+
+@pytest.mark.parametrize("data", [
+    pytest.param(small_file(newline=b"\r\n"), id="crlf"),
+    pytest.param(b"cascadelab-graph v1 2 0\r\nN 0 0 0 0\r\nN 1 0 0 1\r\n",
+                 id="crlf-no-edges"),
+    pytest.param(small_file()[:-1], id="no-final-newline"),
+    pytest.param(b"cascadelab-graph v1 0 0", id="empty-graph-no-newline"),
+    pytest.param(small_file().replace(b"N 2 1 0 2", b"N 02 05 0 2"),
+                 id="leading-zeros"),
+    pytest.param(small_file().replace(b"E 0 1", b"E +0 +1"), id="plus-signs"),
+    pytest.param(small_file().replace(b"v1 3 2", b"v1 +3 02"),
+                 id="header-plus-and-zero"),
+    pytest.param(small_file().replace(b"N 2 1 0 2",
+                                      b"N 2 1234567890123456789 0 2"),
+                 id="19-digit-field"),
+    pytest.param(small_file().replace(b"N 2 1 0 2", b"N 2 1 0 " + b"9" * 19),
+                 id="19-digit-field-past-int64"),
+    pytest.param(small_file().replace(b"v1 3 2", b"v1 3 " + b"0" * 18 + b"2"),
+                 id="19-digit-header-count"),
+    pytest.param(small_file().replace(b"N 1 0 0 1", "N ١ 0 0 ١".encode()),
+                 id="arabic-indic-digits"),
+    pytest.param(small_file().replace(b"E 0 1", "E ０ １".encode()),
+                 id="fullwidth-digits"),
+    pytest.param(b"cascadelab-graph v1 999999999999999999 0\n",
+                 id="huge-header-n"),
+    pytest.param(b"cascadelab-graph v1 0 " + b"9" * 40 + b"\n",
+                 id="huge-header-m"),
+    pytest.param(b"cascadelab-graph v1 100 0\nN 0 0 0 0\n", id="short-file"),
+    # one node line fewer and two edge lines more than the header says: the
+    # same count of integers, and the first edge reads as node 2's fields
+    pytest.param(b"cascadelab-graph v1 3 1\nN 0 0 0 0\nN 1 0 0 1\n"
+                 b"E 2 0 PLAIN\nE 0 1 PLAIN\nE 1 2 PLAIN\n",
+                 id="node-lines-traded-for-edge-lines"),
+    pytest.param(b"", id="empty-file"),
+    pytest.param(b"\n", id="blank-line"),
+    pytest.param(small_file() + b"\n", id="trailing-blank-line"),
+    pytest.param(small_file().replace(b"HOMOPHYLY", b"homophyly"),
+                 id="lowercase-tag"),
+    pytest.param(small_file().replace(b"E 1 2", b"E 0 1"), id="duplicate-edge"),
+    pytest.param(small_file().replace(b"E 1 2", b"E 2 1"), id="reversed-edge"),
+    pytest.param(small_file().replace(b"E 1 2", b"E 1 3"), id="dangling-edge"),
+    pytest.param(small_file().replace(b"N 1 0 0 1", b"N 1 0 2 1"),
+                 id="bad-seed-flag"),
+    pytest.param(small_file().replace(b"N 1 0 0 1", b"N 1 -1 0 1"),
+                 id="negative-color"),
+    pytest.param(small_file().replace(b"N 1 0 0 1", b"N 1  0 0 1"),
+                 id="double-space"),
+    pytest.param(small_file().replace(b"N 1", b"N 9"), id="wrong-node-id"),
+    pytest.param(small_file().replace(b"N 1 0 0 1", b"N 1 0 0 1 "),
+                 id="trailing-space"),
+    pytest.param(small_file().replace(b"SEED_LINK", b"SEED_LINK\xff"),
+                 id="not-utf8"),
+])
+def test_hand_written_file_parses_like_oracle(data):
+    assert_parses_like_oracle(data)
+
+
+def test_canonical_file_takes_bulk_path():
+    assert _parse_canonical(small_file()) is not None
+    for data in (small_file()[:-1], small_file(newline=b"\r\n"),
+                 small_file().replace(b"N 2 1 0 2", b"N +2 1 0 2")):
+        assert _parse_canonical(data) is None
