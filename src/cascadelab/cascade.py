@@ -30,7 +30,7 @@ from scipy.sparse import csgraph
 
 from .graph import LabeledGraph, largest_connected_component
 from .seeding import rng_from
-from .structure import Community, communities
+from .structure import Community, communities, intra_color_adjacency
 
 
 @dataclass(frozen=True)
@@ -368,9 +368,19 @@ def classify_community(g: LabeledGraph, x: Community,
 
 
 def count_vulnerable(g: LabeledGraph, theta: ThresholdAssignment) -> int:
-    """Number of vulnerable communities under the given thresholds."""
+    """Number of vulnerable communities under the given thresholds.
+
+    One joint cascade classifies every community at once.  It runs over
+    the intra-color CSR, with each node's count preloaded with its
+    cross-color neighbors (all infected in that community's test).
+    Communities are disjoint and no intra-color edge leaves one, so each
+    community's part of the joint cascade is exactly its own
+    ``classify_community`` cascade.
+    """
     need = _need_counts(g, theta)
-    return sum(
-        1 for x in communities(g)
-        if _classify(g, x, theta, need) is CommunityStrength.VULNERABLE
-    )
+    seeds = np.asarray([c.seed for c in communities(g)], dtype=np.int64)
+    indptr, indices = intra_color_adjacency(g)
+    cnt = g.degrees - np.diff(indptr)
+    infected = cnt >= need
+    _propagate(indptr, indices, need, infected, cnt, np.flatnonzero(infected))
+    return int(np.count_nonzero(infected[seeds]))

@@ -365,6 +365,9 @@ def _parse_canonical(data: bytes) -> LabeledGraph | None:
     return LabeledGraph(n, node[:, 1], node[:, 2] == 1, node[:, 3], u, v, tag)
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 def _fail(lineno: int, message: str):
     raise GraphFormatError(f"line {lineno}: {message}")
 
@@ -412,6 +415,8 @@ def _parse_lines(data: bytes) -> LabeledGraph:
             _fail(lineno, "is_seed must be 0 or 1")
         if col < 0 or bt < 0:
             _fail(lineno, "color and birth_time must be non-negative")
+        if col > _INT64_MAX or bt > _INT64_MAX:
+            _fail(lineno, "color and birth_time must fit in int64")
         color[i], is_seed[i], birth[i] = col, bool(seed), bt
 
     eu = np.empty(m, dtype=np.int64)

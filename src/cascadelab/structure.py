@@ -3,8 +3,16 @@ degree priority, power-law fitting, distances, the community priority
 tree, and seed-routed navigation.
 
 Everything here is a pure function of an immutable graph; expensive
-derived structures (community partition, seed subgraph) are memoized on
-the graph object, so repeated queries on the same graph are cheap.
+derived structures are memoized on the graph object, so repeated queries
+on the same graph are cheap.  Besides the community partition these are
+two CSR views of ``g.adjacency()``: the intra-color CSR (same-color edges
+only) and the seed CSR (seed-seed edges only), whose rows stay ascending.
+
+Distances and community diameters run one bit-parallel BFS
+(``_bfs_levels``): up to 64 sources share a uint64 word per node, and
+each level is one pass over the CSR.  Community diameters run every
+member of every community as a source at once, over the intra-color CSR.
+Navigation walks rows of the intra-color and seed CSRs.
 """
 
 from __future__ import annotations
@@ -14,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
-from scipy.sparse import csgraph
 
 from .graph import EdgeTag, LabeledGraph, largest_connected_component
 from .seeding import rng_from
@@ -251,15 +258,44 @@ class DistanceStats:
     pairs_unreachable: int
 
 
-def _bfs_distance_rows(g: LabeledGraph, sources: np.ndarray) -> np.ndarray:
-    """BFS distances from the given sources to all nodes (chunked)."""
-    out = np.empty((sources.shape[0], g.n), dtype=np.float64)
-    a = g.csr()
-    for lo in range(0, sources.shape[0], 64):
-        chunk = sources[lo:lo + 64]
-        out[lo:lo + chunk.shape[0]] = csgraph.dijkstra(
-            a, directed=False, unweighted=True, indices=chunk)
-    return out
+def _bfs_levels(indptr, indices, seen):
+    """Bit-parallel BFS over a symmetric CSR, one level per step.
+
+    ``seen`` is a (words, n) uint64 array: bit b of ``seen[w, v]`` says
+    that BFS lane 64 * w + b has reached node v; set each lane's source
+    bit before the call.  Every level ORs the newly reached bits of all
+    neighbors into each node, in one pass over the CSR per word.
+    ``seen`` is updated in place.  Yields (level, nodes, new) for every
+    level that reaches something: the nodes with a new bit, ascending,
+    and the (words, n) array of the bits first set at that level.
+    """
+    # reduceat reads one element for an empty segment (and fails on a
+    # trailing one), so rows without neighbors are left out
+    rows = np.flatnonzero(np.diff(indptr))
+    starts = indptr[rows]
+    frontier = seen.copy()
+    level = 0
+    while rows.size:
+        level += 1
+        reach = np.zeros_like(seen)
+        for word in range(seen.shape[0]):
+            reach[word, rows] = np.bitwise_or.reduceat(
+                frontier[word, indices], starts)
+        frontier = reach & ~seen
+        hit = np.flatnonzero(frontier.any(axis=0))
+        if hit.size == 0:
+            return
+        seen |= frontier
+        yield level, hit, frontier
+
+
+def _lane_bits(n: int, node: np.ndarray, lane: np.ndarray) -> np.ndarray:
+    """(words, n) uint64 bits with lane ``lane[i]`` set at node ``node[i]``
+    (one lane per node)."""
+    words = int(lane.max()) // 64 + 1 if lane.size else 1
+    bits = np.zeros((words, n), dtype=np.uint64)
+    bits[lane // 64, node] = np.uint64(1) << (lane % 64).astype(np.uint64)
+    return bits
 
 
 def sample_lcc_pairs(g: LabeledGraph, sample_pairs: int, seed: int = 0,
@@ -293,12 +329,30 @@ def sample_lcc_pairs(g: LabeledGraph, sample_pairs: int, seed: int = 0,
     return pair_u, pair_v
 
 
+_SOURCES_PER_PASS = 256  # BFS lanes per kernel pass: 4 words per node
+
+
 def pair_distances(g: LabeledGraph, pair_u: np.ndarray,
                    pair_v: np.ndarray) -> np.ndarray:
     """BFS distance for each (u, v) pair; inf when unreachable."""
+    pair_u = np.asarray(pair_u, dtype=np.int64)
+    pair_v = np.asarray(pair_v, dtype=np.int64)
     sources, inverse = np.unique(pair_u, return_inverse=True)
-    dist_rows = _bfs_distance_rows(g, sources)
-    return dist_rows[inverse, pair_v]
+    out = np.where(pair_u == pair_v, 0.0, np.inf)
+    indptr, indices = g.adjacency()
+    for lo in range(0, sources.shape[0], _SOURCES_PER_PASS):
+        chunk = sources[lo:lo + _SOURCES_PER_PASS]
+        seen = _lane_bits(g.n, chunk, np.arange(chunk.shape[0]))
+        ask = np.flatnonzero((inverse >= lo) & (inverse < lo + chunk.shape[0]))
+        lane = inverse[ask] - lo
+        for level, _, new in _bfs_levels(indptr, indices, seen):
+            bits = new[lane // 64, pair_v[ask]] >> (lane % 64).astype(np.uint64)
+            got = (bits & np.uint64(1)) == 1
+            out[ask[got]] = level
+            ask, lane = ask[~got], lane[~got]
+            if ask.size == 0:
+                break
+    return out
 
 
 def distance_stats(g: LabeledGraph, sample_pairs: int, seed: int = 0) -> DistanceStats:
@@ -318,15 +372,15 @@ def distance_stats(g: LabeledGraph, sample_pairs: int, seed: int = 0) -> Distanc
         raise ValueError("no reachable pairs sampled")
 
     # double-sweep: repeated BFS to the farthest node lower-bounds the diameter
-    in_lcc = np.zeros(g.n, dtype=bool)
-    in_lcc[lcc] = True
+    indptr, indices = g.adjacency()
     start = int(lcc[np.argmax(g.degrees[lcc])])
     best = 0
     for _ in range(4):
-        row = _bfs_distance_rows(g, np.asarray([start]))[0]
-        row = np.where(in_lcc & np.isfinite(row), row, -np.inf)
-        far = int(np.argmax(row))
-        reach = int(row[far])
+        # the farthest node from start (smallest id at the last level)
+        far, reach = start, 0
+        seen = _lane_bits(g.n, np.asarray([start]), np.zeros(1, dtype=np.int64))
+        for level, hit, _ in _bfs_levels(indptr, indices, seen):
+            far, reach = int(hit[0]), level
         if reach <= best:
             break
         best = reach
@@ -343,19 +397,22 @@ def community_diameters(g: LabeledGraph) -> dict[int, float]:
     """Exact BFS diameter of every induced community subgraph.
 
     Disconnected communities report math.inf.  Returned as a dict keyed
-    by color.
+    by color.  One bit-parallel BFS over the intra-color CSR runs every
+    member of every community as a source at once: a node's lane is its
+    rank among its community's members, so the lanes of different
+    communities share words without meeting.
     """
-    a = g.csr()
-    out: dict[int, float] = {}
-    for com in communities(g):
-        if com.size == 1:
-            out[com.color] = 0.0
-            continue
-        sub = a[com.members][:, com.members]
-        dist = csgraph.dijkstra(sub, directed=False, unweighted=True)
-        worst = dist.max()
-        out[com.color] = float("inf") if np.isinf(worst) else float(worst)
-    return out
+    coms = communities(g)
+    index, lane, _ = _community_layout(g)
+    indptr, indices = intra_color_adjacency(g)
+    seen = _lane_bits(g.n, np.arange(g.n), lane)
+    diameter = np.zeros(len(coms))
+    for level, hit, _ in _bfs_levels(indptr, indices, seen):
+        diameter[index[hit]] = level
+    # connected iff every member was reached from its smallest member
+    # (lane 0): a member outside that member's component lacks its bit
+    diameter[index[(seen[0] & np.uint64(1)) == 0]] = np.inf
+    return {c.color: float(d) for c, d in zip(coms, diameter)}
 
 
 @dataclass(frozen=True)
@@ -469,39 +526,59 @@ class NavigationResult:
         return self.path is not None
 
 
-def _seed_subgraph(g: LabeledGraph) -> dict[int, list[int]]:
-    """Adjacency over seed nodes using only seed-seed edges (cached)."""
+def _sub_adjacency(g: LabeledGraph, key: str, keep_edge):
+    """CSR (indptr, indices) of the edges (u, v) where keep_edge(u, v)
+    holds, as a cached view of g.adjacency(); rows stay ascending."""
 
     def build():
-        adj: dict[int, list[int]] = {int(s): [] for s in np.flatnonzero(g.is_seed)}
-        both = g.is_seed[g.edge_u] & g.is_seed[g.edge_v]
-        for u, v in zip(g.edge_u[both].tolist(), g.edge_v[both].tolist()):
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
+        indptr, indices = g.adjacency()
+        rows = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(indptr))
+        keep = keep_edge(rows, indices)
+        counts = np.bincount(rows[keep], minlength=g.n)
+        return (np.concatenate([[0], np.cumsum(counts)]).astype(np.int64),
+                indices[keep])
 
-    return g.cached("seed-subgraph", build)
+    return g.cached(key, build)
 
 
-def _community_adjacency(g: LabeledGraph) -> dict[int, dict[int, list[int]]]:
-    """Per-color adjacency restricted to same-color edges (cached)."""
+def intra_color_adjacency(g: LabeledGraph) -> tuple[np.ndarray, np.ndarray]:
+    """CSR (indptr, indices) of the same-color edges only (cached).
+
+    Every row lists a node's neighbors in its own community, ascending.
+    """
+    return _sub_adjacency(g, "intra-color-adjacency",
+                          lambda u, v: g.color[u] == g.color[v])
+
+
+def _seed_adjacency(g: LabeledGraph) -> tuple[np.ndarray, np.ndarray]:
+    """CSR (indptr, indices) of the seed-seed edges only (cached)."""
+    return _sub_adjacency(g, "seed-adjacency",
+                          lambda u, v: g.is_seed[u] & g.is_seed[v])
+
+
+def _community_layout(g: LabeledGraph):
+    """Per node: the index of its community in communities(g) and its
+    rank among that community's members; per community: its seed
+    (cached)."""
 
     def build():
-        adj: dict[int, dict[int, list[int]]] = {}
-        for com in communities(g):
-            adj[com.color] = {int(v): [] for v in com.members}
-        same = g.color[g.edge_u] == g.color[g.edge_v]
-        for u, v, c in zip(g.edge_u[same].tolist(), g.edge_v[same].tolist(),
-                           g.color[g.edge_u[same]].tolist()):
-            adj[c][u].append(v)
-            adj[c][v].append(u)
-        return adj
+        coms = communities(g)
+        colors = np.asarray([c.color for c in coms], dtype=np.int64)
+        index = np.searchsorted(colors, g.color)
+        order = np.argsort(index, kind="stable")
+        sizes = np.bincount(index, minlength=len(coms))
+        first = np.cumsum(sizes) - sizes
+        lane = np.empty(g.n, dtype=np.int64)
+        lane[order] = np.arange(g.n) - first[index[order]]
+        seeds = np.asarray([c.seed for c in coms], dtype=np.int64)
+        return index, lane, seeds
 
-    return g.cached("community-adjacency", build)
+    return g.cached("community-layout", build)
 
 
-def _bfs_path(adj, start: int, goal: int) -> tuple[list[int] | None, int]:
-    """Shortest path in a dict adjacency; returns (path, nodes expanded)."""
+def _bfs_path(indptr, indices, start: int,
+              goal: int) -> tuple[list[int] | None, int]:
+    """Shortest path over CSR rows; returns (path, nodes expanded)."""
     if start == goal:
         return [start], 1
     parent = {start: start}
@@ -510,7 +587,7 @@ def _bfs_path(adj, start: int, goal: int) -> tuple[list[int] | None, int]:
     while queue:
         u = queue.popleft()
         expanded += 1
-        for w in adj[u]:
+        for w in indices[indptr[u]:indptr[u + 1]].tolist():
             if w not in parent:
                 parent[w] = u
                 if w == goal:
@@ -522,8 +599,10 @@ def _bfs_path(adj, start: int, goal: int) -> tuple[list[int] | None, int]:
     return None, expanded
 
 
-def _bidirectional_bfs(adj, start: int, goal: int) -> tuple[list[int] | None, int]:
-    """Bidirectional BFS; returns (shortest path, nodes expanded)."""
+def _bidirectional_bfs(indptr, indices, start: int,
+                       goal: int) -> tuple[list[int] | None, int]:
+    """Bidirectional BFS over CSR rows; returns (shortest path, nodes
+    expanded)."""
     if start == goal:
         return [start], 1
     orig_start = start
@@ -542,7 +621,7 @@ def _bidirectional_bfs(adj, start: int, goal: int) -> tuple[list[int] | None, in
         nxt = []
         for u in frontier_f:
             expanded += 1
-            for w in adj[u]:
+            for w in indices[indptr[u]:indptr[u + 1]].tolist():
                 if w in parent_b:
                     # stitch: start ..parent_f.. u - w ..parent_b.. goal
                     fore = [w, u] if w != u else [w]
@@ -577,27 +656,26 @@ def navigate(g: LabeledGraph, u: int, v: int, hop_budget: int) -> NavigationResu
         raise IndexError("node id out of range")
     if u == v:
         return NavigationResult(path=(u,), hops=0, visited=1)
-    com_adj = _community_adjacency(g)
-    coms = {c.color: c for c in communities(g)}
-    cu, cv = int(g.color[u]), int(g.color[v])
+    intra = intra_color_adjacency(g)
+    index, _, seeds = _community_layout(g)
     visited = 0
-    if cu == cv:
-        path, expanded = _bfs_path(com_adj[cu], u, v)
+    if g.color[u] == g.color[v]:
+        path, expanded = _bfs_path(*intra, u, v)
         visited += expanded
         if path is None or len(path) - 1 > hop_budget:
             return NavigationResult(path=None, hops=-1, visited=visited)
         return NavigationResult(path=tuple(path), hops=len(path) - 1,
                                 visited=visited)
-    seed_u, seed_v = coms[cu].seed, coms[cv].seed
-    up, expanded = _bfs_path(com_adj[cu], u, seed_u)
+    seed_u, seed_v = int(seeds[index[u]]), int(seeds[index[v]])
+    up, expanded = _bfs_path(*intra, u, seed_u)
     visited += expanded
     if up is None:
         return NavigationResult(path=None, hops=-1, visited=visited)
-    mid, expanded = _bidirectional_bfs(_seed_subgraph(g), seed_u, seed_v)
+    mid, expanded = _bidirectional_bfs(*_seed_adjacency(g), seed_u, seed_v)
     visited += expanded
     if mid is None:
         return NavigationResult(path=None, hops=-1, visited=visited)
-    down, expanded = _bfs_path(com_adj[cv], seed_v, v)
+    down, expanded = _bfs_path(*intra, seed_v, v)
     visited += expanded
     if down is None:
         return NavigationResult(path=None, hops=-1, visited=visited)

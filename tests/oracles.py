@@ -3,15 +3,27 @@
 The cascade oracles deliberately share no code with cascadelab.cascade:
 they compare infected-neighbor fractions directly and rescan until
 stable.  The graph-file oracles are the per-line writer and parser that
-the bulk ``serialize``/``deserialize`` replaced, kept verbatim.
+the bulk ``serialize``/``deserialize`` replaced, kept verbatim.  So are
+the structure oracles: Dijkstra distances and community diameters, the
+per-community ``_classify`` loop of ``count_vulnerable``, and navigation
+over dict-of-lists adjacency (public names carry a prefix naming the
+method).
 """
 
 from __future__ import annotations
 
-import numpy as np
+from collections import deque
 
+import numpy as np
+from scipy.sparse import csgraph
+
+from cascadelab.cascade import (CommunityStrength, ThresholdAssignment,
+                                _classify, _need_counts)
 from cascadelab.graph import (FORMAT_MAGIC, FORMAT_VERSION, EdgeTag,
-                              GraphFormatError, LabeledGraph)
+                              GraphFormatError, LabeledGraph,
+                              largest_connected_component)
+from cascadelab.structure import (DistanceStats, NavigationResult,
+                                  communities, sample_lcc_pairs)
 
 
 def rescan_infection(g, s, theta) -> set[int]:
@@ -206,3 +218,231 @@ def per_line_deserialize(data: bytes) -> LabeledGraph:
         prev = (u, v)
         eu[j], ev[j], et[j] = u, v, tag
     return LabeledGraph(n, color, is_seed, birth, eu, ev, et)
+
+
+# ---- structure reports: the Dijkstra distances and diameters, the
+# per-community classification loop and the dict-adjacency navigation
+# that the bit-parallel BFS and the intra-color CSR views replaced ----------
+
+
+def _bfs_distance_rows(g: LabeledGraph, sources: np.ndarray) -> np.ndarray:
+    """BFS distances from the given sources to all nodes (chunked)."""
+    out = np.empty((sources.shape[0], g.n), dtype=np.float64)
+    a = g.csr()
+    for lo in range(0, sources.shape[0], 64):
+        chunk = sources[lo:lo + 64]
+        out[lo:lo + chunk.shape[0]] = csgraph.dijkstra(
+            a, directed=False, unweighted=True, indices=chunk)
+    return out
+
+
+def dijkstra_pair_distances(g: LabeledGraph, pair_u: np.ndarray,
+                            pair_v: np.ndarray) -> np.ndarray:
+    """BFS distance for each (u, v) pair; inf when unreachable."""
+    sources, inverse = np.unique(pair_u, return_inverse=True)
+    dist_rows = _bfs_distance_rows(g, sources)
+    return dist_rows[inverse, pair_v]
+
+
+def dijkstra_distance_stats(g: LabeledGraph, sample_pairs: int, seed: int = 0) -> DistanceStats:
+    """Average distance over sampled pairs in the LCC plus a double-sweep
+    diameter estimate.
+
+    When the LCC has at most sample_pairs distinct pairs they are all
+    used exactly; otherwise pairs come from :func:`sample_lcc_pairs`.
+    Unreachable pairs cannot occur for pairs inside the LCC but are
+    excluded and counted defensively.
+    """
+    pair_u, pair_v = sample_lcc_pairs(g, sample_pairs, seed)
+    lcc = largest_connected_component(g)
+    dists = dijkstra_pair_distances(g, pair_u, pair_v)
+    reachable = np.isfinite(dists)
+    if not reachable.any():
+        raise ValueError("no reachable pairs sampled")
+
+    # double-sweep: repeated BFS to the farthest node lower-bounds the diameter
+    in_lcc = np.zeros(g.n, dtype=bool)
+    in_lcc[lcc] = True
+    start = int(lcc[np.argmax(g.degrees[lcc])])
+    best = 0
+    for _ in range(4):
+        row = _bfs_distance_rows(g, np.asarray([start]))[0]
+        row = np.where(in_lcc & np.isfinite(row), row, -np.inf)
+        far = int(np.argmax(row))
+        reach = int(row[far])
+        if reach <= best:
+            break
+        best = reach
+        start = far
+    return DistanceStats(
+        avg_distance=float(dists[reachable].mean()),
+        est_diameter=best,
+        pairs_sampled=int(dists.shape[0]),
+        pairs_unreachable=int((~reachable).sum()),
+    )
+
+
+def dijkstra_community_diameters(g: LabeledGraph) -> dict[int, float]:
+    """Exact BFS diameter of every induced community subgraph.
+
+    Disconnected communities report math.inf.  Returned as a dict keyed
+    by color.
+    """
+    a = g.csr()
+    out: dict[int, float] = {}
+    for com in communities(g):
+        if com.size == 1:
+            out[com.color] = 0.0
+            continue
+        sub = a[com.members][:, com.members]
+        dist = csgraph.dijkstra(sub, directed=False, unweighted=True)
+        worst = dist.max()
+        out[com.color] = float("inf") if np.isinf(worst) else float(worst)
+    return out
+
+
+def _seed_subgraph(g: LabeledGraph) -> dict[int, list[int]]:
+    """Adjacency over seed nodes using only seed-seed edges (cached)."""
+
+    def build():
+        adj: dict[int, list[int]] = {int(s): [] for s in np.flatnonzero(g.is_seed)}
+        both = g.is_seed[g.edge_u] & g.is_seed[g.edge_v]
+        for u, v in zip(g.edge_u[both].tolist(), g.edge_v[both].tolist()):
+            adj[u].append(v)
+            adj[v].append(u)
+        return adj
+
+    return g.cached("seed-subgraph", build)
+
+
+def _community_adjacency(g: LabeledGraph) -> dict[int, dict[int, list[int]]]:
+    """Per-color adjacency restricted to same-color edges (cached)."""
+
+    def build():
+        adj: dict[int, dict[int, list[int]]] = {}
+        for com in communities(g):
+            adj[com.color] = {int(v): [] for v in com.members}
+        same = g.color[g.edge_u] == g.color[g.edge_v]
+        for u, v, c in zip(g.edge_u[same].tolist(), g.edge_v[same].tolist(),
+                           g.color[g.edge_u[same]].tolist()):
+            adj[c][u].append(v)
+            adj[c][v].append(u)
+        return adj
+
+    return g.cached("community-adjacency", build)
+
+
+def _bfs_path(adj, start: int, goal: int) -> tuple[list[int] | None, int]:
+    """Shortest path in a dict adjacency; returns (path, nodes expanded)."""
+    if start == goal:
+        return [start], 1
+    parent = {start: start}
+    queue = deque([start])
+    expanded = 0
+    while queue:
+        u = queue.popleft()
+        expanded += 1
+        for w in adj[u]:
+            if w not in parent:
+                parent[w] = u
+                if w == goal:
+                    path = [w]
+                    while path[-1] != start:
+                        path.append(parent[path[-1]])
+                    return path[::-1], expanded
+                queue.append(w)
+    return None, expanded
+
+
+def _bidirectional_bfs(adj, start: int, goal: int) -> tuple[list[int] | None, int]:
+    """Bidirectional BFS; returns (shortest path, nodes expanded)."""
+    if start == goal:
+        return [start], 1
+    orig_start = start
+    parent_f = {start: start}
+    parent_b = {goal: goal}
+    frontier_f = [start]
+    frontier_b = [goal]
+    expanded = 0
+
+    while frontier_f and frontier_b:
+        # always expand the smaller frontier
+        if len(frontier_f) > len(frontier_b):
+            frontier_f, frontier_b = frontier_b, frontier_f
+            parent_f, parent_b = parent_b, parent_f
+            start, goal = goal, start
+        nxt = []
+        for u in frontier_f:
+            expanded += 1
+            for w in adj[u]:
+                if w in parent_b:
+                    # stitch: start ..parent_f.. u - w ..parent_b.. goal
+                    fore = [w, u] if w != u else [w]
+                    while fore[-1] != start:
+                        fore.append(parent_f[fore[-1]])
+                    fore.reverse()
+                    back = w
+                    while back != goal:
+                        back = parent_b[back]
+                        fore.append(back)
+                    if fore[0] != orig_start:
+                        fore.reverse()
+                    return fore, expanded
+                if w not in parent_f:
+                    parent_f[w] = u
+                    nxt.append(w)
+        frontier_f = nxt
+    return None, expanded
+
+
+def dict_navigate(g: LabeledGraph, u: int, v: int, hop_budget: int) -> NavigationResult:
+    """Three-stage seed routing: climb from u to its community seed,
+    cross the seed subgraph to v's community seed, then descend to v.
+
+    Endpoints in the same community route directly inside it.  Returns a
+    failed result when any stage is disconnected or the stitched path
+    exceeds hop_budget.  The path is simple and valid in g.
+    """
+    if not g.is_seed.any():
+        raise ValueError("graph has no colors/seeds; navigation needs them")
+    if not (0 <= u < g.n and 0 <= v < g.n):
+        raise IndexError("node id out of range")
+    if u == v:
+        return NavigationResult(path=(u,), hops=0, visited=1)
+    com_adj = _community_adjacency(g)
+    coms = {c.color: c for c in communities(g)}
+    cu, cv = int(g.color[u]), int(g.color[v])
+    visited = 0
+    if cu == cv:
+        path, expanded = _bfs_path(com_adj[cu], u, v)
+        visited += expanded
+        if path is None or len(path) - 1 > hop_budget:
+            return NavigationResult(path=None, hops=-1, visited=visited)
+        return NavigationResult(path=tuple(path), hops=len(path) - 1,
+                                visited=visited)
+    seed_u, seed_v = coms[cu].seed, coms[cv].seed
+    up, expanded = _bfs_path(com_adj[cu], u, seed_u)
+    visited += expanded
+    if up is None:
+        return NavigationResult(path=None, hops=-1, visited=visited)
+    mid, expanded = _bidirectional_bfs(_seed_subgraph(g), seed_u, seed_v)
+    visited += expanded
+    if mid is None:
+        return NavigationResult(path=None, hops=-1, visited=visited)
+    down, expanded = _bfs_path(com_adj[cv], seed_v, v)
+    visited += expanded
+    if down is None:
+        return NavigationResult(path=None, hops=-1, visited=visited)
+    path = up + mid[1:] + down[1:]
+    if len(path) - 1 > hop_budget:
+        return NavigationResult(path=None, hops=-1, visited=visited)
+    return NavigationResult(path=tuple(path), hops=len(path) - 1, visited=visited)
+
+
+def classify_loop_count_vulnerable(g: LabeledGraph, theta: ThresholdAssignment) -> int:
+    """Number of vulnerable communities under the given thresholds."""
+    need = _need_counts(g, theta)
+    return sum(
+        1 for x in communities(g)
+        if _classify(g, x, theta, need) is CommunityStrength.VULNERABLE
+    )

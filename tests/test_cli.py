@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 import cascadelab as cl
@@ -114,6 +116,47 @@ def test_degree_priority_rows_match_per_node_format(security_file, tmp_path):
         for v in range(g.n)
     ]
     assert out.read_text().split("\n")[1:-1] == expected
+
+
+# SHA-256 of `analyze --report R --seed S` on a security graph (n=2000,
+# d=10, a=1.5, generated at seed S), computed with the Dijkstra distances
+# and diameters and the dict-adjacency navigation
+GOLDEN_ANALYZE_SHA256 = {
+    ("distances", 1):
+        "b2fef3c36d721f1446e7c14746d5927163199e5f9d15a4cefe8134e3871621ea",
+    ("distances", 2):
+        "7e677d767cc3371c19d0f5db67062ab874ab7cf6b4601f6c376fa8a6435d0932",
+    ("diameters", 1):
+        "ce39b3e20cabd5af55ec9043ddd655bb40b9b1fec34314487cf93e6fe8b1cc9c",
+    ("diameters", 2):
+        "f55994e88400a016827852b183bdbac564ee0fae121f555fdef229961dfe3785",
+    ("navigate", 1):
+        "d1605edb0fb8bb11f6ac8c6073f08c7bed2216a7c55a2f2dae53bbdea0ec7dac",
+    ("navigate", 2):
+        "f0d1bb7054f7f39bb9fe14682f7392cf6542760d2372fa28ec1e65751c15c20b",
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_analyze_golden_hash(tmp_path, seed):
+    path = tmp_path / "sec.graph"
+    assert run_cli("generate", "--model", "security", "--n", 2000, "--d", 10,
+                   "--a", 1.5, "--seed", seed, "--out", path) == 0
+    for report in ("distances", "diameters", "navigate"):
+        out = tmp_path / f"{report}.csv"
+        assert run_cli("analyze", "--graph", path, "--report", report,
+                       "--seed", seed, "--out", out) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == GOLDEN_ANALYZE_SHA256[report, seed], report
+
+
+def test_analyze_field_past_int64_exits_2(tmp_path, capsys):
+    path = tmp_path / "big.graph"
+    path.write_bytes(b"cascadelab-graph v1 2 1\nN 0 0 1 0\n"
+                     b"N 1 0 0 99999999999999999999\nE 0 1 PLAIN\n")
+    assert run_cli("analyze", "--graph", path, "--report", "communities",
+                   "--out", tmp_path / "c.csv") == 2
+    assert "line 3" in capsys.readouterr().err
 
 
 def test_analyze_uncolored_graph_errors(tmp_path, capsys):

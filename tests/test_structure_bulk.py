@@ -1,0 +1,271 @@
+"""Whole-graph structure reports, checked against the code they replaced.
+
+The bit-parallel BFS behind ``pair_distances``, ``distance_stats`` and
+``community_diameters``, the joint cascade of ``count_vulnerable`` and the
+CSR-row navigation must give the same outputs as the oracles in
+``oracles.py`` (Dijkstra rows, per-community Dijkstra, the per-community
+``_classify`` loop, dict-of-lists navigation), ``visited`` counts
+included.  Inputs: random edge sets with random colors and one seed per
+color, the security generator, and hand-built graphs at the 64-lane word
+edges.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import cascadelab as cl
+from cascadelab import (LabeledGraph, community_diameters, count_vulnerable,
+                        distance_stats, navigate, random_thresholds,
+                        uniform_thresholds)
+from cascadelab.structure import pair_distances
+
+from oracles import (classify_loop_count_vulnerable, dict_navigate,
+                     dijkstra_community_diameters, dijkstra_distance_stats,
+                     dijkstra_pair_distances)
+
+BULK_SETTINGS = settings(max_examples=150, deadline=None)
+
+
+def colored_graph(n, edges, color, seeds):
+    is_seed = np.zeros(n, dtype=bool)
+    is_seed[list(seeds)] = True
+    return LabeledGraph.from_edges(n, sorted(edges),
+                                   color=np.asarray(color, dtype=np.int64),
+                                   is_seed=is_seed)
+
+
+@st.composite
+def colored_graphs(draw, max_n=30):
+    """Random edges over random (possibly sparse) colors with one seed per
+    color; sometimes each community also gets a random spanning tree."""
+    n = draw(st.integers(1, max_n))
+    palette = draw(st.lists(st.integers(0, 40), min_size=1, max_size=6,
+                            unique=True))
+    color = draw(st.lists(st.sampled_from(palette), min_size=n, max_size=n))
+    color = np.asarray(color, dtype=np.int64)
+    seeds, edges = [], set()
+    spanning = draw(st.booleans())
+    for c in np.unique(color).tolist():
+        members = np.flatnonzero(color == c).tolist()
+        seeds.append(draw(st.sampled_from(members)))
+        if spanning:
+            for i in range(1, len(members)):
+                j = draw(st.integers(0, i - 1))
+                edges.add((members[j], members[i]))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges |= {(min(u, v), max(u, v))
+              for u, v in draw(st.lists(pairs, max_size=2 * n)) if u != v}
+    return colored_graph(n, edges, color, seeds)
+
+
+@st.composite
+def security_graphs(draw):
+    n = draw(st.integers(4, 300))
+    d = draw(st.integers(2, 6))
+    return cl.generate("security", max(n, d + 1), d, 1.5,
+                       master_seed=draw(st.integers(0, 10_000)))
+
+
+graphs = st.one_of(colored_graphs(), security_graphs())
+
+
+@st.composite
+def thresholds(draw, g):
+    if draw(st.booleans()):
+        return random_thresholds(g, draw(st.integers(0, 2**32)))
+    phi = draw(st.sampled_from((0.05, 0.2, 1 / 3, 0.5, 2 / 3, 1.0)))
+    return uniform_thresholds(g, phi)
+
+
+def outcome(fn, *args):
+    """The value fn returns, or the type and text of the error it raises."""
+    try:
+        return "value", fn(*args)
+    except ValueError as exc:
+        return "error", type(exc).__name__, str(exc)
+
+
+def assert_navigation_matches(g, queries, budget):
+    for u, v in queries:
+        assert navigate(g, u, v, budget) == dict_navigate(g, u, v, budget), (u, v)
+
+
+def assert_reports_match(g, theta):
+    assert community_diameters(g) == dijkstra_community_diameters(g)
+    assert count_vulnerable(g, theta) == classify_loop_count_vulnerable(g, theta)
+
+
+@BULK_SETTINGS
+@given(st.data())
+def test_pair_distances_match_dijkstra(data):
+    g = data.draw(graphs)
+    k = data.draw(st.integers(1, 40))
+    nodes = st.lists(st.integers(0, g.n - 1), min_size=k, max_size=k)
+    pair_u = np.asarray(data.draw(nodes), dtype=np.int64)
+    pair_v = np.asarray(data.draw(nodes), dtype=np.int64)
+    ours = pair_distances(g, pair_u, pair_v)
+    assert ours.dtype == np.float64
+    np.testing.assert_array_equal(ours,
+                                  dijkstra_pair_distances(g, pair_u, pair_v))
+
+
+@BULK_SETTINGS
+@given(graphs, st.integers(1, 400), st.integers(0, 100))
+def test_distance_stats_match_dijkstra(g, sample_pairs, seed):
+    assert (outcome(distance_stats, g, sample_pairs, seed)
+            == outcome(dijkstra_distance_stats, g, sample_pairs, seed))
+
+
+@BULK_SETTINGS
+@given(st.data())
+def test_diameters_and_vulnerable_counts_match_oracles(data):
+    g = data.draw(graphs)
+    assert_reports_match(g, data.draw(thresholds(g)))
+
+
+@BULK_SETTINGS
+@given(st.data())
+def test_navigation_matches_dict_adjacency(data):
+    g = data.draw(graphs)
+    node = st.integers(0, g.n - 1)
+    queries = data.draw(st.lists(st.tuples(node, node), max_size=30))
+    assert_navigation_matches(g, queries, data.draw(st.integers(0, 12)))
+
+
+# ---- hand-built cases -------------------------------------------------------
+
+
+def tree_communities(sizes, seed=0, cross=40, drop=()):
+    """One community per size, each a random tree (members interleaved
+    across the id range), plus random cross-color edges.  Every edge at a
+    node in ``drop`` is left out, which isolates it."""
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    color = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    edges, seeds = set(), []
+    for c in range(len(sizes)):
+        members = np.flatnonzero(color == c).tolist()
+        seeds.append(members[int(rng.integers(len(members)))])
+        for i in range(1, len(members)):
+            j = int(rng.integers(i))
+            edges.add((min(members[i], members[j]), max(members[i], members[j])))
+    for u, v in rng.integers(0, n, size=(cross, 2)).tolist():
+        if color[u] != color[v]:
+            edges.add((min(u, v), max(u, v)))
+    edges = {e for e in edges if not set(e) & set(drop)}
+    return colored_graph(n, edges, color, seeds)
+
+
+def all_thresholds(g):
+    yield random_thresholds(g, 5)
+    for phi in (0.1, 0.3, 0.5, 1.0):
+        yield uniform_thresholds(g, phi)
+
+
+def some_queries(g, count=300, seed=1):
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, g.n, size=(count, 2)).tolist()
+
+
+@pytest.mark.parametrize("sizes", [(1,), (64,), (65,), (129,),
+                                   (1, 64, 65, 129), (129, 1, 1, 65, 64, 3)])
+def test_lane_word_edges(sizes):
+    g = tree_communities(sizes)
+    for theta in all_thresholds(g):
+        assert_reports_match(g, theta)
+    assert_navigation_matches(g, some_queries(g), 40)
+    assert all(d < np.inf for d in community_diameters(g).values())
+
+
+@pytest.mark.parametrize("lane", [0, 63, 64, 128])
+def test_disconnected_community_is_inf(lane):
+    """Cut one member out of a 129-member community; the cut node's lane
+    sits in word lane // 64."""
+    g = tree_communities((129, 65, 1))
+    members = cl.communities(g)[0].members
+    g = tree_communities((129, 65, 1), drop=(int(members[lane]),))
+    dia = community_diameters(g)
+    assert dia[0] == np.inf
+    assert dia[1] < np.inf and dia[2] == 0.0
+    assert dia == dijkstra_community_diameters(g)
+    for theta in all_thresholds(g):
+        assert_reports_match(g, theta)
+    assert_navigation_matches(g, some_queries(g), 40)
+
+
+def test_two_isolated_members_are_inf():
+    # color 0 is one edge, color 1 two isolated members, color 2 one node
+    g = colored_graph(5, {(0, 2), (0, 1)}, [0, 2, 0, 1, 1], [0, 1, 3])
+    assert community_diameters(g) == {0: 1.0, 1: np.inf, 2: 0.0}
+    assert community_diameters(g) == dijkstra_community_diameters(g)
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last", "all"])
+def test_isolated_nodes(where):
+    """Degree-0 rows first, in the middle and last in the CSR: the rows the
+    BFS kernel must leave out of its reduceat."""
+    sizes = (70, 20, 1, 1)
+    n = sum(sizes)
+    drop = {"first": [0], "middle": [n // 2], "last": [n - 1],
+            "all": list(range(n))}[where]
+    g = tree_communities(sizes, cross=60, drop=drop)
+    assert (g.degrees[drop] == 0).all()
+    for theta in all_thresholds(g):
+        assert_reports_match(g, theta)
+    assert_navigation_matches(g, some_queries(g), 40)
+    nodes = np.arange(g.n)
+    np.testing.assert_array_equal(
+        pair_distances(g, nodes, nodes[::-1]),
+        dijkstra_pair_distances(g, nodes, nodes[::-1]))
+    assert (outcome(distance_stats, g, 200, 3)
+            == outcome(dijkstra_distance_stats, g, 200, 3))
+
+
+@pytest.mark.parametrize("sources", [1, 63, 64, 65, 128, 129, 256, 257, 300])
+def test_distance_sources_at_word_edges(sources):
+    g = cl.generate("security", 400, 4, 1.5, master_seed=sources)
+    rng = np.random.default_rng(sources)
+    src = rng.choice(g.n, size=sources, replace=False)
+    pair_u = np.concatenate([src, rng.choice(src, size=200)])
+    pair_v = rng.integers(0, g.n, size=pair_u.size)
+    assert np.unique(pair_u).size == sources
+    np.testing.assert_array_equal(pair_distances(g, pair_u, pair_v),
+                                  dijkstra_pair_distances(g, pair_u, pair_v))
+
+
+def test_distances_across_components():
+    # two paths, 0-1-2-3 and 4-5, plus the isolated node 6
+    g = LabeledGraph.from_edges(7, [(0, 1), (1, 2), (2, 3), (4, 5)])
+    pair_u = np.asarray([0, 0, 0, 3, 4, 6, 6])
+    pair_v = np.asarray([3, 4, 0, 0, 5, 6, 0])
+    np.testing.assert_array_equal(pair_distances(g, pair_u, pair_v),
+                                  [3, np.inf, 0, 3, 1, 0, np.inf])
+
+
+@pytest.mark.parametrize("model", ["er", "pa"])
+def test_uncolored_graphs_raise(model):
+    g = cl.generate(model, 200, 4, master_seed=3)
+    theta = uniform_thresholds(g, 0.3)
+    with pytest.raises(ValueError):
+        count_vulnerable(g, theta)
+    with pytest.raises(ValueError):
+        classify_loop_count_vulnerable(g, theta)
+    with pytest.raises(ValueError):
+        navigate(g, 0, 1, 10)
+    with pytest.raises(ValueError):
+        dict_navigate(g, 0, 1, 10)
+    with pytest.raises(ValueError):
+        community_diameters(g)
+    assert (outcome(distance_stats, g, 100, 0)
+            == outcome(dijkstra_distance_stats, g, 100, 0))
+
+
+def test_security_graph_mid_size():
+    g = cl.generate("security", 5000, 10, 1.5, master_seed=4)
+    for theta in all_thresholds(g):
+        assert_reports_match(g, theta)
+    assert_navigation_matches(g, some_queries(g, 500), 64)
+    assert (outcome(distance_stats, g, 1000, 4)
+            == outcome(dijkstra_distance_stats, g, 1000, 4))
