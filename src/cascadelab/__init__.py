@@ -17,11 +17,9 @@ from .cascade import (CascadeOutcome, CommunityStrength, ThresholdAssignment,
                       top_degree_nodes, uniform_thresholds)
 from .experiment import (ConfigError, ExperimentConfig, ExperimentResult,
                          attack_size, config_from_values, default_config,
-                         parse_config_file, run_experiment, run_fig1,
-                         run_fig2, run_fig3)
-from .generators import (GenParams, attachment_probability,
-                         expected_seed_count, gen_er, gen_pa, gen_security,
-                         generate)
+                         parse_config_file, run_experiment)
+from .generators import (attachment_probability, expected_seed_count, gen_er,
+                         gen_pa, gen_security, generate)
 from .graph import (EdgeTag, GraphFormatError, LabeledGraph, deserialize,
                     largest_connected_component, load_graph, save_graph,
                     serialize)
@@ -40,7 +38,7 @@ __all__ = [
     "largest_connected_component", "serialize", "deserialize",
     "save_graph", "load_graph",
     # generators
-    "GenParams", "gen_er", "gen_pa", "gen_security", "generate",
+    "gen_er", "gen_pa", "gen_security", "generate",
     "attachment_probability", "expected_seed_count",
     # cascade engine
     "ThresholdAssignment", "CascadeOutcome", "CommunityStrength",
@@ -56,7 +54,7 @@ __all__ = [
     # experiment harness
     "ExperimentConfig", "ExperimentResult", "ConfigError", "attack_size",
     "config_from_values", "default_config", "parse_config_file",
-    "run_experiment", "run_fig1", "run_fig2", "run_fig3",
+    "run_experiment",
     # seeding
     "derive_seed", "derive_trial_seed", "rng_from", "splitmix64",
 ]

@@ -17,7 +17,7 @@ import hashlib
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -425,28 +425,3 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None,
     return ExperimentResult(csv_text=csv_text, csv_path=csv_path,
                             computed=computed, skipped=tuple(sorted(skipped)),
                             failed=failed)
-
-
-def _run_single(cfg: ExperimentConfig, experiment: str, out_dir, jobs) -> str:
-    if cfg.experiment != experiment:
-        cfg = replace(cfg, experiment=experiment)
-    result = run_experiment(cfg, out_dir=out_dir, jobs=jobs)
-    if not result.ok:
-        details = "; ".join(f"{k}: {v}" for k, v in result.failed.items())
-        raise RuntimeError(f"{len(result.failed)} cell(s) failed: {details}")
-    return result.csv_text
-
-
-def run_fig1(cfg: ExperimentConfig, out_dir=None, jobs: int = 1) -> str:
-    """Injury vs. max-infection fractions for top-degree attacks k = 1..5 ln n."""
-    return _run_single(cfg, "fig1", out_dir, jobs)
-
-
-def run_fig2(cfg: ExperimentConfig, out_dir=None, jobs: int = 1) -> str:
-    """Largest cascade fraction for attacks of size ln n, per model and n."""
-    return _run_single(cfg, "fig2", out_dir, jobs)
-
-
-def run_fig3(cfg: ExperimentConfig, out_dir=None, jobs: int = 1) -> str:
-    """Grid-searched uniform security thresholds, per model and n."""
-    return _run_single(cfg, "fig3", out_dir, jobs)

@@ -6,46 +6,29 @@ All three generators are deterministic functions of their parameters plus a
 all enforce the simple-graph policy: collisions (duplicate edge targets)
 are re-sampled, never kept.
 
-Degree-proportional sampling uses attachment endpoint lists: a list that
-contains each node once per incident edge, so uniform draws from the list
-are exactly degree-proportional.  The security model keeps one such list
-per color class (a node's multiplicity in its class list equals its global
-degree) plus a global list for the preferential-attachment step.
+Degree-proportional sampling draws a uniform endpoint: each edge adds its
+two endpoints, u then v, to an endpoint buffer, so global endpoint k is
+endpoint ``k & 1`` of edge ``k >> 1`` in creation order and a node appears
+once per incident edge.  The PA and security generators keep that buffer
+as their edge list (``array('q')``, with no second copy), and the security
+model keeps one more buffer per color class, holding the same endpoints
+restricted to the class (a node's multiplicity there equals its global
+degree).  Their draws come from :class:`cascadelab.seeding._Replay`, which
+gives exactly numpy's values without a numpy call per draw; ER draws its
+Batagelj–Brandes skips in chunks.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import EdgeTag, LabeledGraph
-from .seeding import rng_from
+from .seeding import _Replay, rng_from
 
-
-@dataclass(frozen=True)
-class GenParams:
-    """Validated generation parameters for one network.
-
-    n is the target node count, d the edges added per new node (expected
-    average degree for ER), a the homophyly exponent (security model only),
-    master_seed the 64-bit seed all randomness derives from.
-    """
-
-    n: int
-    d: int
-    a: float | None = None
-    master_seed: int = 0
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("d must be at least 1")
-        if self.n < self.d + 1:
-            raise ValueError("n must be at least d + 1")
-        if self.a is not None and not self.a > 1:
-            raise ValueError("homophyly exponent a must exceed 1")
+_ER_CHUNK = 1 << 14  # skips per draw; larger chunks raised peak RSS, not speed
 
 
 def attachment_probability(i: int, a: float) -> float:
@@ -67,8 +50,33 @@ def expected_seed_count(n: int, d: int, a: float) -> float:
     return float(d + 1 + p.sum())
 
 
-def _complete_edges(k: int, tag: EdgeTag):
-    return [(i, j, int(tag)) for i in range(k) for j in range(i + 1, k)]
+def _initial_ends(d: int) -> array:
+    """The endpoint buffer of K_{d+1}: edges (i, j), i < j, in row order."""
+    return array("q", (x for i in range(d + 1) for j in range(i + 1, d + 1)
+                       for x in (i, j)))
+
+
+def _edges(ends: array) -> tuple[np.ndarray, np.ndarray]:
+    """The (u, v) columns of an endpoint buffer."""
+    edges = np.frombuffer(ends, dtype=np.int64).reshape(-1, 2)
+    return edges[:, 0], edges[:, 1]
+
+
+def _draw_distinct(integers, pool: array, k: int) -> list[int]:
+    """k distinct entries of pool: uniform positions, repeats drawn again."""
+    size, picked = len(pool), []
+    while len(picked) < k:
+        u = pool[integers(size)]
+        if u not in picked:
+            picked.append(u)
+    return picked
+
+
+def _plain_graph(n: int, eu: np.ndarray, ev: np.ndarray) -> LabeledGraph:
+    """Single color 0, no seeds, every edge PLAIN."""
+    return LabeledGraph(n, np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool),
+                        np.arange(n, dtype=np.int64), eu, ev,
+                        np.full(len(eu), int(EdgeTag.PLAIN), dtype=np.uint8))
 
 
 def gen_er(n: int, d: int, master_seed: int = 0) -> LabeledGraph:
@@ -81,57 +89,37 @@ def gen_er(n: int, d: int, master_seed: int = 0) -> LabeledGraph:
         raise ValueError("n must be at least 1")
     if n > 1 and d >= n:
         raise ValueError(f"d={d} with n={n} gives edge probability above 1")
-    if n == 1:
-        return LabeledGraph.from_edges(1, [])
-    p = d / (n - 1)
+    p = d / (n - 1) if n > 1 else 1.0
     if p >= 1.0:
-        return LabeledGraph.from_edges(n, _complete_edges(n, EdgeTag.PLAIN))
+        return _plain_graph(n, *_edges(_initial_ends(n - 1)))
     rng = rng_from(master_seed, "er", n, d)
-    eu = array("q")
-    ev = array("q")
+    # Batagelj–Brandes geometric skipping over the pairs (w, v), w < v, in
+    # the order of their triangular index t = v(v-1)/2 + w
+    pairs = n * (n - 1) // 2
+    eu, ev = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
     if p > 0.0:
-        # Batagelj–Brandes geometric skipping over the (v, w) pair space
         log1p = math.log(1.0 - p)
-        v, w = 1, -1
-        while v < n:
-            r = rng.random()
-            w += 1 + int(math.log(1.0 - r) / log1p)
-            while w >= v and v < n:
-                w -= v
-                v += 1
-            if v < n:
-                eu.append(w)
-                ev.append(v)
-    m = len(eu)
-    return LabeledGraph(
-        n,
-        np.zeros(n, dtype=np.int64),
-        np.zeros(n, dtype=bool),
-        np.arange(n, dtype=np.int64),
-        np.frombuffer(eu, dtype=np.int64) if m else np.empty(0, np.int64),
-        np.frombuffer(ev, dtype=np.int64) if m else np.empty(0, np.int64),
-        np.full(m, int(EdgeTag.PLAIN), dtype=np.uint8),
-    )
+        # about p * pairs skips reach the last pair; 10% + 64 over that
+        # is several standard deviations, so a small graph draws one chunk
+        chunk = min(_ER_CHUNK, 64 + int(1.1 * p * pairs))
+        t = -1
+        while t < pairs:
+            gaps = np.array(list(map(math.log, (1.0 - rng.random(chunk)).tolist())))
+            ts = t + np.cumsum((gaps / log1p).astype(np.int64) + 1)
+            t = int(ts[-1])
+            w, v = _triangular_pairs(ts[:np.searchsorted(ts, pairs)])
+            eu.append(w)
+            ev.append(v)
+    return _plain_graph(n, np.concatenate(eu), np.concatenate(ev))
 
 
-def _sample_distinct(rng, endpoints, k: int, forbidden=()) -> list[int]:
-    """Draw k distinct nodes uniformly from an attachment endpoint list,
-    re-sampling collisions (and anything in `forbidden`)."""
-    length = len(endpoints)
-    chosen: list[int] = []
-    seen = set(forbidden)
-    # batch the common case, then top up one draw at a time
-    for idx in rng.integers(0, length, size=k):
-        cand = endpoints[idx]
-        if cand not in seen:
-            seen.add(cand)
-            chosen.append(cand)
-    while len(chosen) < k:
-        cand = endpoints[int(rng.integers(0, length))]
-        if cand not in seen:
-            seen.add(cand)
-            chosen.append(cand)
-    return chosen
+def _triangular_pairs(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (w, v), 0 <= w < v, with t = v(v-1)/2 + w.  The float
+    square root can be one off once v passes about 1e8; integers fix it."""
+    v = ((1.0 + np.sqrt(8.0 * t + 1.0)) // 2).astype(np.int64)
+    v -= v * (v - 1) // 2 > t
+    v += v * (v + 1) // 2 <= t
+    return t - v * (v - 1) // 2, v
 
 
 def gen_pa(n: int, d: int, master_seed: int = 0) -> LabeledGraph:
@@ -141,37 +129,17 @@ def gen_pa(n: int, d: int, master_seed: int = 0) -> LabeledGraph:
     probability proportional to their degree in the previous graph.  Single
     color 0, no seeds, edges tagged PLAIN.
     """
+    if d < 1:
+        raise ValueError("d must be at least 1")
     if n < d + 1:
         raise ValueError("n must be at least d + 1")
-    rng = rng_from(master_seed, "pa", n, d)
-    plain = int(EdgeTag.PLAIN)
-    eu = array("q")
-    ev = array("q")
-    endpoints = array("q")
-
-    def add_edge(u: int, v: int) -> None:
-        eu.append(u)
-        ev.append(v)
-        endpoints.append(u)
-        endpoints.append(v)
-
-    for i in range(d + 1):
-        for j in range(i + 1, d + 1):
-            add_edge(i, j)
+    integers = _Replay(rng_from(master_seed, "pa", n, d)).integers
+    ends = _initial_ends(d)
     for t in range(d + 1, n):
-        targets = _sample_distinct(rng, endpoints, d)
-        for u in targets:
-            add_edge(u, t)
-    m = len(eu)
-    return LabeledGraph(
-        n,
-        np.zeros(n, dtype=np.int64),
-        np.zeros(n, dtype=bool),
-        np.arange(n, dtype=np.int64),
-        np.frombuffer(eu, dtype=np.int64),
-        np.frombuffer(ev, dtype=np.int64),
-        np.full(m, plain, dtype=np.uint8),
-    )
+        for u in _draw_distinct(integers, ends, d):
+            ends.append(u)
+            ends.append(t)
+    return _plain_graph(n, *_edges(ends))
 
 
 def gen_security(n: int, d: int, a: float, master_seed: int = 0) -> LabeledGraph:
@@ -196,79 +164,56 @@ def gen_security(n: int, d: int, a: float, master_seed: int = 0) -> LabeledGraph
         raise ValueError("n must be at least d + 1")
     if not a > 1:
         raise ValueError("homophyly exponent a must exceed 1")
-    rng = rng_from(master_seed, "security", n, d, float(a).hex())
+    draw = _Replay(rng_from(master_seed, "security", n, d, float(a).hex()))
+    random, integers = draw.random, draw.integers
+    pa_global, seed_link, homophyly = map(int, (EdgeTag.PA_GLOBAL, EdgeTag.SEED_LINK,
+                                                EdgeTag.HOMOPHYLY))
 
-    color = np.empty(n, dtype=np.int64)
-    is_seed = np.zeros(n, dtype=bool)
-    eu = array("q")
-    ev = array("q")
-    et = array("b")
-
-    global_ends = array("q")          # each node once per incident edge
-    class_ends: list[list[int]] = []  # same, restricted to one color class
-    members: list[list[int]] = []     # nodes of each color, in birth order
-    seeds: list[int] = []             # seed ids, in birth order
-
-    def add_edge(u: int, v: int, tag: int) -> None:
-        eu.append(u)
-        ev.append(v)
-        et.append(tag)
-        global_ends.append(u)
-        global_ends.append(v)
-        class_ends[color[u]].append(u)
-        class_ends[color[v]].append(v)
-
-    # initial graph: K_{d+1}, all seeds, distinct colors
-    for i in range(d + 1):
-        color[i] = i
-        is_seed[i] = True
-        seeds.append(i)
-        members.append([i])
-        class_ends.append([])
-    for i in range(d + 1):
-        for j in range(i + 1, d + 1):
-            add_edge(i, j, int(EdgeTag.INITIAL))
+    # initial graph: K_{d+1}, all seeds, distinct colors.  Color c is founded
+    # by seeds[c], so a seed's rank among the seeds is its color.
+    color = array("q", range(d + 1))
+    seeds = array("q", range(d + 1))
+    members = [array("q", (i,)) for i in range(d + 1)]  # by color, birth order
+    ends = _initial_ends(d)
+    tags = array("B", [int(EdgeTag.INITIAL)]) * (d * (d + 1) // 2)
+    class_ends = [array("q", (i,)) * d for i in range(d + 1)]
 
     for i in range(d + 1, n):
-        if rng.random() < attachment_probability(i, a):
-            # new seed with a fresh color
-            c = len(members)
-            color[i] = c
-            is_seed[i] = True
-            members.append([i])
-            class_ends.append([])
-            pa_target = global_ends[int(rng.integers(0, len(global_ends)))]
-            eligible = seeds if not is_seed[pa_target] else \
-                [s for s in seeds if s != pa_target]
-            if len(eligible) <= d - 1:
-                links = list(eligible)
+        if random() < attachment_probability(i, a):
+            # new seed with a fresh color; exclude the PA target if a seed
+            target = ends[integers(len(ends))]
+            rank = color[target] if seeds[color[target]] == target else len(seeds)
+            eligible = len(seeds) - (rank < len(seeds))
+            if eligible <= d - 1:
+                links = seeds[:rank] + seeds[rank + 1:]
             else:
-                picks = rng.choice(len(eligible), size=d - 1, replace=False)
-                links = [eligible[j] for j in picks]
-            add_edge(i, pa_target, int(EdgeTag.PA_GLOBAL))
-            for s in links:
-                add_edge(i, s, int(EdgeTag.SEED_LINK))
+                links = [seeds[j + (j >= rank)] for j in draw.choice(eligible, d - 1)]
+            for k, s in enumerate([target, *links]):
+                class_ends[color[s]].append(s)
+                ends.append(i)
+                ends.append(s)
+                tags.append(seed_link if k else pa_global)
+            color.append(len(seeds))
+            members.append(array("q", (i,)))
+            class_ends.append(array("q", (i,)) * (1 + len(links)))
             seeds.append(i)
         else:
-            c = int(rng.integers(0, len(members)))
-            group = members[c]
-            color[i] = c
-            if len(group) <= d:
-                targets = list(group)
-            else:
-                targets = _sample_distinct(rng, class_ends[c], d)
+            c = integers(len(members))
+            group, pool = members[c], class_ends[c]
+            color.append(c)
+            targets = group if len(group) <= d else _draw_distinct(integers, pool, d)
             for u in targets:
-                add_edge(i, u, int(EdgeTag.HOMOPHYLY))
+                pool.append(i)
+                pool.append(u)
+                ends.append(i)
+                ends.append(u)
+                tags.append(homophyly)
             group.append(i)
-    return LabeledGraph(
-        n,
-        color,
-        is_seed,
-        np.arange(n, dtype=np.int64),
-        np.frombuffer(eu, dtype=np.int64),
-        np.frombuffer(ev, dtype=np.int64),
-        np.frombuffer(et, dtype=np.int8).astype(np.uint8),
-    )
+    is_seed = np.zeros(n, dtype=bool)
+    is_seed[np.frombuffer(seeds, dtype=np.int64)] = True
+    return LabeledGraph(n, np.array(color, dtype=np.int64), is_seed,
+                        np.arange(n, dtype=np.int64), *_edges(ends),
+                        np.array(tags, dtype=np.uint8))
 
 
 _GENERATORS = {"er": gen_er, "pa": gen_pa, "security": gen_security}

@@ -28,9 +28,10 @@ integer in one ``np.fromstring`` call, confirms the header counts by the
 edge-line and integer counts, and checks ids, ``u < v < n`` and the edge
 order with array operations.  A file
 that fails any of these goes to the line-by-line parser, which is the only
-code that writes format errors (so they keep naming the first bad line) and
-which still reads the lenient spellings it always has (``+5``, a missing
-final newline).
+code that writes format errors, so they keep naming the first bad line.
+An integer field must be spelled as the writer spells it (ASCII digits, no
+sign, no leading zero, nothing trailing such as a ``\r``); the one
+leniency left is a missing final newline.
 """
 
 from __future__ import annotations
@@ -309,12 +310,13 @@ def serialize(g: LabeledGraph) -> bytes:
 # Canonical lines only: \d is ASCII-only in a bytes pattern, 18 digits
 # always fit int64, and the possessive *+ keeps no per-line backtracking
 # state (a plain * costs memory in proportion to the file).
+_UINT = rb"(?:0|[1-9]\d{0,17})"
 _HEADER = re.compile(re.escape(f"{FORMAT_MAGIC} {FORMAT_VERSION} ".encode())
-                     + rb"(\d{1,18}) (\d{1,18})\n")
-_NODE_LINES = re.compile(rb"(?:N \d{1,18} \d{1,18} [01] \d{1,18}\n)*+")
+                     + rb"(%s) (%s)\n" % (_UINT, _UINT))
+_NODE_LINES = re.compile(rb"(?:N %s %s [01] %s\n)*+" % (_UINT, _UINT, _UINT))
 _EDGE_LINES = re.compile(
-    rb"(?:E \d{1,18} \d{1,18} (?:%s)\n)*+"
-    % "|".join(tag.name for tag in EdgeTag).encode())
+    rb"(?:E %s %s (?:%s)\n)*+"
+    % (_UINT, _UINT, "|".join(tag.name for tag in EdgeTag).encode()))
 _LETTERS_TO_BLANKS = bytes.maketrans(b"ABCDEFGHIJKLMNOPQRSTUVWXYZ_", b" " * 27)
 # a tag name is identified by its last and fourth-to-last letters
 _TAG_BY_LETTERS = np.zeros((256, 256), dtype=np.uint8)
@@ -327,8 +329,7 @@ def deserialize(data: bytes) -> LabeledGraph:
     """Parse the v1 format; errors name the offending line.
 
     A canonical file is checked and parsed in bulk.  Any other input goes
-    to the line-by-line parser, which reads the few lenient spellings it
-    accepts (``+5``, non-ASCII digits, a missing final newline) and
+    to the line-by-line parser, which accepts a missing final newline and
     otherwise names the first bad line.
     """
     g = _parse_canonical(data)
@@ -366,10 +367,18 @@ def _parse_canonical(data: bytes) -> LabeledGraph | None:
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+_CANONICAL_INT = re.compile(r"0|[1-9][0-9]*")
 
 
 def _fail(lineno: int, message: str):
     raise GraphFormatError(f"line {lineno}: {message}")
+
+
+def _check_spelling(lineno: int, fields: list[str], line: str) -> None:
+    """Reject integer fields that int() reads but the writer never writes
+    (a sign, a leading zero, '_', non-ASCII digits, whitespace such as '\\r')."""
+    if not all(map(_CANONICAL_INT.fullmatch, fields)):
+        _fail(lineno, f"non-canonical integer field in {line!r}")
 
 
 def _parse_lines(data: bytes) -> LabeledGraph:
@@ -395,6 +404,7 @@ def _parse_lines(data: bytes) -> LabeledGraph:
     if len(lines) != 1 + n + m:
         _fail(len(lines), f"expected {1 + n + m} lines for n={n}, m={m}, "
                           f"found {len(lines)}")
+    _check_spelling(1, head[2:], lines[0])
 
     color = np.empty(n, dtype=np.int64)
     is_seed = np.empty(n, dtype=bool)
@@ -417,6 +427,7 @@ def _parse_lines(data: bytes) -> LabeledGraph:
             _fail(lineno, "color and birth_time must be non-negative")
         if col > _INT64_MAX or bt > _INT64_MAX:
             _fail(lineno, "color and birth_time must fit in int64")
+        _check_spelling(lineno, parts[1:], lines[1 + i])
         color[i], is_seed[i], birth[i] = col, bool(seed), bt
 
     eu = np.empty(m, dtype=np.int64)
@@ -443,6 +454,7 @@ def _parse_lines(data: bytes) -> LabeledGraph:
             _fail(lineno, f"duplicate edge ({u}, {v})")
         if (u, v) < prev:
             _fail(lineno, f"edge lines not in canonical (u, v) order at ({u}, {v})")
+        _check_spelling(lineno, parts[1:3], lines[1 + n + j])
         prev = (u, v)
         eu[j], ev[j], et[j] = u, v, tag
     return LabeledGraph(n, color, is_seed, birth, eu, ev, et)

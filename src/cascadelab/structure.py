@@ -111,21 +111,20 @@ def community_conductances(g: LabeledGraph) -> dict[int, CommunityConductance]:
     O(m) total instead of O(m) per community.
     """
     coms = communities(g)
-    n_colors = int(g.color.max()) + 1 if g.n else 0
-    vol = np.bincount(g.color, weights=g.degrees.astype(np.float64),
-                      minlength=n_colors).astype(np.int64)
-    cu, cv = g.color[g.edge_u], g.color[g.edge_v]
+    index = _community_layout(g)[0]
+    vol = np.bincount(index, weights=g.degrees.astype(np.float64),
+                      minlength=len(coms)).astype(np.int64)
+    cu, cv = index[g.edge_u], index[g.edge_v]
     cross = cu != cv
-    cut = (np.bincount(cu[cross], minlength=n_colors)
-           + np.bincount(cv[cross], minlength=n_colors)).astype(np.int64)
+    cut = (np.bincount(cu[cross], minlength=len(coms))
+           + np.bincount(cv[cross], minlength=len(coms))).astype(np.int64)
     total_vol = 2 * g.m
     out = {}
-    for com in coms:
-        c = com.color
-        denom = min(int(vol[c]), total_vol - int(vol[c]))
-        phi = float("inf") if denom == 0 else cut[c] / denom
-        out[c] = CommunityConductance(
-            size=com.size, volume=int(vol[c]), cut=int(cut[c]),
+    for k, com in enumerate(coms):
+        denom = min(int(vol[k]), total_vol - int(vol[k]))
+        phi = float("inf") if denom == 0 else cut[k] / denom
+        out[com.color] = CommunityConductance(
+            size=com.size, volume=int(vol[k]), cut=int(cut[k]),
             conductance=phi)
     return out
 
@@ -181,10 +180,14 @@ class DegreePrioritySummary:
 
 
 def degree_priority_summary(g: LabeledGraph) -> DegreePrioritySummary:
-    """One pass over the edge list instead of n calls to degree_profile."""
-    n_colors = int(g.color.max()) + 1 if g.n else 1
+    """One pass over the edge list instead of n calls to degree_profile.
+
+    Colors are keyed by their rank among the distinct colors, so any int64
+    color works; the graph need not have communities."""
+    colors, index = np.unique(g.color, return_inverse=True)
+    n_colors = max(len(colors), 1)
     owners = np.concatenate([g.edge_u, g.edge_v])
-    ncolor = np.concatenate([g.color[g.edge_v], g.color[g.edge_u]])
+    ncolor = np.concatenate([index[g.edge_v], index[g.edge_u]])
     keys, counts = np.unique(owners * n_colors + ncolor, return_counts=True)
     owner_k = keys // n_colors
     color_k = keys % n_colors
@@ -198,7 +201,7 @@ def degree_priority_summary(g: LabeledGraph) -> DegreePrioritySummary:
     top = np.full(g.n, -1, dtype=np.int64)
     heads = owner_s[first_idx]
     first[heads] = count_s[first_idx]
-    top[heads] = color_s[first_idx]
+    top[heads] = colors[color_s[first_idx]]
     nxt = first_idx + 1
     ok = nxt < owner_s.shape[0]
     ok[ok] = owner_s[nxt[ok]] == heads[ok]
@@ -446,6 +449,7 @@ def infection_priority_tree(g: LabeledGraph) -> PriorityTree:
     if not g.is_seed.any():
         raise ValueError("graph has no seeds; provenance is missing")
     coms = communities(g)
+    index = _community_layout(g)[0]
     init_mask = tags == int(EdgeTag.INITIAL)
     if not init_mask.any():
         raise ValueError("graph has no INITIAL edges; provenance is missing")
@@ -454,17 +458,17 @@ def infection_priority_tree(g: LabeledGraph) -> PriorityTree:
 
     vertex_colors: list[int | None] = [None]
     vertex_births: list[int] = [0]
-    vmap = np.zeros(int(g.color.max()) + 1, dtype=np.int64)
-    later = [c for c in coms if int(c.seed) not in initial_set]
-    later.sort(key=lambda c: int(g.birth_time[c.seed]))
-    for com in later:
-        vmap[com.color] = len(vertex_colors)
-        vertex_colors.append(com.color)
-        vertex_births.append(int(g.birth_time[com.seed]))
+    vmap = np.zeros(len(coms), dtype=np.int64)
+    later = [k for k, c in enumerate(coms) if int(c.seed) not in initial_set]
+    later.sort(key=lambda k: int(g.birth_time[coms[k].seed]))
+    for k in later:
+        vmap[k] = len(vertex_colors)
+        vertex_colors.append(coms[k].color)
+        vertex_births.append(int(g.birth_time[coms[k].seed]))
 
     keep = tags != int(EdgeTag.SEED_LINK)
-    vu = vmap[g.color[g.edge_u[keep]]]
-    vv = vmap[g.color[g.edge_v[keep]]]
+    vu = vmap[index[g.edge_u[keep]]]
+    vv = vmap[index[g.edge_v[keep]]]
     cross = vu != vv
     births = np.asarray(vertex_births)
     a, b = vu[cross], vv[cross]

@@ -25,6 +25,13 @@ def cached_graph(model: str, n: int, d: int, a=None, seed: int = SUITE_SEED):
     return _GRAPH_CACHE[key]
 
 
+def figure_csv(cfg) -> str:
+    """The CSV of run_experiment(cfg); fails the test if any cell failed."""
+    result = cl.run_experiment(cfg)
+    assert result.ok, result.failed
+    return result.csv_text
+
+
 @pytest.fixture(scope="session")
 def security_big():
     """The shared n=1e5 security-model graph (d=10, a=1.5)."""

@@ -19,7 +19,7 @@ from cascadelab import ExperimentConfig, ThresholdAssignment
 from cascadelab.cli import main as cli_main
 from cascadelab.structure import degree_priority_summary, pair_distances, sample_lcc_pairs
 
-from conftest import SUITE_SEED, cached_graph, record_criterion
+from conftest import SUITE_SEED, cached_graph, figure_csv, record_criterion
 from frozen_constants import DIST_C2, HEIGHT_C3, SIZE_C1
 from oracles import (async_sweep_infection, random_attack, random_small_graph,
                      rescan_infection)
@@ -109,7 +109,7 @@ def test_criterion_3():
                            n_list=(10_000,), d=10, trials=100,
                            master_seed=SUITE_SEED)
     start = time.perf_counter()
-    csv = cl.run_fig1(cfg)
+    csv = figure_csv(cfg)
     elapsed = time.perf_counter() - start
     k_target = math.ceil(math.log(10_000))
     values = {}
@@ -141,7 +141,7 @@ def test_criterion_4():
                            models=("er", "pa", "security"),
                            n_list=(10_000,), d=10, a=1.5, trials=100,
                            master_seed=SUITE_SEED)
-    csv = cl.run_fig2(cfg)
+    csv = figure_csv(cfg)
     values = {}
     for line in csv.strip().split("\n")[1:]:
         fields = line.split(",")
@@ -163,7 +163,7 @@ def test_criterion_5():
                            models=("er", "pa", "security"),
                            n_list=(1_000, 10_000, 100_000), d=5, a=1.5,
                            epsilon=0.1, master_seed=SUITE_SEED)
-    csv = cl.run_fig3(cfg)
+    csv = figure_csv(cfg)
     values: dict[tuple[str, int], float] = {}
     for line in csv.strip().split("\n")[1:]:
         model, n, _, _, phi = line.split(",")

@@ -120,7 +120,9 @@ def test_degree_priority_rows_match_per_node_format(security_file, tmp_path):
 
 # SHA-256 of `analyze --report R --seed S` on a security graph (n=2000,
 # d=10, a=1.5, generated at seed S), computed with the Dijkstra distances
-# and diameters and the dict-adjacency navigation
+# and diameters and the dict-adjacency navigation; the conductance,
+# degree-priority and ptree entries were computed while those reports still
+# indexed arrays by color value
 GOLDEN_ANALYZE_SHA256 = {
     ("distances", 1):
         "b2fef3c36d721f1446e7c14746d5927163199e5f9d15a4cefe8134e3871621ea",
@@ -134,6 +136,18 @@ GOLDEN_ANALYZE_SHA256 = {
         "d1605edb0fb8bb11f6ac8c6073f08c7bed2216a7c55a2f2dae53bbdea0ec7dac",
     ("navigate", 2):
         "f0d1bb7054f7f39bb9fe14682f7392cf6542760d2372fa28ec1e65751c15c20b",
+    ("conductance", 1):
+        "d314cba9a4fce04e558e76e22754aad5efd3177327397645e74c31fd6a1cb318",
+    ("conductance", 2):
+        "3b8de3077b7b94c40974571a412fb998f5937ec48cba189a24e2a64de33329ca",
+    ("degree-priority", 1):
+        "a4265a4b82da7938d95ef9a9ad259702ae37d698777105a1ab8d6270609010eb",
+    ("degree-priority", 2):
+        "072a53380dbdd949930daaafca760663e31ef0870f0cade1e3b5fcf0089ad09d",
+    ("ptree", 1):
+        "2c2f7d48d0ec094e7baf649baae18166c761528edda823057b4b246748843787",
+    ("ptree", 2):
+        "bee622317a8511cf2a57a3d0a1f19a31298e0c757cd90d4bc9a7a07b67f53eec",
 }
 
 
@@ -142,7 +156,7 @@ def test_analyze_golden_hash(tmp_path, seed):
     path = tmp_path / "sec.graph"
     assert run_cli("generate", "--model", "security", "--n", 2000, "--d", 10,
                    "--a", 1.5, "--seed", seed, "--out", path) == 0
-    for report in ("distances", "diameters", "navigate"):
+    for report in sorted({report for report, _ in GOLDEN_ANALYZE_SHA256}):
         out = tmp_path / f"{report}.csv"
         assert run_cli("analyze", "--graph", path, "--report", report,
                        "--seed", seed, "--out", out) == 0
@@ -157,6 +171,15 @@ def test_analyze_field_past_int64_exits_2(tmp_path, capsys):
     assert run_cli("analyze", "--graph", path, "--report", "communities",
                    "--out", tmp_path / "c.csv") == 2
     assert "line 3" in capsys.readouterr().err
+
+
+def test_analyze_non_canonical_field_exits_2(tmp_path, capsys):
+    path = tmp_path / "plus.graph"
+    path.write_bytes(b"cascadelab-graph v1 2 1\nN 0 0 1 0\n"
+                     b"N 1 0 0 1\nE 0 +1 PLAIN\n")
+    assert run_cli("analyze", "--graph", path, "--report", "communities",
+                   "--out", tmp_path / "c.csv") == 2
+    assert "line 4: non-canonical" in capsys.readouterr().err
 
 
 def test_analyze_uncolored_graph_errors(tmp_path, capsys):

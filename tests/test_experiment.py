@@ -5,6 +5,8 @@ import pytest
 import cascadelab.experiment as xp
 from cascadelab import ConfigError, ExperimentConfig
 
+from conftest import figure_csv
+
 
 def tiny_cfg(**over):
     values = dict(experiment="fig2", models=("er", "pa"), n_list=(60, 120),
@@ -113,7 +115,7 @@ def test_attack_sizes():
 def test_fig1_row_count_and_k_range():
     cfg = ExperimentConfig(experiment="fig1", models=("er",),
                            n_list=(10_000,), d=10, trials=1, master_seed=2)
-    csv = xp.run_fig1(cfg)
+    csv = figure_csv(cfg)
     lines = csv.strip().split("\n")
     assert lines[0] == "model,n,d,k,injury_fraction,max_infection_fraction"
     rows = [line.split(",") for line in lines[1:]]
@@ -131,7 +133,7 @@ def test_fig1_rejects_n_below_its_largest_attack():
     with pytest.raises(ConfigError, match="n=12"):
         xp.default_config("fig1", n_list=(12, 13), d=4)
     cfg = xp.default_config("fig1", n_list=(13,), d=4, trials=2)
-    rows = xp.run_fig1(cfg).strip().split("\n")[1:]
+    rows = figure_csv(cfg).strip().split("\n")[1:]
     assert [int(r.split(",")[3]) for r in rows if r.startswith("er,")] == \
         list(range(1, 14))
 
@@ -141,26 +143,26 @@ def test_fig1_rejects_n_below_its_largest_attack():
 def test_fig2_boundary_n_runs():
     cfg = ExperimentConfig(experiment="fig2", models=("security",),
                            n_list=(11,), d=10, a=1.5, trials=2, master_seed=1)
-    csv = xp.run_fig2(cfg)
+    csv = figure_csv(cfg)
     line = csv.strip().split("\n")[1].split(",")
     assert line[:4] == ["security", "11", "10", "1.5"]
     assert 0.0 <= float(line[4]) <= 1.0
 
 
 def test_fig2_er_leaves_a_empty():
-    csv = xp.run_fig2(tiny_cfg())
+    csv = figure_csv(tiny_cfg())
     for line in csv.strip().split("\n")[1:]:
         assert line.split(",")[3] == ""
 
 
 def test_identical_config_identical_bytes():
     cfg = tiny_cfg()
-    assert xp.run_fig2(cfg) == xp.run_fig2(tiny_cfg())
+    assert figure_csv(cfg) == figure_csv(tiny_cfg())
 
 
 def test_random_attack_flag_changes_result():
-    top = xp.run_fig2(tiny_cfg())
-    rnd = xp.run_fig2(tiny_cfg(attack="random"))
+    top = figure_csv(tiny_cfg())
+    rnd = figure_csv(tiny_cfg(attack="random"))
     assert top != rnd
 
 
@@ -170,7 +172,7 @@ def test_fig3_schema_and_none_serialization():
     cfg = ExperimentConfig(experiment="fig3", models=("er",), n_list=(40,),
                            d=4, trials=1, master_seed=3,
                            phi_grid=(0.01,), epsilon=0.05)
-    csv = xp.run_fig3(cfg)
+    csv = figure_csv(cfg)
     lines = csv.strip().split("\n")
     assert lines[0] == "model,n,d,a,security_threshold"
     # phi=0.01 cannot contain a 4-node attack on a 40-node graph: empty field
@@ -180,7 +182,7 @@ def test_fig3_schema_and_none_serialization():
 def test_fig3_finds_threshold():
     cfg = ExperimentConfig(experiment="fig3", models=("er",), n_list=(200,),
                            d=4, trials=1, master_seed=3)
-    csv = xp.run_fig3(cfg)
+    csv = figure_csv(cfg)
     value = csv.strip().split("\n")[1].split(",")[4]
     assert value != ""
     assert 0.01 <= float(value) <= 0.5

@@ -3,21 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from cascadelab import (EdgeTag, GenParams, attachment_probability,
-                        expected_seed_count, gen_er, gen_pa, gen_security,
-                        generate, serialize)
+from cascadelab import (EdgeTag, attachment_probability, expected_seed_count,
+                        gen_er, gen_pa, gen_security, generate, serialize)
 
 
-# ---- GenParams ---------------------------------------------------------------
+# ---- parameter validation ------------------------------------------------------
 
-def test_genparams_validation():
-    GenParams(n=100, d=4, a=1.5)
+def test_generator_parameter_validation():
+    gen_security(100, 4, 1.5)
     with pytest.raises(ValueError):
-        GenParams(n=4, d=4)         # n < d + 1
+        gen_pa(4, 4)                 # n < d + 1
     with pytest.raises(ValueError):
-        GenParams(n=10, d=0)
+        gen_pa(10, 0)                # d must be at least 1
     with pytest.raises(ValueError):
-        GenParams(n=10, d=2, a=1.0)  # a must exceed 1
+        gen_security(10, 2, 1.0)     # a must exceed 1
 
 
 def test_attachment_probability():

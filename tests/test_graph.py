@@ -165,6 +165,44 @@ def test_generated_graph_golden_hash(model, seed):
     assert serialize(deserialize(data)) == data
 
 
+# SHA-256 of serialize(generate(model, n, d, a, master_seed=seed)) at more
+# (model, n, d, a) points: fig3's d for security, a seed-heavy security graph
+# (d=2, a=1.1) and d of 1 and 5 for pa and er.  Taken before the generators
+# moved onto the replayed RNG stream.
+GOLDEN_SHA256_MORE = {
+    ("security", 20000, 5, 1.5, 1):
+        "ab70c708287ebd8ea572acd8ad7ef2e993464aaa66acb993510791b9f34e57c1",
+    ("security", 20000, 5, 1.5, 2):
+        "4c0fae78befbc6c9c9390c1f5230584274ebcb616e5cd8ad4fdfb79da88b6d38",
+    ("security", 3000, 2, 1.1, 1):
+        "bfdefd7ab9a2a0012992b915161384107595cf100746d8e3bc4036aaabddbf5d",
+    ("security", 3000, 2, 1.1, 2):
+        "3b90affbaee7ad442aa5be507304313755a716a1c4ec9dc347b27bcada919b43",
+    ("pa", 2000, 1, None, 1):
+        "01620a643ef470d41cc1943f1fa4a17a4e8849ab279368a8a245c38c210ff33e",
+    ("pa", 2000, 1, None, 2):
+        "5f76ea82768be631658ac214e2c436bbcab5dd85ffae209bcf0f5923d3f751cf",
+    ("pa", 2000, 5, None, 1):
+        "54d6ff3dee298eea8de32f3b0eed7ffe9c4e90fbea91c5ab099c6f3a1da41657",
+    ("pa", 2000, 5, None, 2):
+        "b738cdcf2034da244cc64e39bd6e91bfaede1975ee717d06d5b4a3d03bb9340c",
+    ("er", 2000, 1, None, 1):
+        "4c887555fa64d8def9e2b7c26893369cae7c33a51c4eade7424d278910fa353f",
+    ("er", 2000, 1, None, 2):
+        "ccab34a0dd9b625bc5f839403692e29a1bc36e4fe8918655eea86edc82650950",
+    ("er", 2000, 5, None, 1):
+        "c0ffbb59e353b61aa14596fef14b743b0c931b023aa52f3c76b48aa46bd0dfc2",
+    ("er", 2000, 5, None, 2):
+        "e2457c691a0b30ac6403111ae0f1e598354d71042d38e5bb07f7601b71f75e2f",
+}
+
+
+@pytest.mark.parametrize("model,n,d,a,seed", sorted(GOLDEN_SHA256_MORE, key=str))
+def test_generated_graph_golden_hash_more(model, n, d, a, seed):
+    data = serialize(generate(model, n, d, a, master_seed=seed))
+    assert hashlib.sha256(data).hexdigest() == GOLDEN_SHA256_MORE[model, n, d, a, seed]
+
+
 def test_header_errors():
     with pytest.raises(GraphFormatError, match="line 1"):
         deserialize(b"bogus v1 0 0\n")

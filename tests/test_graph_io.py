@@ -2,11 +2,17 @@
 ones they replaced (``oracles.per_line_serialize`` / ``per_line_deserialize``).
 
 Every input must give the same bytes, the same graph, or the same error
-(type and message) as the oracle, with one documented divergence: where
-the oracle lets a field past int64 escape as ``OverflowError``, the reader
-raises ``GraphFormatError`` naming a line.  A canonical file must take the
-bulk path; a file the bulk checks reject falls back to the line-by-line
-parser.
+(type and message) as the oracle, with two documented divergences:
+
+* where the oracle lets a field past int64 escape as ``OverflowError``, the
+  reader raises ``GraphFormatError`` naming a line;
+* where the oracle reads an integer field with a spelling the writer never
+  writes (``+5``, ``05``, ``1_0``, non-ASCII digits, a trailing ``\r``) and
+  finds nothing else wrong up to that line, the reader raises
+  ``GraphFormatError`` naming that line as non-canonical.
+
+A canonical file must take the bulk path; a file the bulk checks reject
+falls back to the line-by-line parser.
 """
 
 import re
@@ -69,11 +75,30 @@ def outcome(parse, data):
         return "error", type(exc).__name__, str(exc)
 
 
+def has_misspelled_integer(line: bytes) -> bool:
+    """Some field of the line is read by int() but not written by serialize."""
+    for field in line.decode("utf-8").split(" "):
+        try:
+            value = int(field)
+        except ValueError:
+            continue
+        if field != str(value):
+            return True
+    return False
+
+
 def assert_parses_like_oracle(data):
     ours, oracle = outcome(deserialize, data), outcome(per_line_deserialize, data)
     if oracle[:2] == ("error", "OverflowError"):
         assert ours[:2] == ("error", "GraphFormatError")
         assert re.match(r"line \d+: ", ours[2])
+    elif ours[0] == "error" and (
+            hit := re.match(r"line (\d+): non-canonical integer field", ours[2])):
+        lineno = int(hit[1])
+        assert ours[1] == "GraphFormatError"
+        assert has_misspelled_integer(data.split(b"\n")[lineno - 1])
+        if oracle[0] == "error":  # the oracle failed on a later line
+            assert int(re.match(r"line (\d+): ", oracle[2])[1]) > lineno
     else:
         assert ours == oracle
 
@@ -188,6 +213,22 @@ def test_canonical_file_takes_bulk_path():
     for data in (small_file()[:-1], small_file(newline=b"\r\n"),
                  small_file().replace(b"N 2 1 0 2", b"N +2 1 0 2")):
         assert _parse_canonical(data) is None
+
+
+@pytest.mark.parametrize("data,lineno", [
+    (small_file().replace(b"v1 3 2", b"v1 +3 2"), 1),
+    (small_file().replace(b"N 1 0 0 1", b"N 1 0 0 01"), 3),
+    (small_file().replace(b"N 1 0 0 1", b"N 1 1_0 0 1"), 3),
+    (small_file().replace(b"N 1 0 0 1", "N 1 ٣ 0 1".encode()), 3),
+    (small_file().replace(b"E 1 2", b"E 1 +2"), 6),
+    (b"cascadelab-graph v1 2 0\r\nN 0 0 0 0\r\nN 1 0 0 1\r\n", 1),
+    (b"cascadelab-graph v1 2 0\nN 0 0 0 0\r\nN 1 0 0 1\n", 2),
+])
+def test_non_canonical_integer_field_names_its_line(data, lineno):
+    per_line_deserialize(data)  # the old parser read these
+    with pytest.raises(GraphFormatError,
+                       match=f"^line {lineno}: non-canonical integer field"):
+        deserialize(data)
 
 
 @pytest.mark.parametrize("line", [b"N 1 0 0 " + b"9" * 20,

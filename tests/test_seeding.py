@@ -1,9 +1,25 @@
 import numpy as np
 import pytest
 
-from cascadelab.seeding import (derive_seed, derive_seed_array,
-                                derive_trial_seed, rng_from, splitmix64,
-                                splitmix64_array)
+from cascadelab.seeding import (_MIX_MUL1, _MIX_MUL2, _SPLITMIX_GAMMA,
+                                derive_seed, derive_trial_seed, rng_from,
+                                splitmix64)
+
+
+def splitmix64_array(x: np.ndarray) -> np.ndarray:
+    """Vectorized :func:`splitmix64` over a uint64 array."""
+    x = x.astype(np.uint64, copy=True)
+    x += np.uint64(_SPLITMIX_GAMMA)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(_MIX_MUL1)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(_MIX_MUL2)
+    return x ^ (x >> np.uint64(31))
+
+
+def derive_seed_array(master_seed: int, *tokens: int | str, indices: np.ndarray) -> np.ndarray:
+    """``[derive_seed(master_seed, *tokens, i) for i in indices]``, vectorized
+    for bulk checks of derived-seed uniqueness."""
+    prefix = derive_seed(master_seed, *tokens)
+    return splitmix64_array(np.uint64(prefix) ^ np.asarray(indices, dtype=np.uint64))
 
 
 def test_same_inputs_same_seed():

@@ -330,3 +330,34 @@ def test_navigate_rejects_uncolored():
     g = cl.gen_pa(50, 3, master_seed=0)
     with pytest.raises(ValueError):
         navigate(g, 0, 1, 10)
+
+
+# ---- colors far from 0..n ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("recolor", [lambda c: c * 10**15, lambda c: 10**18 + c],
+                         ids=["1e15-apart", "from-1e18"])
+def test_reports_depend_on_color_order_only(recolor):
+    # the reports index communities densely, so colors far apart or near
+    # the int64 limit give the same results as colors 0..k-1
+    g = cl.gen_security(600, 4, 1.5, master_seed=3)
+    big = LabeledGraph(g.n, recolor(g.color), g.is_seed, g.birth_time,
+                       g.edge_u, g.edge_v, g.edge_tag)
+    to_big = dict(zip(g.color.tolist(), big.color.tolist()))
+
+    assert community_conductances(big) == {
+        to_big[c]: r for c, r in community_conductances(g).items()}
+
+    s, bs = degree_priority_summary(g), degree_priority_summary(big)
+    assert np.array_equal(bs.length, s.length)
+    assert np.array_equal(bs.first_degree, s.first_degree)
+    assert np.array_equal(bs.second_degree, s.second_degree)
+    assert bs.top_color.tolist() == [to_big.get(c, -1) for c in s.top_color.tolist()]
+    assert np.array_equal(bs.own_color_first(big), s.own_color_first(g))
+
+    t, bt = infection_priority_tree(g), infection_priority_tree(big)
+    assert bt.vertex_colors == tuple(None if c is None else to_big[c]
+                                     for c in t.vertex_colors)
+    assert (bt.vertex_births, bt.edges, bt.is_tree, bt.height, bt.violations) == \
+        (t.vertex_births, t.edges, t.is_tree, t.height, t.violations)
+    assert len(t.edges) > 10
