@@ -17,7 +17,11 @@ Top-degree attack sets are nested prefixes of one degree order, so
 fixed point: with F(S) the final set from S and S a subset of S', the
 cascade from F(S) plus S' ends at F(S').  ``prefix_injury_counts``
 builds the injury curve in one reverse union-find pass over the removed
-nodes.
+nodes.  ``security_threshold`` warm-starts across thresholds instead of
+attack sets: under a uniform phi every node's need cannot rise as phi
+falls, so the infected set at a lower phi contains the set at any higher
+phi (threshold infection is monotone; Kempe, Kleinberg & Tardos, KDD
+2003).  It walks the grid from its top value down in one cascade state.
 """
 
 from __future__ import annotations
@@ -296,6 +300,11 @@ def security_threshold(g: LabeledGraph, s, grid, epsilon: float):
     at most epsilon * n nodes; None when no grid value qualifies.
 
     grid must be sorted ascending with values in (0, 1]; 0 < epsilon < 1.
+
+    One descending sweep, about one cascade in all: the infected set only
+    grows as phi falls, so each lower grid value resumes the cascade from
+    the fixed point above it, seeded with the healthy nodes whose count
+    now meets their need.  The first value past the budget ends the sweep.
     """
     grid = [float(x) for x in grid]
     if not grid:
@@ -308,11 +317,23 @@ def security_threshold(g: LabeledGraph, s, grid, epsilon: float):
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     attack = _as_node_array(s, g.n)
     budget = epsilon * g.n
-    for phi in grid:
-        outcome = infection_set(g, attack, uniform_thresholds(g, phi))
-        if outcome.infected.shape[0] <= budget:
-            return phi
-    return None
+    indptr, indices = g.adjacency()
+    infected = np.zeros(g.n, dtype=bool)
+    infected[attack] = True
+    cnt = np.bincount(_gather_neighbors(indptr, indices, attack),
+                      minlength=g.n)
+    total = attack.size
+    answer = None
+    for phi in reversed(grid):
+        need = _need_counts(g, uniform_thresholds(g, phi))
+        frontier = np.flatnonzero(~infected & (cnt >= need))
+        infected[frontier] = True
+        total += frontier.size + sum(_propagate(indptr, indices, need,
+                                                infected, cnt, frontier))
+        if total > budget:
+            break
+        answer = phi
+    return answer
 
 
 class CommunityStrength(Enum):

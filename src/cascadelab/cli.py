@@ -24,8 +24,8 @@ import numpy as np
 from . import __version__
 from .cascade import (degree_order, infection_set, prefix_injury_counts,
                       random_thresholds, top_degree_nodes, uniform_thresholds)
-from .experiment import (ConfigError, config_from_values, parse_config_file,
-                         run_experiment, _fmt)
+from .experiment import (ConfigError, config_from_values, fmt_number,
+                         parse_config_file, run_experiment)
 from .generators import generate
 from .graph import load_graph, save_graph
 from .seeding import derive_trial_seed, rng_from
@@ -52,7 +52,19 @@ def _parse_attack(g, attack: str, k: int):
         return top_degree_nodes(g, k)
     if attack.startswith("ids:"):
         path = attack[len("ids:"):]
-        ids = [int(line) for line in Path(path).read_text().split()]
+        text = Path(path).read_text(encoding="utf-8")
+        ids = []
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            for token in line.split():
+                try:
+                    v = int(token)
+                except ValueError:
+                    raise ConfigError(f"{path}:{lineno}: attack id {token!r} "
+                                      "is not an integer") from None
+                if not 0 <= v < g.n:
+                    raise ConfigError(f"{path}:{lineno}: attack id {v} is "
+                                      f"outside 0..{g.n - 1}")
+                ids.append(v)
         return ids
     raise ConfigError(f"attack must be 'top' or 'ids:FILE', got {attack!r}")
 
@@ -70,13 +82,14 @@ def _cmd_cascade(args) -> int:
         elif choice.startswith("uniform:"):
             phi = float(choice[len("uniform:"):])
             theta = uniform_thresholds(g, phi)
-            mode, parameter = "uniform", _fmt(phi)
+            mode, parameter = "uniform", fmt_number(phi)
         else:
             raise ConfigError(
                 f"thresholds must be 'uniform:PHI' or 'random', got {choice!r}")
         out = infection_set(g, attack, theta)
         rows.append(f"{trial},{mode},{parameter},{len(attack)},"
-                    f"{out.infected.shape[0]},{_fmt(out.fraction)},{out.rounds}")
+                    f"{out.infected.shape[0]},{fmt_number(out.fraction)},"
+                    f"{out.rounds}")
     _write_csv(args.out, "trial,threshold_mode,phi_or_seed,attack_size,"
                          "infected,infected_fraction,rounds", rows)
     print(f"wrote {args.out}: {len(rows)} trial(s)")
@@ -88,7 +101,7 @@ def _cmd_injure(args) -> int:
     if args.attack != "top":
         raise ConfigError("injure supports only --attack top")
     injured = prefix_injury_counts(g, degree_order(g, max(args.k, 0)))
-    rows = [f"{k},{count},{_fmt(count / g.n)}"
+    rows = [f"{k},{count},{fmt_number(count / g.n)}"
             for k, count in enumerate(injured.tolist(), start=1)]
     _write_csv(args.out, "attack_size,injured,injured_fraction", rows)
     print(f"wrote {args.out}: attack sizes 1..{args.k}")
@@ -101,7 +114,8 @@ def _analyze_rows(g, args) -> tuple[str, list[str]]:
         return "color,seed,size", [
             f"{c.color},{c.seed},{c.size}" for c in communities(g)]
     if report == "conductance":
-        rows = [f"{color},{r.size},{r.volume},{r.cut},{_fmt(r.conductance)}"
+        rows = [f"{color},{r.size},{r.volume},{r.cut},"
+                f"{fmt_number(r.conductance)}"
                 for color, r in sorted(community_conductances(g).items())]
         return "color,size,volume,cut,conductance", rows
     if report == "degree-priority":
@@ -116,13 +130,13 @@ def _analyze_rows(g, args) -> tuple[str, list[str]]:
     if report == "powerlaw":
         fit = powerlaw_exponent(g.degrees, args.d_min)
         return "n_samples,d_min,exponent,ccdf_r2", [
-            f"{fit.sample_count},{fit.d_min},{_fmt(fit.exponent)},"
-            f"{_fmt(fit.ccdf_r2)}"]
+            f"{fit.sample_count},{fit.d_min},{fmt_number(fit.exponent)},"
+            f"{fmt_number(fit.ccdf_r2)}"]
     if report == "distances":
         st = distance_stats(g, args.pairs, seed=args.seed)
         return "pairs_sampled,pairs_unreachable,avg_distance,est_diameter", [
             f"{st.pairs_sampled},{st.pairs_unreachable},"
-            f"{_fmt(st.avg_distance)},{st.est_diameter}"]
+            f"{fmt_number(st.avg_distance)},{st.est_diameter}"]
     if report == "ptree":
         tree = infection_priority_tree(g)
         return "vertices,edges,is_tree,height,violations", [

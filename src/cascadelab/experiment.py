@@ -133,8 +133,8 @@ class ExperimentConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, tuple):
-                value = ",".join(_fmt(v) if isinstance(v, float) else str(v)
-                                 for v in value)
+                value = ",".join(fmt_number(v) if isinstance(v, float)
+                                 else str(v) for v in value)
             parts.append(f"{f.name}={value}")
         return "\n".join(parts) + "\n"
 
@@ -217,7 +217,9 @@ def config_from_values(values: dict) -> ExperimentConfig:
 # ---- cell computation --------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
+def fmt_number(x: float) -> str:
+    """The CSV number format: x to six decimals, trailing zeros and a bare
+    point dropped (0.5, 1, 0.333333)."""
     s = f"{x:.6f}".rstrip("0").rstrip(".")
     return s or "0"
 
@@ -277,7 +279,8 @@ def _compute_cell(cfg: ExperimentConfig, model: str, n: int) -> list[str]:
             max_inf += best
         scale = 1.0 / cfg.graphs_per_cell
         return [
-            f"{model},{n},{cfg.d},{k},{_fmt(inj * scale)},{_fmt(inf * scale)}"
+            f"{model},{n},{cfg.d},{k},{fmt_number(inj * scale)},"
+            f"{fmt_number(inf * scale)}"
             for k, (inj, inf) in enumerate(
                 zip(injury.tolist(), max_inf.tolist()), start=1)
         ]
@@ -289,9 +292,9 @@ def _compute_cell(cfg: ExperimentConfig, model: str, n: int) -> list[str]:
             g = _make_graph(cfg, model, n, j)
             attack = _attack_nodes(cfg, g, model, n, k, j)
             total += _max_infection_fraction(cfg, g, model, n, attack, j)
-        a_field = _fmt(cfg.a) if model == "security" else ""
+        a_field = fmt_number(cfg.a) if model == "security" else ""
         return [f"{model},{n},{cfg.d},{a_field},"
-                f"{_fmt(total / cfg.graphs_per_cell)}"]
+                f"{fmt_number(total / cfg.graphs_per_cell)}"]
 
     # fig3
     k = attack_size(n)
@@ -302,8 +305,8 @@ def _compute_cell(cfg: ExperimentConfig, model: str, n: int) -> list[str]:
         phi = security_threshold(g, attack, cfg.phi_grid, cfg.epsilon)
         if phi is not None:
             found.append(phi)
-    a_field = _fmt(cfg.a) if model == "security" else ""
-    value = _fmt(sum(found) / len(found)) if found else ""
+    a_field = fmt_number(cfg.a) if model == "security" else ""
+    value = fmt_number(sum(found) / len(found)) if found else ""
     return [f"{model},{n},{cfg.d},{a_field},{value}"]
 
 

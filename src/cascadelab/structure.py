@@ -183,12 +183,24 @@ def degree_priority_summary(g: LabeledGraph) -> DegreePrioritySummary:
     """One pass over the edge list instead of n calls to degree_profile.
 
     Colors are keyed by their rank among the distinct colors, so any int64
-    color works; the graph need not have communities."""
+    color works; the graph need not have communities.  Each edge end packs
+    (owner, neighbor color rank) into one int64 key, and one in-place sort
+    of the 2m keys counts the pairs, so no other array of that length is
+    alive at the same time."""
     colors, index = np.unique(g.color, return_inverse=True)
     n_colors = max(len(colors), 1)
-    owners = np.concatenate([g.edge_u, g.edge_v])
-    ncolor = np.concatenate([index[g.edge_v], index[g.edge_u]])
-    keys, counts = np.unique(owners * n_colors + ncolor, return_counts=True)
+    m = g.edge_u.shape[0]
+    packed = np.concatenate([g.edge_u, g.edge_v])
+    packed *= n_colors
+    packed[:m] += index[g.edge_v]
+    packed[m:] += index[g.edge_u]
+    packed.sort()
+    distinct = np.ones(2 * m, dtype=bool)
+    np.not_equal(packed[1:], packed[:-1], out=distinct[1:])
+    starts = np.flatnonzero(distinct)
+    keys = packed[starts]
+    del packed, distinct
+    counts = np.diff(starts, append=2 * m)
     owner_k = keys // n_colors
     color_k = keys % n_colors
     order = np.lexsort((color_k, -counts, owner_k))

@@ -2,8 +2,11 @@
 
 The cascade oracles deliberately share no code with cascadelab.cascade:
 they compare infected-neighbor fractions directly and rescan until
-stable.  The graph-file oracles are the per-line writer and parser that
-the bulk ``serialize``/``deserialize`` replaced, kept verbatim.  So are
+stable.  The exception is ``linear_security_threshold``: the scan with
+one ``infection_set`` per grid value that the descending sweep of
+``security_threshold`` replaced, kept verbatim.  The graph-file oracles
+are the per-line writer and parser that the bulk
+``serialize``/``deserialize`` replaced, kept verbatim.  So are
 the structure oracles: Dijkstra distances and community diameters, the
 per-community ``_classify`` loop of ``count_vulnerable``, and navigation
 over dict-of-lists adjacency, and the generators that called numpy once
@@ -20,7 +23,8 @@ import numpy as np
 from scipy.sparse import csgraph
 
 from cascadelab.cascade import (CommunityStrength, ThresholdAssignment,
-                                _classify, _need_counts)
+                                _as_node_array, _classify, _need_counts,
+                                infection_set, uniform_thresholds)
 from cascadelab.generators import attachment_probability
 from cascadelab.graph import (FORMAT_MAGIC, FORMAT_VERSION, EdgeTag,
                               GraphFormatError, LabeledGraph,
@@ -125,6 +129,33 @@ def random_small_graph(rng: np.random.Generator, index: int):
 def random_attack(rng: np.random.Generator, n: int) -> list[int]:
     k = int(rng.integers(0, max(1, n // 4) + 1))
     return sorted(int(x) for x in rng.choice(n, size=k, replace=False))
+
+
+# ---- security threshold: one cold cascade per grid value ----------------------
+
+
+def linear_security_threshold(g: LabeledGraph, s, grid, epsilon: float):
+    """Smallest phi in grid whose uniform-threshold cascade from s infects
+    at most epsilon * n nodes; None when no grid value qualifies.
+
+    grid must be sorted ascending with values in (0, 1]; 0 < epsilon < 1.
+    """
+    grid = [float(x) for x in grid]
+    if not grid:
+        raise ValueError("phi grid must not be empty")
+    if any(not 0.0 < x <= 1.0 for x in grid):
+        raise ValueError("phi grid values must lie in (0, 1]")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("phi grid must be strictly ascending")
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+    attack = _as_node_array(s, g.n)
+    budget = epsilon * g.n
+    for phi in grid:
+        outcome = infection_set(g, attack, uniform_thresholds(g, phi))
+        if outcome.infected.shape[0] <= budget:
+            return phi
+    return None
 
 
 # ---- graph file format: the per-line writer and parser ------------------------

@@ -64,6 +64,23 @@ def test_cascade_ids_attack(security_file, tmp_path):
     assert out.read_text().strip().split("\n")[1].split(",")[3] == "3"
 
 
+@pytest.mark.parametrize("content,lineno,message", [
+    ("1\n800\n", 2, "attack id 800 is outside 0..799"),  # id == n
+    ("-1\n5\n", 1, "attack id -1 is outside 0..799"),
+    ("1\n5 x7\n9\n", 2, "attack id 'x7' is not an integer"),
+], ids=["id-equal-to-n", "negative-id", "non-integer"])
+def test_cascade_bad_attack_id_names_its_line(security_file, tmp_path, capsys,
+                                              content, lineno, message):
+    ids = tmp_path / "attack.txt"
+    ids.write_text(content)
+    out = tmp_path / "c.csv"
+    assert run_cli("cascade", "--graph", security_file, "--attack",
+                   f"ids:{ids}", "--thresholds", "uniform:0.5",
+                   "--out", out) == 2
+    assert f"{ids}:{lineno}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cascade_bad_thresholds(security_file, tmp_path, capsys):
     assert run_cli("cascade", "--graph", security_file, "--thresholds",
                    "nope", "--out", tmp_path / "c.csv") == 2

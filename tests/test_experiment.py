@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -186,6 +187,48 @@ def test_fig3_finds_threshold():
     value = csv.strip().split("\n")[1].split(",")[4]
     assert value != ""
     assert 0.01 <= float(value) <= 0.5
+
+
+# SHA-256 of run_experiment(cfg).csv_text for fig3 (er, pa and security,
+# n_list=(300, 2000), d=5, a=1.5) under four grid/epsilon settings.  Taken
+# while security_threshold still ran one cascade per grid value.  "coarse"
+# and "single" (a one-value grid) leave some cells empty; "multi" averages
+# three graphs per cell and puts 1.0 on the grid.
+FIG3_SETTINGS = {
+    "default": {},
+    "coarse": dict(phi_grid=(0.05, 0.1, 0.2, 0.3), epsilon=0.02),
+    "single": dict(phi_grid=(0.25,), epsilon=0.05),
+    "multi": dict(phi_grid=(0.1, 0.2, 0.25, 0.3, 0.35, 1.0), epsilon=0.2,
+                  graphs_per_cell=3),
+}
+GOLDEN_FIG3_SHA256 = {
+    ("default", 1):
+        "7eb5b7441201ecca6b4c9dd9e9cfee6678afaf04febda138dead40f65298216d",
+    ("default", 2):
+        "5445a33a6ad9600d5b1aa43451760e1bef6f498d20b574619a3d0a2d85dc6867",
+    ("coarse", 1):
+        "9734a863f000296e72c5528b502be7c6e5dee440b99b6926f0480460a54ebaed",
+    ("coarse", 2):
+        "1face589f424c3be54fdeb61e3c6cb436a1a912e4f996410d736b5b058b9fa60",
+    ("single", 1):
+        "54feec24229c3ca4d00e670d0e876459e16ec2382da3df658d8566165919320f",
+    ("single", 2):
+        "54feec24229c3ca4d00e670d0e876459e16ec2382da3df658d8566165919320f",
+    ("multi", 1):
+        "081891fc28d3573ca5c03a72a0d0dabd0bce7d79549920a959de713a2571c86b",
+    ("multi", 2):
+        "2eed1f54fbd66cdee0d457a3aa16f897044263098d2751f3de68dfbaa7a1a93b",
+}
+
+
+@pytest.mark.parametrize("setting,seed", sorted(GOLDEN_FIG3_SHA256))
+def test_fig3_golden_hash(setting, seed):
+    cfg = ExperimentConfig(experiment="fig3", models=("er", "pa", "security"),
+                           n_list=(300, 2000), d=5, a=1.5, master_seed=seed,
+                           **FIG3_SETTINGS[setting])
+    csv = figure_csv(cfg)
+    assert hashlib.sha256(csv.encode("utf-8")).hexdigest() == \
+        GOLDEN_FIG3_SHA256[setting, seed]
 
 
 # ---- orchestration ----------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Warm-started prefix sweeps and the shared propagation kernel, checked
-against the cold per-prefix engines they replace in fig1 and `injure`.
+"""Warm-started sweeps and the shared propagation kernel, checked against
+the cold engines they replace: the per-prefix cascades and injury sets of
+fig1 and `injure`, and fig3's linear phi scan.
 
 Graphs are small: random edge sets (isolated nodes, several components,
 equal-size components) and the three generators through
@@ -14,12 +15,14 @@ from hypothesis import strategies as st
 import cascadelab as cl
 from cascadelab import (Community, CommunityStrength, LabeledGraph,
                         classify_community, communities, infection_set,
-                        injury_set, random_thresholds, top_degree_nodes,
-                        uniform_thresholds)
+                        injury_set, random_thresholds, security_threshold,
+                        top_degree_nodes, uniform_thresholds)
+from cascadelab import cascade
 from cascadelab.cascade import (degree_order, prefix_infection_counts,
                                 prefix_injury_counts)
 
-from oracles import random_small_graph, sync_round_growth
+from oracles import (linear_security_threshold, random_small_graph,
+                     sync_round_growth)
 
 SWEEP_SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -108,6 +111,102 @@ def test_classify_on_shared_kernel_matches_global_cascade(n, d, seed, data):
                     if com.seed in set(full.infected.tolist())
                     else CommunityStrength.STRONG)
         assert classify_community(g, com, theta) is expected
+
+
+@st.composite
+def generator_graphs(draw):
+    """er, pa or security graphs larger than ``random_small_graph``'s."""
+    model = draw(st.sampled_from(("er", "pa", "security")))
+    d = draw(st.integers(2, 6))
+    n = draw(st.integers(d + 1, 400))
+    a = 1.5 if model == "security" else None
+    return cl.generate(model, n, d, a, master_seed=draw(st.integers(0, 2**32)))
+
+
+@st.composite
+def attacks(draw, g):
+    """Attack ids with repeats, empty sets, top-degree sets and sets well
+    beyond any budget."""
+    cap = draw(st.sampled_from((2, max(2, g.n // 8), g.n + 5)))
+    if draw(st.booleans()):
+        return top_degree_nodes(g, draw(st.integers(0, min(cap, g.n))))
+    return draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=cap))
+
+
+# fractions k/deg for small deg, where a node's need changes
+_FRACTIONS = sorted({k / m for m in range(1, 13) for k in range(1, m + 1)})
+
+
+@st.composite
+def phi_grids(draw):
+    """Strictly ascending grids in (0, 1], one value or many, sometimes
+    ending at 1.0."""
+    values = draw(st.lists(
+        st.one_of(st.sampled_from(_FRACTIONS),
+                  st.floats(0.0, 1.0, exclude_min=True)),
+        min_size=1, max_size=8, unique=True))
+    if draw(st.booleans()):
+        values.append(1.0)
+    return sorted(set(values))
+
+
+@SWEEP_SETTINGS
+@given(st.data())
+def test_security_threshold_matches_linear_scan(data):
+    g = data.draw(st.one_of(graphs, generator_graphs()))
+    attack = data.draw(attacks(g))
+    grid = data.draw(phi_grids())
+    counts = [infection_set(g, attack, uniform_thresholds(g, phi)).infected.size
+              for phi in grid]
+    # answer j (None for j = len(grid)) needs low[j] <= epsilon * n <
+    # high[j]: the counts at grid[j] and one step below, with n below the
+    # first value and 0 past the last
+    high = [g.n] + counts
+    low = counts + [0]
+    feasible = [j for j in range(len(grid) + 1) if low[j] < high[j]]
+    wanted = {"none": [len(grid)], "first": [0], "last": [len(grid) - 1],
+              "middle": list(range(1, len(grid) - 1))}
+    target = data.draw(st.sampled_from(sorted(wanted)))
+    j = data.draw(st.sampled_from(
+        [j for j in feasible if j in wanted[target]] or feasible))
+    if low[j] > 0 and data.draw(st.booleans()):
+        epsilon = low[j] / g.n  # the budget sits on the count itself
+    else:
+        epsilon = (low[j] + high[j]) / (2 * g.n)
+    expected = linear_security_threshold(g, attack, grid, epsilon)
+    assert security_threshold(g, attack, grid, epsilon) == expected
+
+
+def test_security_threshold_runs_no_cold_cascade(monkeypatch):
+    g = cl.gen_security(500, 5, 1.5, master_seed=3)
+    attack = top_degree_nodes(g, 7)
+    grid = [i / 100 for i in range(1, 51)]
+    expected = linear_security_threshold(g, attack, grid, 0.1)
+
+    def cold(*args):
+        raise AssertionError("security_threshold called infection_set")
+
+    monkeypatch.setattr(cascade, "infection_set", cold)
+    assert security_threshold(g, attack, grid, 0.1) == expected
+
+
+def test_security_threshold_at_every_grid_position():
+    # a budget on each strict step of the count curve makes that grid
+    # value the answer; just below the last count, the answer is None
+    g = cl.gen_pa(300, 3, master_seed=8)
+    attack = top_degree_nodes(g, 6)
+    grid = [i / 50 for i in range(19, 51)]  # 0.36 infects everyone
+    counts = [infection_set(g, attack, uniform_thresholds(g, phi)).infected.size
+              for phi in grid]
+    steps = [j for j in range(1, len(grid)) if counts[j] < counts[j - 1]]
+    assert counts[0] < g.n and len(steps) >= 3
+    for j in [0] + steps:
+        epsilon = counts[j] / g.n
+        assert security_threshold(g, attack, grid, epsilon) == grid[j]
+        assert linear_security_threshold(g, attack, grid, epsilon) == grid[j]
+    epsilon = (counts[-1] - 0.5) / g.n
+    assert security_threshold(g, attack, grid, epsilon) is None
+    assert linear_security_threshold(g, attack, grid, epsilon) is None
 
 
 # ---- the cases the sweeps must get right, spelled out -------------------------
