@@ -22,6 +22,10 @@ attack sets: under a uniform phi every node's need cannot rise as phi
 falls, so the infected set at a lower phi contains the set at any higher
 phi (threshold infection is monotone; Kempe, Kleinberg & Tardos, KDD
 2003).  It walks the grid from its top value down in one cascade state.
+``classify_community`` and ``count_vulnerable`` share one containment
+cascade, ``_contained``: over the intra-color CSR, with every count
+preloaded from the node's cross-color degree, for one color class or for
+all of them at once.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from scipy.sparse import csgraph
 
 from .graph import LabeledGraph, largest_connected_component
 from .seeding import rng_from
-from .structure import Community, communities, intra_color_adjacency
+from .structure import Community, _community_layout, intra_color_adjacency
 
 
 @dataclass(frozen=True)
@@ -136,22 +140,18 @@ def _gather_neighbors(indptr, indices, frontier) -> np.ndarray:
     return indices[np.arange(total, dtype=np.int64) + shift]
 
 
-def _propagate(indptr, indices, need, infected, cnt, frontier,
-               inside=None) -> list[int]:
+def _propagate(indptr, indices, need, infected, cnt, frontier) -> list[int]:
     """Advance a cascade in place until no node qualifies.
 
     ``infected`` (bool) and ``cnt`` (infected-neighbor counts) are the
     caller's state; ``frontier`` holds the nodes infected since ``cnt``
-    last counted them.  With ``inside`` (a bool mask) only those nodes
-    receive counts and can become infected.  Returns the number of nodes
-    newly infected in each round.
+    last counted them.  Returns the number of nodes newly infected in
+    each round.
     """
     n = infected.shape[0]
     growth = []
     while frontier.size:
         nbrs = _gather_neighbors(indptr, indices, frontier)
-        if inside is not None:
-            nbrs = nbrs[inside[nbrs]]
         if nbrs.size == 0:
             break
         if nbrs.size >= n // 4:
@@ -341,31 +341,22 @@ class CommunityStrength(Enum):
     VULNERABLE = "vulnerable"
 
 
-def _classify(g: LabeledGraph, x: Community, theta: ThresholdAssignment,
-              need: np.ndarray) -> CommunityStrength:
-    """Localized cascade: every node outside X starts infected (and stays),
-    members of X start healthy with their external-neighbor counts
-    preloaded; propagate inside X only.  Equivalent to running
-    infection_set(g, V \\ X, theta) and inspecting the seed."""
-    indptr, indices = g.adjacency()
-    member_mask = np.zeros(g.n, dtype=bool)
-    member_mask[x.members] = True
-    deg = g.degrees
-    members = x.members
-    nbrs = _gather_neighbors(indptr, indices, members)
-    lens = indptr[members + 1] - indptr[members]
-    owner = np.repeat(np.arange(members.shape[0]), lens)
-    internal = np.bincount(owner[member_mask[nbrs]],
-                           minlength=members.shape[0])
-    cnt = np.zeros(g.n, dtype=np.int64)
-    cnt[members] = deg[members] - internal  # external neighbors, all infected
+def _contained(g: LabeledGraph, theta: ThresholdAssignment,
+               nodes: np.ndarray) -> np.ndarray:
+    """The containment cascade of the communities holding ``nodes``
+    (whole color classes): every node outside its own community counts
+    as infected, so each node's count starts at its cross-color degree,
+    and infection spreads over the intra-color CSR only.  No intra-color
+    edge leaves a community, so each community's part is its own test.
+    Returns the infected mask."""
+    need = _need_counts(g, theta)
+    indptr, indices = intra_color_adjacency(g)
+    cnt = g.degrees - np.diff(indptr)
+    frontier = nodes[cnt[nodes] >= need[nodes]]
     infected = np.zeros(g.n, dtype=bool)
-    frontier = members[cnt[members] >= need[members]]
     infected[frontier] = True
-    _propagate(indptr, indices, need, infected, cnt, frontier,
-               inside=member_mask)
-    return (CommunityStrength.VULNERABLE if infected[x.seed]
-            else CommunityStrength.STRONG)
+    _propagate(indptr, indices, need, infected, cnt, frontier)
+    return infected
 
 
 def classify_community(g: LabeledGraph, x: Community,
@@ -373,7 +364,8 @@ def classify_community(g: LabeledGraph, x: Community,
     """STRONG iff the community's seed stays uninfected when every node
     outside the community is infected and infection propagates inside.
 
-    Raises ValueError when x is not homochromatic or its seed is wrong.
+    Raises ValueError when x is not homochromatic, is not its whole color
+    class, or its seed is wrong.
     """
     members = np.asarray(x.members, dtype=np.int64)
     if members.size == 0:
@@ -381,27 +373,26 @@ def classify_community(g: LabeledGraph, x: Community,
     cols = g.color[members]
     if not (cols == cols[0]).all():
         raise ValueError("community members are not homochromatic")
-    if x.seed not in set(int(v) for v in members):
+    lay = _community_layout(g)
+    k = lay.index[members[0]]
+    whole = lay.members[lay.starts[k]:lay.starts[k + 1]]
+    if not np.array_equal(np.sort(members), whole):
+        raise ValueError(
+            f"community members are not the whole color class {int(cols[0])}")
+    if x.seed not in whole:
         raise ValueError("community seed is not a member")
     if not g.is_seed[x.seed]:
         raise ValueError(f"node {x.seed} is not flagged as a seed")
-    return _classify(g, x, theta, _need_counts(g, theta))
+    return (CommunityStrength.VULNERABLE if _contained(g, theta, whole)[x.seed]
+            else CommunityStrength.STRONG)
 
 
 def count_vulnerable(g: LabeledGraph, theta: ThresholdAssignment) -> int:
     """Number of vulnerable communities under the given thresholds.
 
-    One joint cascade classifies every community at once.  It runs over
-    the intra-color CSR, with each node's count preloaded with its
-    cross-color neighbors (all infected in that community's test).
-    Communities are disjoint and no intra-color edge leaves one, so each
-    community's part of the joint cascade is exactly its own
-    ``classify_community`` cascade.
+    One joint containment cascade classifies every community at once,
+    each community's part being exactly its ``classify_community``
+    cascade.
     """
-    need = _need_counts(g, theta)
-    seeds = np.asarray([c.seed for c in communities(g)], dtype=np.int64)
-    indptr, indices = intra_color_adjacency(g)
-    cnt = g.degrees - np.diff(indptr)
-    infected = cnt >= need
-    _propagate(indptr, indices, need, infected, cnt, np.flatnonzero(infected))
-    return int(np.count_nonzero(infected[seeds]))
+    seeds = _community_layout(g).seeds
+    return int(np.count_nonzero(_contained(g, theta, np.arange(g.n))[seeds]))

@@ -87,7 +87,7 @@ def _cmd_cascade(args) -> int:
             raise ConfigError(
                 f"thresholds must be 'uniform:PHI' or 'random', got {choice!r}")
         out = infection_set(g, attack, theta)
-        rows.append(f"{trial},{mode},{parameter},{len(attack)},"
+        rows.append(f"{trial},{mode},{parameter},{out.growth[0]},"
                     f"{out.infected.shape[0]},{fmt_number(out.fraction)},"
                     f"{out.rounds}")
     _write_csv(args.out, "trial,threshold_mode,phi_or_seed,attack_size,"

@@ -209,9 +209,7 @@ def config_from_values(values: dict) -> ExperimentConfig:
     experiment = parsed.pop("experiment")
     if experiment in ("1", "2", "3"):
         experiment = f"fig{experiment}"
-    defaults = dict(_DEFAULTS.get(experiment, {}))
-    defaults.update(parsed)
-    return ExperimentConfig(experiment=experiment, **defaults)
+    return default_config(experiment, **parsed)
 
 
 # ---- cell computation --------------------------------------------------------

@@ -175,11 +175,6 @@ class LabeledGraph:
             self._derived["degrees"] = deg
             return deg
 
-    def degree(self, v: int) -> int:
-        if not 0 <= v < self.n:
-            raise IndexError(f"node id {v} out of range [0, {self.n})")
-        return int(self.degrees[v])
-
     def adjacency(self) -> tuple[np.ndarray, np.ndarray]:
         """CSR adjacency (indptr, indices); neighbor lists sorted ascending."""
         try:

@@ -4,9 +4,13 @@ tree, and seed-routed navigation.
 
 Everything here is a pure function of an immutable graph; expensive
 derived structures are memoized on the graph object, so repeated queries
-on the same graph are cheap.  Besides the community partition these are
-two CSR views of ``g.adjacency()``: the intra-color CSR (same-color edges
-only) and the seed CSR (seed-seed edges only), whose rows stay ascending.
+on the same graph are cheap.  One community index (``_community_layout``,
+built from one ``np.unique`` of the colors) is the only map from nodes to
+communities: every community report, navigation and both containment
+cascades in ``cascade`` read its arrays.  The other memoized structures
+are two CSR views of ``g.adjacency()``: the intra-color CSR (same-color
+edges only) and the seed CSR (seed-seed edges only), whose rows stay
+ascending.
 
 Distances and community diameters run one bit-parallel BFS
 (``_bfs_levels``): up to 64 sources share a uint64 word per node, and
@@ -40,32 +44,67 @@ class Community:
         return int(self.members.shape[0])
 
 
+def _color_ranks(g: LabeledGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct colors, ascending, and each node's color rank (cached):
+    the one grouping of nodes by color.  Any int64 color works."""
+    return g.cached("color-ranks",
+                    lambda: np.unique(g.color, return_inverse=True))
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """The community index; community k is the k-th smallest color.  Per
+    node: ``index`` (its community) and ``lane`` (its rank among the
+    community's members).  Per community: ``colors``, ``seeds`` and
+    ``starts``; community k's members, ascending, are
+    ``members[starts[k]:starts[k + 1]]``."""
+
+    colors: np.ndarray
+    index: np.ndarray
+    lane: np.ndarray
+    seeds: np.ndarray
+    members: np.ndarray
+    starts: np.ndarray
+
+
+def _community_layout(g: LabeledGraph) -> _Layout:
+    """The community index of g (cached).  Raises ValueError naming the
+    smallest color that has no seed, or more than one."""
+
+    def build():
+        colors, index = _color_ranks(g)
+        seed_nodes = np.flatnonzero(g.is_seed)
+        counts = np.bincount(index[seed_nodes], minlength=colors.shape[0])
+        bad = np.flatnonzero(counts != 1)
+        if bad.size:
+            raise ValueError(f"color {int(colors[bad[0]])} has "
+                             f"{int(counts[bad[0]])} seeds, expected exactly 1")
+        seeds = np.empty(colors.shape[0], dtype=np.int64)
+        seeds[index[seed_nodes]] = seed_nodes
+        members = np.argsort(index, kind="stable")
+        starts = np.concatenate(
+            [[0], np.cumsum(np.bincount(index, minlength=colors.shape[0]))])
+        lane = np.empty(g.n, dtype=np.int64)
+        lane[members] = np.arange(g.n) - starts[index[members]]
+        return _Layout(colors=colors, index=index, lane=lane, seeds=seeds,
+                       members=members, starts=starts)
+
+    return g.cached("community-layout", build)
+
+
 def communities(g: LabeledGraph) -> list[Community]:
-    """One community per color, partitioning the node set.
+    """One community per color, in color order, partitioning the nodes.
 
     Raises ValueError when some color has no seed, or more than one
     (baseline ER/PA graphs have no seeds at all, so they are rejected).
     """
 
     def build() -> list[Community]:
-        if g.n == 0:
-            return []
-        order = np.argsort(g.color, kind="stable")
-        sorted_colors = g.color[order]
-        boundaries = np.flatnonzero(np.diff(sorted_colors)) + 1
-        groups = np.split(order, boundaries)
-        out = []
-        for group in groups:
-            color = int(g.color[group[0]])
-            seeds = group[g.is_seed[group]]
-            if seeds.shape[0] != 1:
-                raise ValueError(
-                    f"color {color} has {seeds.shape[0]} seeds, expected exactly 1")
-            out.append(Community(color=color,
-                                 members=np.sort(group).astype(np.int64),
-                                 seed=int(seeds[0])))
-        out.sort(key=lambda c: c.color)
-        return out
+        lay = _community_layout(g)
+        return [Community(color=c, members=lay.members[a:b], seed=s)
+                for c, s, a, b in zip(lay.colors.tolist(), lay.seeds.tolist(),
+                                      lay.starts[:-1].tolist(),
+                                      lay.starts[1:].tolist())]
 
     return g.cached("communities", build)
 
@@ -110,21 +149,22 @@ def community_conductances(g: LabeledGraph) -> dict[int, CommunityConductance]:
     Agrees with calling :func:`conductance` on each member set, but costs
     O(m) total instead of O(m) per community.
     """
-    coms = communities(g)
-    index = _community_layout(g)[0]
-    vol = np.bincount(index, weights=g.degrees.astype(np.float64),
-                      minlength=len(coms)).astype(np.int64)
-    cu, cv = index[g.edge_u], index[g.edge_v]
+    lay = _community_layout(g)
+    n_coms = lay.colors.shape[0]
+    vol = np.bincount(lay.index, weights=g.degrees.astype(np.float64),
+                      minlength=n_coms).astype(np.int64)
+    cu, cv = lay.index[g.edge_u], lay.index[g.edge_v]
     cross = cu != cv
-    cut = (np.bincount(cu[cross], minlength=len(coms))
-           + np.bincount(cv[cross], minlength=len(coms))).astype(np.int64)
+    cut = (np.bincount(cu[cross], minlength=n_coms)
+           + np.bincount(cv[cross], minlength=n_coms)).astype(np.int64)
     total_vol = 2 * g.m
+    sizes = np.diff(lay.starts)
     out = {}
-    for k, com in enumerate(coms):
+    for k, color in enumerate(lay.colors.tolist()):
         denom = min(int(vol[k]), total_vol - int(vol[k]))
         phi = float("inf") if denom == 0 else cut[k] / denom
-        out[com.color] = CommunityConductance(
-            size=com.size, volume=int(vol[k]), cut=int(cut[k]),
+        out[color] = CommunityConductance(
+            size=int(sizes[k]), volume=int(vol[k]), cut=int(cut[k]),
             conductance=phi)
     return out
 
@@ -187,7 +227,7 @@ def degree_priority_summary(g: LabeledGraph) -> DegreePrioritySummary:
     (owner, neighbor color rank) into one int64 key, and one in-place sort
     of the 2m keys counts the pairs, so no other array of that length is
     alive at the same time."""
-    colors, index = np.unique(g.color, return_inverse=True)
+    colors, index = _color_ranks(g)
     n_colors = max(len(colors), 1)
     m = g.edge_u.shape[0]
     packed = np.concatenate([g.edge_u, g.edge_v])
@@ -417,17 +457,16 @@ def community_diameters(g: LabeledGraph) -> dict[int, float]:
     rank among its community's members, so the lanes of different
     communities share words without meeting.
     """
-    coms = communities(g)
-    index, lane, _ = _community_layout(g)
+    lay = _community_layout(g)
     indptr, indices = intra_color_adjacency(g)
-    seen = _lane_bits(g.n, np.arange(g.n), lane)
-    diameter = np.zeros(len(coms))
+    seen = _lane_bits(g.n, np.arange(g.n), lay.lane)
+    diameter = np.zeros(lay.colors.shape[0])
     for level, hit, _ in _bfs_levels(indptr, indices, seen):
-        diameter[index[hit]] = level
+        diameter[lay.index[hit]] = level
     # connected iff every member was reached from its smallest member
     # (lane 0): a member outside that member's component lacks its bit
-    diameter[index[(seen[0] & np.uint64(1)) == 0]] = np.inf
-    return {c.color: float(d) for c, d in zip(coms, diameter)}
+    diameter[lay.index[(seen[0] & np.uint64(1)) == 0]] = np.inf
+    return dict(zip(lay.colors.tolist(), diameter.tolist()))
 
 
 @dataclass(frozen=True)
@@ -460,29 +499,26 @@ def infection_priority_tree(g: LabeledGraph) -> PriorityTree:
         raise ValueError("graph has PLAIN edges; provenance is missing")
     if not g.is_seed.any():
         raise ValueError("graph has no seeds; provenance is missing")
-    coms = communities(g)
-    index = _community_layout(g)[0]
+    lay = _community_layout(g)
     init_mask = tags == int(EdgeTag.INITIAL)
     if not init_mask.any():
         raise ValueError("graph has no INITIAL edges; provenance is missing")
-    initial_set = set(np.unique(np.concatenate(
-        [g.edge_u[init_mask], g.edge_v[init_mask]])).tolist())
+    initial = np.zeros(g.n, dtype=bool)
+    initial[g.edge_u[init_mask]] = True
+    initial[g.edge_v[init_mask]] = True
 
-    vertex_colors: list[int | None] = [None]
-    vertex_births: list[int] = [0]
-    vmap = np.zeros(len(coms), dtype=np.int64)
-    later = [k for k, c in enumerate(coms) if int(c.seed) not in initial_set]
-    later.sort(key=lambda k: int(g.birth_time[coms[k].seed]))
-    for k in later:
-        vmap[k] = len(vertex_colors)
-        vertex_colors.append(coms[k].color)
-        vertex_births.append(int(g.birth_time[coms[k].seed]))
+    # vertices 1.. are the communities of later seeds, in birth order
+    later = np.flatnonzero(~initial[lay.seeds])
+    later = later[np.argsort(g.birth_time[lay.seeds[later]], kind="stable")]
+    births = np.concatenate([[0], g.birth_time[lay.seeds[later]]])
+    vertex_colors = (None,) + tuple(lay.colors[later].tolist())
+    vmap = np.zeros(lay.colors.shape[0], dtype=np.int64)
+    vmap[later] = np.arange(1, later.size + 1)
 
     keep = tags != int(EdgeTag.SEED_LINK)
-    vu = vmap[index[g.edge_u[keep]]]
-    vv = vmap[index[g.edge_v[keep]]]
+    vu = vmap[lay.index[g.edge_u[keep]]]
+    vv = vmap[lay.index[g.edge_v[keep]]]
     cross = vu != vv
-    births = np.asarray(vertex_births)
     a, b = vu[cross], vv[cross]
     child = np.where(births[a] > births[b], a, b)
     parent = np.where(births[a] > births[b], b, a)
@@ -490,10 +526,10 @@ def infection_priority_tree(g: LabeledGraph) -> PriorityTree:
         edge_arr = np.unique(np.stack([child, parent], axis=1), axis=0)
     else:
         edge_arr = np.empty((0, 2), dtype=np.int64)
-    edge_set = [(int(c), int(p)) for c, p in edge_arr]
+    edge_set = [(c, p) for c, p in edge_arr.tolist()]
 
     violations: list[str] = []
-    n_vertices = len(vertex_colors)
+    n_vertices = births.shape[0]
     out_deg = np.bincount(edge_arr[:, 0], minlength=n_vertices) \
         if edge_arr.size else np.zeros(n_vertices, dtype=np.int64)
     if out_deg[0] != 0:
@@ -507,23 +543,19 @@ def infection_priority_tree(g: LabeledGraph) -> PriorityTree:
                 f"community {vertex_colors[v]} has {out_deg[v]} parents")
     is_tree = not violations and len(edge_set) == n_vertices - 1
 
-    # longest directed path; edges always point to earlier births, so a
-    # birth-ordered DP terminates even when the graph is not a tree
-    depth = np.zeros(n_vertices, dtype=np.int64)
-    order = np.argsort(births, kind="stable")
-    parents_of: dict[int, list[int]] = {}
+    # longest directed path; edges always point to earlier births and the
+    # vertices are numbered in birth order, so one pass over the edges
+    # sorted by child settles every parent before its children read it,
+    # even when the graph is not a tree
+    depth = [0] * n_vertices
     for c, p in edge_set:
-        parents_of.setdefault(c, []).append(p)
-    for v in order:
-        v = int(v)
-        for p in parents_of.get(v, ()):
-            depth[v] = max(depth[v], depth[p] + 1)
+        depth[c] = max(depth[c], depth[p] + 1)
     return PriorityTree(
-        vertex_colors=tuple(vertex_colors),
-        vertex_births=tuple(vertex_births),
+        vertex_colors=vertex_colors,
+        vertex_births=tuple(births.tolist()),
         edges=tuple(edge_set),
         is_tree=bool(is_tree),
-        height=int(depth.max()) if n_vertices else 0,
+        height=max(depth),
         violations=tuple(violations),
     )
 
@@ -570,26 +602,6 @@ def _seed_adjacency(g: LabeledGraph) -> tuple[np.ndarray, np.ndarray]:
     """CSR (indptr, indices) of the seed-seed edges only (cached)."""
     return _sub_adjacency(g, "seed-adjacency",
                           lambda u, v: g.is_seed[u] & g.is_seed[v])
-
-
-def _community_layout(g: LabeledGraph):
-    """Per node: the index of its community in communities(g) and its
-    rank among that community's members; per community: its seed
-    (cached)."""
-
-    def build():
-        coms = communities(g)
-        colors = np.asarray([c.color for c in coms], dtype=np.int64)
-        index = np.searchsorted(colors, g.color)
-        order = np.argsort(index, kind="stable")
-        sizes = np.bincount(index, minlength=len(coms))
-        first = np.cumsum(sizes) - sizes
-        lane = np.empty(g.n, dtype=np.int64)
-        lane[order] = np.arange(g.n) - first[index[order]]
-        seeds = np.asarray([c.seed for c in coms], dtype=np.int64)
-        return index, lane, seeds
-
-    return g.cached("community-layout", build)
 
 
 def _bfs_path(indptr, indices, start: int,
@@ -673,7 +685,7 @@ def navigate(g: LabeledGraph, u: int, v: int, hop_budget: int) -> NavigationResu
     if u == v:
         return NavigationResult(path=(u,), hops=0, visited=1)
     intra = intra_color_adjacency(g)
-    index, _, seeds = _community_layout(g)
+    lay = _community_layout(g)
     visited = 0
     if g.color[u] == g.color[v]:
         path, expanded = _bfs_path(*intra, u, v)
@@ -682,7 +694,7 @@ def navigate(g: LabeledGraph, u: int, v: int, hop_budget: int) -> NavigationResu
             return NavigationResult(path=None, hops=-1, visited=visited)
         return NavigationResult(path=tuple(path), hops=len(path) - 1,
                                 visited=visited)
-    seed_u, seed_v = int(seeds[index[u]]), int(seeds[index[v]])
+    seed_u, seed_v = int(lay.seeds[lay.index[u]]), int(lay.seeds[lay.index[v]])
     up, expanded = _bfs_path(*intra, u, seed_u)
     visited += expanded
     if up is None:

@@ -7,10 +7,12 @@ one ``infection_set`` per grid value that the descending sweep of
 ``security_threshold`` replaced, kept verbatim.  The graph-file oracles
 are the per-line writer and parser that the bulk
 ``serialize``/``deserialize`` replaced, kept verbatim.  So are
-the structure oracles: Dijkstra distances and community diameters, the
-per-community ``_classify`` loop of ``count_vulnerable``, and navigation
-over dict-of-lists adjacency, and the generators that called numpy once
-per draw (public names carry a prefix naming the method).
+the structure oracles: the ``np.split`` build of ``communities``,
+Dijkstra distances and community diameters, the per-community
+``_classify`` loop of ``count_vulnerable`` (with its own copy of the
+propagation loop restricted to a member mask), and navigation over
+dict-of-lists adjacency, and the generators that called numpy once per
+draw (public names carry a prefix naming the method).
 """
 
 from __future__ import annotations
@@ -23,15 +25,16 @@ import numpy as np
 from scipy.sparse import csgraph
 
 from cascadelab.cascade import (CommunityStrength, ThresholdAssignment,
-                                _as_node_array, _classify, _need_counts,
-                                infection_set, uniform_thresholds)
+                                _as_node_array, _gather_neighbors,
+                                _need_counts, infection_set,
+                                uniform_thresholds)
 from cascadelab.generators import attachment_probability
 from cascadelab.graph import (FORMAT_MAGIC, FORMAT_VERSION, EdgeTag,
                               GraphFormatError, LabeledGraph,
                               largest_connected_component)
 from cascadelab.seeding import rng_from
-from cascadelab.structure import (DistanceStats, NavigationResult,
-                                  communities, sample_lcc_pairs)
+from cascadelab.structure import (Community, DistanceStats,
+                                  NavigationResult, sample_lcc_pairs)
 
 
 def rescan_infection(g, s, theta) -> set[int]:
@@ -325,7 +328,7 @@ def dijkstra_community_diameters(g: LabeledGraph) -> dict[int, float]:
     """
     a = g.csr()
     out: dict[int, float] = {}
-    for com in communities(g):
+    for com in split_communities(g):
         if com.size == 1:
             out[com.color] = 0.0
             continue
@@ -355,7 +358,7 @@ def _community_adjacency(g: LabeledGraph) -> dict[int, dict[int, list[int]]]:
 
     def build():
         adj: dict[int, dict[int, list[int]]] = {}
-        for com in communities(g):
+        for com in split_communities(g):
             adj[com.color] = {int(v): [] for v in com.members}
         same = g.color[g.edge_u] == g.color[g.edge_v]
         for u, v, c in zip(g.edge_u[same].tolist(), g.edge_v[same].tolist(),
@@ -445,7 +448,7 @@ def dict_navigate(g: LabeledGraph, u: int, v: int, hop_budget: int) -> Navigatio
     if u == v:
         return NavigationResult(path=(u,), hops=0, visited=1)
     com_adj = _community_adjacency(g)
-    coms = {c.color: c for c in communities(g)}
+    coms = {c.color: c for c in split_communities(g)}
     cu, cv = int(g.color[u]), int(g.color[v])
     visited = 0
     if cu == cv:
@@ -474,11 +477,95 @@ def dict_navigate(g: LabeledGraph, u: int, v: int, hop_budget: int) -> Navigatio
     return NavigationResult(path=tuple(path), hops=len(path) - 1, visited=visited)
 
 
+def split_communities(g: LabeledGraph) -> list[Community]:
+    """One community per color, partitioning the node set.
+
+    Raises ValueError when some color has no seed, or more than one
+    (baseline ER/PA graphs have no seeds at all, so they are rejected).
+    """
+    if g.n == 0:
+        return []
+    order = np.argsort(g.color, kind="stable")
+    sorted_colors = g.color[order]
+    boundaries = np.flatnonzero(np.diff(sorted_colors)) + 1
+    groups = np.split(order, boundaries)
+    out = []
+    for group in groups:
+        color = int(g.color[group[0]])
+        seeds = group[g.is_seed[group]]
+        if seeds.shape[0] != 1:
+            raise ValueError(
+                f"color {color} has {seeds.shape[0]} seeds, expected exactly 1")
+        out.append(Community(color=color,
+                             members=np.sort(group).astype(np.int64),
+                             seed=int(seeds[0])))
+    out.sort(key=lambda c: c.color)
+    return out
+
+
+def _masked_propagate(indptr, indices, need, infected, cnt, frontier,
+                      inside) -> list[int]:
+    """Advance a cascade in place until no node qualifies.
+
+    ``infected`` (bool) and ``cnt`` (infected-neighbor counts) are the
+    caller's state; ``frontier`` holds the nodes infected since ``cnt``
+    last counted them.  With ``inside`` (a bool mask) only those nodes
+    receive counts and can become infected.  Returns the number of nodes
+    newly infected in each round.
+    """
+    n = infected.shape[0]
+    growth = []
+    while frontier.size:
+        nbrs = _gather_neighbors(indptr, indices, frontier)
+        if inside is not None:
+            nbrs = nbrs[inside[nbrs]]
+        if nbrs.size == 0:
+            break
+        if nbrs.size >= n // 4:
+            cnt += np.bincount(nbrs, minlength=n)
+        else:
+            np.add.at(cnt, nbrs, 1)
+        hit = nbrs[(~infected[nbrs]) & (cnt[nbrs] >= need[nbrs])]
+        if hit.size == 0:
+            break
+        frontier = np.unique(hit)
+        infected[frontier] = True
+        growth.append(int(frontier.size))
+    return growth
+
+
+def _classify(g: LabeledGraph, x: Community, theta: ThresholdAssignment,
+              need: np.ndarray) -> CommunityStrength:
+    """Localized cascade: every node outside X starts infected (and stays),
+    members of X start healthy with their external-neighbor counts
+    preloaded; propagate inside X only.  Equivalent to running
+    infection_set(g, V \\ X, theta) and inspecting the seed."""
+    indptr, indices = g.adjacency()
+    member_mask = np.zeros(g.n, dtype=bool)
+    member_mask[x.members] = True
+    deg = g.degrees
+    members = x.members
+    nbrs = _gather_neighbors(indptr, indices, members)
+    lens = indptr[members + 1] - indptr[members]
+    owner = np.repeat(np.arange(members.shape[0]), lens)
+    internal = np.bincount(owner[member_mask[nbrs]],
+                           minlength=members.shape[0])
+    cnt = np.zeros(g.n, dtype=np.int64)
+    cnt[members] = deg[members] - internal  # external neighbors, all infected
+    infected = np.zeros(g.n, dtype=bool)
+    frontier = members[cnt[members] >= need[members]]
+    infected[frontier] = True
+    _masked_propagate(indptr, indices, need, infected, cnt, frontier,
+                      inside=member_mask)
+    return (CommunityStrength.VULNERABLE if infected[x.seed]
+            else CommunityStrength.STRONG)
+
+
 def classify_loop_count_vulnerable(g: LabeledGraph, theta: ThresholdAssignment) -> int:
     """Number of vulnerable communities under the given thresholds."""
     need = _need_counts(g, theta)
     return sum(
-        1 for x in communities(g)
+        1 for x in split_communities(g)
         if _classify(g, x, theta, need) is CommunityStrength.VULNERABLE
     )
 

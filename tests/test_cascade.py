@@ -277,6 +277,28 @@ def test_classify_requires_homochromatic():
         classify_community(g, broken, theta)
 
 
+def test_classify_requires_whole_color_class():
+    g = cl.gen_security(200, 3, 1.5, master_seed=2)
+    theta = uniform_thresholds(g, 0.5)
+    big = max(communities(g), key=lambda c: c.size)
+    other = big.members[big.members != big.seed][0]
+    broken = {
+        "partial": big.members[big.members != other],
+        "repeat-added": np.append(big.members, big.seed),
+        "repeat-in-place": np.where(big.members == other, big.seed,
+                                    big.members),
+    }
+    for name, members in broken.items():
+        x = cl.Community(color=big.color, members=members, seed=big.seed)
+        with pytest.raises(ValueError, match="whole color class"):
+            classify_community(g, x, theta)
+    # the whole class in any order is accepted
+    shuffled = cl.Community(color=big.color, members=big.members[::-1],
+                            seed=big.seed)
+    assert classify_community(g, shuffled, theta) is \
+        classify_community(g, big, theta)
+
+
 def test_classify_isolated_community_always_strong():
     # no edge leaves X, so no thresholds can reach its seed
     g = LabeledGraph.from_edges(

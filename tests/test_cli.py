@@ -64,6 +64,20 @@ def test_cascade_ids_attack(security_file, tmp_path):
     assert out.read_text().strip().split("\n")[1].split(",")[3] == "3"
 
 
+def test_cascade_repeated_ids_count_once(security_file, tmp_path):
+    # the cascade runs on the distinct ids, so attack_size counts them once
+    ids = tmp_path / "attack.txt"
+    ids.write_text("3\n3\n3\n")
+    out = tmp_path / "c.csv"
+    assert run_cli("cascade", "--graph", security_file, "--attack",
+                   f"ids:{ids}", "--thresholds", "uniform:1.0",
+                   "--out", out) == 0
+    row = out.read_text().strip().split("\n")[1].split(",")
+    g = cl.load_graph(security_file)
+    infected = cl.infection_set(g, [3], cl.uniform_thresholds(g, 1.0)).infected
+    assert row[3:5] == ["1", str(infected.size)]
+
+
 @pytest.mark.parametrize("content,lineno,message", [
     ("1\n800\n", 2, "attack id 800 is outside 0..799"),  # id == n
     ("-1\n5\n", 1, "attack id -1 is outside 0..799"),
@@ -139,8 +153,13 @@ def test_degree_priority_rows_match_per_node_format(security_file, tmp_path):
 # d=10, a=1.5, generated at seed S), computed with the Dijkstra distances
 # and diameters and the dict-adjacency navigation; the conductance,
 # degree-priority and ptree entries were computed while those reports still
-# indexed arrays by color value
+# indexed arrays by color value, and the communities entries while
+# communities() still grouped nodes with np.split
 GOLDEN_ANALYZE_SHA256 = {
+    ("communities", 1):
+        "0df2f8c0b8cef95b5031a13d3ad7a7a343cb93596fe399d84d84562596856df6",
+    ("communities", 2):
+        "b6db57e8a2505cc46f07c4c07cacbd199707565a4b19bb015fc8d0d7001b96d2",
     ("distances", 1):
         "b2fef3c36d721f1446e7c14746d5927163199e5f9d15a4cefe8134e3871621ea",
     ("distances", 2):

@@ -31,7 +31,7 @@ def test_attachment_probability():
 def test_er_p_one_gives_complete_graph():
     g = gen_er(4, 3, master_seed=0)
     assert g.m == 6
-    assert all(g.degree(v) == 3 for v in range(4))
+    assert all(g.degrees[v] == 3 for v in range(4))
     assert (g.edge_tag == int(EdgeTag.PLAIN)).all()
 
 
@@ -77,7 +77,7 @@ def test_er_edge_count_within_5_sigma():
 def test_pa_initial_graph_is_complete():
     g = gen_pa(5, 4, master_seed=0)
     assert g.m == 10
-    assert all(g.degree(v) == 4 for v in range(5))
+    assert all(g.degrees[v] == 4 for v in range(5))
 
 
 def test_pa_edge_count_formula():

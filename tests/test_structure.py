@@ -104,7 +104,7 @@ def test_degree_profile_single_color():
     g = colored_graph(4, [(0, 1), (0, 2), (0, 3)], [1, 1, 1, 1], seeds=[0])
     p = degree_profile(g, 0)
     assert p.length == 1
-    assert p.first_degree == 3 == g.degree(0)
+    assert p.first_degree == 3 == g.degrees[0]
     assert p.second_degree == 0
 
 
@@ -115,7 +115,7 @@ def test_degree_profile_two_colors():
     p = degree_profile(g, 0)
     assert p.entries == ((1, 3), (2, 1))
     assert (p.length, p.first_degree, p.second_degree) == (2, 3, 1)
-    assert sum(c for _, c in p.entries) == g.degree(0)
+    assert sum(c for _, c in p.entries) == g.degrees[0]
 
 
 def test_degree_profile_isolated():
@@ -264,6 +264,21 @@ def test_ptree_edges_point_to_earlier_births(security_mid):
 def test_ptree_height_bound(security_mid):
     t = infection_priority_tree(security_mid)
     assert 0 < t.height <= HEIGHT_C3 * math.log(security_mid.n)
+
+
+def test_ptree_chain_height_and_birth_order():
+    # initial seeds 0 and 1; later seeds 2, 3, 4 (colors 9, 7, 5) each hang
+    # off the one born before; the seed link 0-4 is dropped
+    tags = cl.EdgeTag
+    g = LabeledGraph.from_edges(
+        5, [(0, 1, tags.INITIAL), (0, 2, tags.PA_GLOBAL), (0, 4, tags.SEED_LINK),
+            (2, 3, tags.PA_GLOBAL), (3, 4, tags.PA_GLOBAL)],
+        color=[0, 1, 9, 7, 5], is_seed=[1, 1, 1, 1, 1])
+    t = infection_priority_tree(g)
+    assert t.vertex_colors == (None, 9, 7, 5)
+    assert t.vertex_births == (0, 2, 3, 4)
+    assert t.edges == ((1, 0), (2, 1), (3, 2))
+    assert t.is_tree and t.height == 3
 
 
 def test_ptree_rejects_plain_graph():

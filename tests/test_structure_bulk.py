@@ -1,11 +1,12 @@
 """Whole-graph structure reports, checked against the code they replaced.
 
-The bit-parallel BFS behind ``pair_distances``, ``distance_stats`` and
-``community_diameters``, the joint cascade of ``count_vulnerable`` and the
-CSR-row navigation must give the same outputs as the oracles in
-``oracles.py`` (Dijkstra rows, per-community Dijkstra, the per-community
-``_classify`` loop, dict-of-lists navigation), ``visited`` counts
-included.  Inputs: random edge sets with random colors and one seed per
+The community index behind ``communities``, the bit-parallel BFS behind
+``pair_distances``, ``distance_stats`` and ``community_diameters``, the
+joint cascade of ``count_vulnerable`` and the CSR-row navigation must
+give the same outputs as the oracles in ``oracles.py`` (the ``np.split``
+grouping, Dijkstra rows, per-community Dijkstra, the per-community
+``_classify`` loop, dict-of-lists navigation), ``visited`` counts and
+error texts included.  Inputs: random edge sets with random colors and one seed per
 color, the security generator, and hand-built graphs at the 64-lane word
 edges.
 """
@@ -23,7 +24,7 @@ from cascadelab.structure import pair_distances
 
 from oracles import (classify_loop_count_vulnerable, dict_navigate,
                      dijkstra_community_diameters, dijkstra_distance_stats,
-                     dijkstra_pair_distances)
+                     dijkstra_pair_distances, split_communities)
 
 BULK_SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -95,6 +96,72 @@ def assert_navigation_matches(g, queries, budget):
 def assert_reports_match(g, theta):
     assert community_diameters(g) == dijkstra_community_diameters(g)
     assert count_vulnerable(g, theta) == classify_loop_count_vulnerable(g, theta)
+
+
+# small colors, colors 10**15 apart, and colors from 10**18 to the int64 limit
+palettes = st.one_of(st.integers(0, 40),
+                     st.integers(0, 9).map(lambda c: c * 10**15),
+                     st.integers(10**18, 2**63 - 1))
+
+
+@st.composite
+def seeded_colorings(draw, max_n=30):
+    """Edgeless graphs over random colors; either one seed per color or
+    random seed flags, so some colors have no seed or several."""
+    n = draw(st.integers(0, max_n))
+    palette = draw(st.lists(palettes, min_size=1, max_size=8, unique=True))
+    color = np.asarray(draw(st.lists(st.sampled_from(palette), min_size=n,
+                                     max_size=n)), dtype=np.int64)
+    if draw(st.booleans()):
+        is_seed = np.zeros(n, dtype=bool)
+        for c in np.unique(color).tolist():
+            is_seed[draw(st.sampled_from(np.flatnonzero(color == c).tolist()))] = True
+    else:
+        is_seed = np.asarray(draw(st.lists(st.booleans(), min_size=n,
+                                           max_size=n)), dtype=bool)
+    return LabeledGraph.from_edges(n, [], color=color, is_seed=is_seed)
+
+
+def community_rows(coms):
+    return [(type(c.color), c.color, c.members.dtype, c.members.tolist(),
+             type(c.seed), c.seed) for c in coms]
+
+
+@BULK_SETTINGS
+@given(st.one_of(seeded_colorings(), graphs))
+def test_communities_match_split(g):
+    ours, theirs = outcome(cl.communities, g), outcome(split_communities, g)
+    if theirs[0] == "error":
+        assert ours == theirs
+    else:
+        assert community_rows(ours[1]) == community_rows(theirs[1])
+
+
+@pytest.mark.parametrize("color,is_seed,expected", [
+    ([], [], []),
+    ([7], [1], [(7, [0], 0)]),
+    ([5, 10**18, 2**63 - 1, 0], [1, 1, 1, 1],
+     [(0, [3], 3), (5, [0], 0), (10**18, [1], 1), (2**63 - 1, [2], 2)]),
+    ([3 * 10**15, 10**15, 3 * 10**15, 10**15], [0, 1, 1, 0],
+     [(10**15, [1, 3], 1), (3 * 10**15, [0, 2], 2)]),
+    ([2, 1, 2, 1, 0], [1, 0, 1, 0, 0], "color 0 has 0 seeds, expected exactly 1"),
+    ([9, 4, 9, 4, 4], [1, 1, 1, 0, 1], "color 4 has 2 seeds, expected exactly 1"),
+], ids=["empty", "one-node", "singletons", "1e15-apart", "no-seed",
+        "two-seeds"])
+def test_communities_fixed_cases(color, is_seed, expected):
+    g = LabeledGraph.from_edges(len(color), [],
+                                color=np.asarray(color, dtype=np.int64),
+                                is_seed=np.asarray(is_seed, dtype=bool))
+    if isinstance(expected, str):
+        for build in (cl.communities, split_communities):
+            with pytest.raises(ValueError) as err:
+                build(g)
+            assert str(err.value) == expected
+    else:
+        assert [(c.color, c.members.tolist(), c.seed)
+                for c in cl.communities(g)] == expected
+        assert community_rows(cl.communities(g)) == \
+            community_rows(split_communities(g))
 
 
 @BULK_SETTINGS
