@@ -7,9 +7,9 @@ set is the least fixed point and does not depend on update order; the
 implementation propagates round-synchronously with vectorized frontier
 expansion, O(m) work per cascade.
 
-Fraction comparisons are exact: per node we precompute the least integer
-count k with k/deg >= phi (in IEEE double semantics), so the engine agrees
-bit-for-bit with a naive rescan that compares fractions directly.
+The engine tests the rule as written, ``cnt / deg >= phi`` in IEEE double
+arithmetic, so it agrees bit-for-bit with a naive rescan that compares
+fractions.  A degree-0 node is in no neighbor list, so it never qualifies.
 
 One resumable kernel, ``_propagate``, advances every cascade here.
 Top-degree attack sets are nested prefixes of one degree order, so
@@ -18,10 +18,11 @@ fixed point: with F(S) the final set from S and S a subset of S', the
 cascade from F(S) plus S' ends at F(S').  ``prefix_injury_counts``
 builds the injury curve in one reverse union-find pass over the removed
 nodes.  ``security_threshold`` warm-starts across thresholds instead of
-attack sets: under a uniform phi every node's need cannot rise as phi
-falls, so the infected set at a lower phi contains the set at any higher
-phi (threshold infection is monotone; Kempe, Kleinberg & Tardos, KDD
-2003).  It walks the grid from its top value down in one cascade state.
+attack sets: under a uniform phi a node that qualifies at some phi
+qualifies at every lower one, so the infected set at a lower phi contains
+the set at any higher phi (threshold infection is monotone; Kempe,
+Kleinberg & Tardos, KDD 2003).  It walks the grid from its top value down
+in one cascade state.
 ``classify_community`` and ``count_vulnerable`` share one containment
 cascade, ``_contained``: over the intra-color CSR, with every count
 preloaded from the node's cross-color degree, for one color class or for
@@ -43,41 +44,34 @@ from .structure import Community, _community_layout, intra_color_adjacency
 
 @dataclass(frozen=True)
 class ThresholdAssignment:
-    """Per-node thresholds phi in (0, 1] plus the uninfectable flags.
+    """Per-node thresholds phi in (0, 1].
 
-    Degree-0 nodes under random thresholds have no defined threshold
-    (r uniform on an empty set); they are marked uninfectable and never
-    join an infection set unless attacked directly.
+    A degree-0 node (phi 1.0 under random thresholds) never qualifies,
+    because it is in no neighbor list; it joins an infection set only
+    when attacked directly.
     """
 
     phi: np.ndarray
-    uninfectable: np.ndarray
-
-    def __post_init__(self):
-        if self.phi.shape != self.uninfectable.shape:
-            raise ValueError("phi and uninfectable must have equal length")
 
 
 def uniform_thresholds(g: LabeledGraph, phi: float) -> ThresholdAssignment:
     """The same threshold phi for every node; requires 0 < phi <= 1."""
     if not 0.0 < phi <= 1.0:
         raise ValueError(f"uniform threshold must be in (0, 1], got {phi}")
-    return ThresholdAssignment(
-        np.full(g.n, float(phi)), np.zeros(g.n, dtype=bool))
+    return ThresholdAssignment(np.full(g.n, float(phi)))
 
 
 def random_thresholds(g: LabeledGraph, trial_seed: int = 0) -> ThresholdAssignment:
     """phi(v) = r / deg(v) with r uniform on {1, ..., deg(v)}.
 
-    Deterministic in trial_seed.  Degree-0 nodes are uninfectable.
+    Deterministic in trial_seed.  A degree-0 node draws r = 1 and gets
+    phi 1.0; it never qualifies, being in no neighbor list.
     """
     deg = g.degrees
     rng = rng_from(trial_seed, "random-thresholds")
     # one draw per node regardless of degree keeps the stream layout fixed
     r = rng.integers(1, np.maximum(deg, 1) + 1)
-    uninfectable = deg == 0
-    phi = np.where(uninfectable, 1.0, r / np.maximum(deg, 1))
-    return ThresholdAssignment(phi, uninfectable)
+    return ThresholdAssignment(r / np.maximum(deg, 1))
 
 
 @dataclass(frozen=True)
@@ -106,26 +100,10 @@ def _as_node_array(s, n: int) -> np.ndarray:
     return arr
 
 
-def _need_counts(g: LabeledGraph, theta: ThresholdAssignment) -> np.ndarray:
-    """Least k with k/deg >= phi under float comparison; deg+1 sentinel is
-    never needed because phi <= 1 always admits k = deg.  Degree-0 and
-    uninfectable nodes get 1, which their count (0) can never reach."""
-    deg = g.degrees
+def _phi(g: LabeledGraph, theta: ThresholdAssignment) -> np.ndarray:
     if theta.phi.shape[0] != g.n:
         raise ValueError("threshold assignment does not match graph size")
-    phi = theta.phi
-    k = np.ceil(phi * deg).astype(np.int64)
-    k = np.maximum(k, 1)
-    pos = deg > 0
-    safe_deg = np.maximum(deg, 1)
-    # ceil() can land one step off after float rounding; nudge both ways
-    down = pos & (k > 1) & ((k - 1) / safe_deg >= phi)
-    k[down] -= 1
-    up = pos & (k / safe_deg < phi)
-    k[up] += 1
-    k[~pos] = 1
-    k[theta.uninfectable] = np.iinfo(np.int64).max
-    return k
+    return theta.phi
 
 
 def _gather_neighbors(indptr, indices, frontier) -> np.ndarray:
@@ -140,8 +118,11 @@ def _gather_neighbors(indptr, indices, frontier) -> np.ndarray:
     return indices[np.arange(total, dtype=np.int64) + shift]
 
 
-def _propagate(indptr, indices, need, infected, cnt, frontier) -> list[int]:
+def _propagate(indptr, indices, deg, phi, infected, cnt, frontier) -> list[int]:
     """Advance a cascade in place until no node qualifies.
+
+    An uninfected node c qualifies once ``cnt[c] / deg[c] >= phi[c]``;
+    only nodes in some neighbor list are tested, so deg[c] >= 1.
 
     ``infected`` (bool) and ``cnt`` (infected-neighbor counts) are the
     caller's state; ``frontier`` holds the nodes infected since ``cnt``
@@ -158,7 +139,7 @@ def _propagate(indptr, indices, need, infected, cnt, frontier) -> list[int]:
             cnt += np.bincount(nbrs, minlength=n)
         else:
             np.add.at(cnt, nbrs, 1)
-        hit = nbrs[(~infected[nbrs]) & (cnt[nbrs] >= need[nbrs])]
+        hit = nbrs[(~infected[nbrs]) & (cnt[nbrs] / deg[nbrs] >= phi[nbrs])]
         if hit.size == 0:
             break
         frontier = np.unique(hit)
@@ -179,8 +160,8 @@ def infection_set(g: LabeledGraph, s, theta: ThresholdAssignment) -> CascadeOutc
     growth = [int(attack.size)]
     if attack.size:
         indptr, indices = g.adjacency()
-        growth += _propagate(indptr, indices, _need_counts(g, theta), infected,
-                             np.zeros(g.n, dtype=np.int64), attack)
+        growth += _propagate(indptr, indices, g.degrees, _phi(g, theta),
+                             infected, np.zeros(g.n, dtype=np.int64), attack)
     return CascadeOutcome(
         infected=np.flatnonzero(infected).astype(np.int64),
         rounds=len(growth) - 1,
@@ -200,8 +181,9 @@ def prefix_infection_counts(g: LabeledGraph, order,
     order = np.asarray(order, dtype=np.int64)
     if order.size and (order.min() < 0 or order.max() >= g.n):
         raise IndexError("attack order contains out-of-range node ids")
+    phi = _phi(g, theta)
+    deg = g.degrees
     indptr, indices = g.adjacency()
-    need = _need_counts(g, theta)
     infected = np.zeros(g.n, dtype=bool)
     cnt = np.zeros(g.n, dtype=np.int64)
     counts = np.empty(order.size, dtype=np.int64)
@@ -210,8 +192,8 @@ def prefix_infection_counts(g: LabeledGraph, order,
         v = order[i]
         if not infected[v]:
             infected[v] = True
-            total += 1 + sum(_propagate(indptr, indices, need, infected, cnt,
-                                        order[i:i + 1]))
+            total += 1 + sum(_propagate(indptr, indices, deg, phi, infected,
+                                        cnt, order[i:i + 1]))
         counts[i] = total
     return counts
 
@@ -303,8 +285,9 @@ def security_threshold(g: LabeledGraph, s, grid, epsilon: float):
 
     One descending sweep, about one cascade in all: the infected set only
     grows as phi falls, so each lower grid value resumes the cascade from
-    the fixed point above it, seeded with the healthy nodes whose count
-    now meets their need.  The first value past the budget ends the sweep.
+    the fixed point above it, seeded with the healthy nodes whose infected
+    fraction now reaches phi.  The first value past the budget ends the
+    sweep.
     """
     grid = [float(x) for x in grid]
     if not grid:
@@ -324,12 +307,14 @@ def security_threshold(g: LabeledGraph, s, grid, epsilon: float):
                       minlength=g.n)
     total = attack.size
     answer = None
+    deg = np.maximum(g.degrees, 1)  # a degree-0 node reads 0 / 1 < phi
     for phi in reversed(grid):
-        need = _need_counts(g, uniform_thresholds(g, phi))
-        frontier = np.flatnonzero(~infected & (cnt >= need))
+        frontier = np.flatnonzero(~infected & (cnt / deg >= phi))
         infected[frontier] = True
-        total += frontier.size + sum(_propagate(indptr, indices, need,
-                                                infected, cnt, frontier))
+        # a zero-stride view gives the kernel phi per node without an array
+        total += frontier.size + sum(_propagate(
+            indptr, indices, deg, np.broadcast_to(phi, g.n), infected, cnt,
+            frontier))
         if total > budget:
             break
         answer = phi
@@ -349,13 +334,14 @@ def _contained(g: LabeledGraph, theta: ThresholdAssignment,
     and infection spreads over the intra-color CSR only.  No intra-color
     edge leaves a community, so each community's part is its own test.
     Returns the infected mask."""
-    need = _need_counts(g, theta)
+    phi = _phi(g, theta)
     indptr, indices = intra_color_adjacency(g)
+    deg = np.maximum(g.degrees, 1)  # a degree-0 node reads 0 / 1 < phi
     cnt = g.degrees - np.diff(indptr)
-    frontier = nodes[cnt[nodes] >= need[nodes]]
+    frontier = nodes[cnt[nodes] / deg[nodes] >= phi[nodes]]
     infected = np.zeros(g.n, dtype=bool)
     infected[frontier] = True
-    _propagate(indptr, indices, need, infected, cnt, frontier)
+    _propagate(indptr, indices, deg, phi, infected, cnt, frontier)
     return infected
 
 

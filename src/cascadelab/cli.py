@@ -70,22 +70,24 @@ def _parse_attack(g, attack: str, k: int):
 
 
 def _cmd_cascade(args) -> int:
+    choice = args.thresholds
+    if choice != "random" and not choice.startswith("uniform:"):
+        raise ConfigError(
+            f"thresholds must be 'uniform:PHI' or 'random', got {choice!r}")
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be at least 1, got {args.trials}")
     g = load_graph(args.graph)
     attack = _parse_attack(g, args.attack, args.k)
-    choice = args.thresholds
+    if choice != "random":
+        phi = float(choice[len("uniform:"):])
+        theta = uniform_thresholds(g, phi)
+        mode, parameter = "uniform", fmt_number(phi)
     rows = []
     for trial in range(args.trials):
         if choice == "random":
             seed = derive_trial_seed(args.seed, "cascade", "graph", g.n, trial)
             theta = random_thresholds(g, seed)
             mode, parameter = "random", str(seed)
-        elif choice.startswith("uniform:"):
-            phi = float(choice[len("uniform:"):])
-            theta = uniform_thresholds(g, phi)
-            mode, parameter = "uniform", fmt_number(phi)
-        else:
-            raise ConfigError(
-                f"thresholds must be 'uniform:PHI' or 'random', got {choice!r}")
         out = infection_set(g, attack, theta)
         rows.append(f"{trial},{mode},{parameter},{out.growth[0]},"
                     f"{out.infected.shape[0]},{fmt_number(out.fraction)},"
@@ -97,10 +99,12 @@ def _cmd_cascade(args) -> int:
 
 
 def _cmd_injure(args) -> int:
-    g = load_graph(args.graph)
     if args.attack != "top":
         raise ConfigError("injure supports only --attack top")
-    injured = prefix_injury_counts(g, degree_order(g, max(args.k, 0)))
+    if args.k < 1:
+        raise ConfigError(f"--k must be at least 1, got {args.k}")
+    g = load_graph(args.graph)
+    injured = prefix_injury_counts(g, degree_order(g, args.k))
     rows = [f"{k},{count},{fmt_number(count / g.n)}"
             for k, count in enumerate(injured.tolist(), start=1)]
     _write_csv(args.out, "attack_size,injured,injured_fraction", rows)

@@ -23,9 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cascade import (degree_order, infection_set, prefix_infection_counts,
+from .cascade import (degree_order, prefix_infection_counts,
                       prefix_injury_counts, random_thresholds,
-                      security_threshold, top_degree_nodes)
+                      security_threshold)
 from .generators import generate
 from .seeding import derive_seed, derive_trial_seed, rng_from
 
@@ -238,22 +238,24 @@ def _trial_tag(cfg: ExperimentConfig, graph_index: int) -> str:
         f"{cfg.experiment}/g{graph_index}"
 
 
-def _attack_nodes(cfg: ExperimentConfig, g, model: str, n: int, k: int,
+def _attack_order(cfg: ExperimentConfig, g, model: str, n: int, k: int,
                   graph_index: int):
     if cfg.attack == "top":
-        return top_degree_nodes(g, k)
+        return degree_order(g, k)
     rng = rng_from(cfg.master_seed, f"{cfg.experiment}/attack", model, n,
                    graph_index)
     return rng.choice(n, size=k, replace=False)
 
 
-def _max_infection_fraction(cfg, g, model, n, attack, graph_index) -> float:
-    best = 0.0
+def _max_infection_fractions(cfg, g, model, n, order, graph_index):
+    """Max over the threshold trials of the infected fraction after each
+    attack prefix ``order[:k]``."""
+    best = np.zeros(len(order))
     tag = _trial_tag(cfg, graph_index)
     for t in range(cfg.trials):
         theta = random_thresholds(
             g, derive_trial_seed(cfg.master_seed, tag, model, n, t))
-        best = max(best, infection_set(g, attack, theta).fraction)
+        best = np.maximum(best, prefix_infection_counts(g, order, theta) / n)
     return best
 
 
@@ -265,16 +267,9 @@ def _compute_cell(cfg: ExperimentConfig, model: str, n: int) -> list[str]:
         max_inf = np.zeros(k_max)
         for j in range(cfg.graphs_per_cell):
             g = _make_graph(cfg, model, n, j)
-            tag = _trial_tag(cfg, j)
             order = degree_order(g, k_max)
-            best = np.zeros(k_max)
-            for t in range(cfg.trials):
-                theta = random_thresholds(
-                    g, derive_trial_seed(cfg.master_seed, tag, model, n, t))
-                best = np.maximum(
-                    best, prefix_infection_counts(g, order, theta) / n)
             injury += prefix_injury_counts(g, order) / n
-            max_inf += best
+            max_inf += _max_infection_fractions(cfg, g, model, n, order, j)
         scale = 1.0 / cfg.graphs_per_cell
         return [
             f"{model},{n},{cfg.d},{k},{fmt_number(inj * scale)},"
@@ -288,8 +283,8 @@ def _compute_cell(cfg: ExperimentConfig, model: str, n: int) -> list[str]:
         total = 0.0
         for j in range(cfg.graphs_per_cell):
             g = _make_graph(cfg, model, n, j)
-            attack = _attack_nodes(cfg, g, model, n, k, j)
-            total += _max_infection_fraction(cfg, g, model, n, attack, j)
+            order = _attack_order(cfg, g, model, n, k, j)
+            total += _max_infection_fractions(cfg, g, model, n, order, j)[-1]
         a_field = fmt_number(cfg.a) if model == "security" else ""
         return [f"{model},{n},{cfg.d},{a_field},"
                 f"{fmt_number(total / cfg.graphs_per_cell)}"]
@@ -299,8 +294,8 @@ def _compute_cell(cfg: ExperimentConfig, model: str, n: int) -> list[str]:
     found = []
     for j in range(cfg.graphs_per_cell):
         g = _make_graph(cfg, model, n, j)
-        attack = top_degree_nodes(g, k)
-        phi = security_threshold(g, attack, cfg.phi_grid, cfg.epsilon)
+        phi = security_threshold(g, degree_order(g, k), cfg.phi_grid,
+                                 cfg.epsilon)
         if phi is not None:
             found.append(phi)
     a_field = fmt_number(cfg.a) if model == "security" else ""

@@ -166,37 +166,31 @@ class LabeledGraph:
     @property
     def degrees(self) -> np.ndarray:
         """Degree of every node, as an int64 array of length n."""
-        try:
-            return self._derived["degrees"]
-        except KeyError:
-            deg = np.bincount(self.edge_u, minlength=self.n) + np.bincount(
-                self.edge_v, minlength=self.n)
-            deg = deg.astype(np.int64)
-            self._derived["degrees"] = deg
-            return deg
+        return self.cached("degrees", lambda: (
+            np.bincount(self.edge_u, minlength=self.n)
+            + np.bincount(self.edge_v, minlength=self.n)).astype(np.int64))
 
     def adjacency(self) -> tuple[np.ndarray, np.ndarray]:
         """CSR adjacency (indptr, indices); neighbor lists sorted ascending."""
-        try:
-            return self._derived["adjacency"]
-        except KeyError:
+
+        def build():
             a = self.csr()
-            pair = (a.indptr.astype(np.int64), a.indices.astype(np.int64))
-            self._derived["adjacency"] = pair
-            return pair
+            return a.indptr.astype(np.int64), a.indices.astype(np.int64)
+
+        return self.cached("adjacency", build)
 
     def csr(self) -> sp.csr_matrix:
         """Symmetric 0/1 adjacency matrix in CSR form (cached)."""
-        try:
-            return self._derived["csr"]
-        except KeyError:
+
+        def build():
             row = np.concatenate([self.edge_u, self.edge_v])
             col = np.concatenate([self.edge_v, self.edge_u])
             data = np.ones(row.shape[0], dtype=np.int8)
             a = sp.coo_matrix((data, (row, col)), shape=(self.n, self.n)).tocsr()
             a.sort_indices()
-            self._derived["csr"] = a
             return a
+
+        return self.cached("csr", build)
 
     def neighbors(self, v: int) -> np.ndarray:
         """Neighbor ids of v, ascending."""

@@ -10,9 +10,11 @@ are the per-line writer and parser that the bulk
 the structure oracles: the ``np.split`` build of ``communities``,
 Dijkstra distances and community diameters, the per-community
 ``_classify`` loop of ``count_vulnerable`` (with its own copy of the
-propagation loop restricted to a member mask), and navigation over
-dict-of-lists adjacency, and the generators that called numpy once per
-draw (public names carry a prefix naming the method).
+propagation loop restricted to a member mask, comparing each count with
+an integer need from ``_need_counts``: the least k with k/deg >= phi,
+the encoding the kernel used before it compared fractions), and
+navigation over dict-of-lists adjacency, and the generators that called
+numpy once per draw (public names carry a prefix naming the method).
 """
 
 from __future__ import annotations
@@ -26,8 +28,7 @@ from scipy.sparse import csgraph
 
 from cascadelab.cascade import (CommunityStrength, ThresholdAssignment,
                                 _as_node_array, _gather_neighbors,
-                                _need_counts, infection_set,
-                                uniform_thresholds)
+                                infection_set, uniform_thresholds)
 from cascadelab.generators import attachment_probability
 from cascadelab.graph import (FORMAT_MAGIC, FORMAT_VERSION, EdgeTag,
                               GraphFormatError, LabeledGraph,
@@ -45,7 +46,7 @@ def rescan_infection(g, s, theta) -> set[int]:
     while changed:
         changed = False
         for v in range(g.n):
-            if v in infected or theta.uninfectable[v] or deg[v] == 0:
+            if v in infected or deg[v] == 0:
                 continue
             hit = sum(1 for w in g.neighbors(v) if int(w) in infected)
             if hit / deg[v] >= theta.phi[v]:
@@ -61,7 +62,7 @@ def async_infection(g, s, theta, rng: np.random.Generator) -> set[int]:
     while True:
         ready = []
         for v in range(g.n):
-            if v in infected or theta.uninfectable[v] or deg[v] == 0:
+            if v in infected or deg[v] == 0:
                 continue
             hit = sum(1 for w in g.neighbors(v) if int(w) in infected)
             if hit / deg[v] >= theta.phi[v]:
@@ -83,7 +84,7 @@ def async_sweep_infection(g, s, theta, rng: np.random.Generator) -> set[int]:
         rng.shuffle(order)
         for v in order:
             v = int(v)
-            if v in infected or theta.uninfectable[v] or deg[v] == 0:
+            if v in infected or deg[v] == 0:
                 continue
             hit = sum(1 for w in g.neighbors(v) if int(w) in infected)
             if hit / deg[v] >= theta.phi[v]:
@@ -102,7 +103,7 @@ def sync_round_growth(g, s, theta) -> list[int]:
     while True:
         ready = set()
         for v in range(g.n):
-            if v in infected or theta.uninfectable[v] or deg[v] == 0:
+            if v in infected or deg[v] == 0:
                 continue
             hit = sum(1 for w in g.neighbors(v) if int(w) in infected)
             if hit / deg[v] >= theta.phi[v]:
@@ -501,6 +502,27 @@ def split_communities(g: LabeledGraph) -> list[Community]:
                              seed=int(seeds[0])))
     out.sort(key=lambda c: c.color)
     return out
+
+
+def _need_counts(g: LabeledGraph, theta: ThresholdAssignment) -> np.ndarray:
+    """Least k with k/deg >= phi under float comparison; deg+1 sentinel is
+    never needed because phi <= 1 always admits k = deg.  Degree-0 nodes
+    get 1, which their count (0) can never reach."""
+    deg = g.degrees
+    if theta.phi.shape[0] != g.n:
+        raise ValueError("threshold assignment does not match graph size")
+    phi = theta.phi
+    k = np.ceil(phi * deg).astype(np.int64)
+    k = np.maximum(k, 1)
+    pos = deg > 0
+    safe_deg = np.maximum(deg, 1)
+    # ceil() can land one step off after float rounding; nudge both ways
+    down = pos & (k > 1) & ((k - 1) / safe_deg >= phi)
+    k[down] -= 1
+    up = pos & (k / safe_deg < phi)
+    k[up] += 1
+    k[~pos] = 1
+    return k
 
 
 def _masked_propagate(indptr, indices, need, infected, cnt, frontier,

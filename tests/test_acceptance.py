@@ -91,8 +91,7 @@ def test_criterion_2():
         assert inf_small <= inf_large, f"attack monotonicity broke at {i}"
 
         bump = rng.uniform(0.0, 0.5, size=g.n)
-        harder = ThresholdAssignment(np.minimum(theta.phi + bump, 1.0),
-                                     theta.uninfectable)
+        harder = ThresholdAssignment(np.minimum(theta.phi + bump, 1.0))
         s = set(random_attack(rng, g.n))
         inf_soft = set(cl.infection_set(g, s, theta).infected.tolist())
         inf_hard = set(cl.infection_set(g, s, harder).infected.tolist())

@@ -26,7 +26,6 @@ def test_uniform_thresholds_values():
     g = star_graph(4)
     theta = uniform_thresholds(g, 0.5)
     assert (theta.phi == 0.5).all()
-    assert not theta.uninfectable.any()
     # the o(1) regime value is legal
     uniform_thresholds(g, 1 / math.log(10_000))
     uniform_thresholds(g, 1.0)
@@ -55,11 +54,12 @@ def test_random_thresholds_deterministic():
 
 
 def test_random_thresholds_degree_zero_uninfectable():
+    # a degree-0 node gets phi 1.0 and, in no neighbor list, never falls
     g = LabeledGraph.from_edges(3, [(0, 1)])
     theta = random_thresholds(g, 5)
-    assert theta.uninfectable.tolist() == [False, False, True]
-    out = infection_set(g, {0}, theta)
-    assert 2 not in out.infected
+    assert theta.phi.tolist() == [1.0, 1.0, 1.0]
+    assert infection_set(g, {0}, theta).infected.tolist() == [0, 1]
+    assert infection_set(g, {0, 1}, theta).infected.tolist() == [0, 1]
 
 
 def test_random_thresholds_degree_four_frequencies():

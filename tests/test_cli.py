@@ -100,6 +100,49 @@ def test_cascade_bad_thresholds(security_file, tmp_path, capsys):
                    "nope", "--out", tmp_path / "c.csv") == 2
 
 
+def test_cascade_bad_thresholds_without_trials(security_file, tmp_path,
+                                                capsys):
+    out = tmp_path / "c.csv"
+    assert run_cli("cascade", "--graph", security_file, "--thresholds",
+                   "bogus", "--trials", 0, "--out", out) == 2
+    assert "thresholds must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_cascade_trials_below_one_exits_2(security_file, tmp_path, capsys,
+                                          trials):
+    out = tmp_path / "c.csv"
+    assert run_cli("cascade", "--graph", security_file, "--thresholds",
+                   "uniform:0.5", "--trials", trials, "--out", out) == 2
+    assert "--trials must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cascade_builds_uniform_thresholds_once(security_file, tmp_path,
+                                                monkeypatch):
+    calls = []
+
+    def counted(g, phi):
+        calls.append(phi)
+        return cl.uniform_thresholds(g, phi)
+
+    monkeypatch.setattr("cascadelab.cli.uniform_thresholds", counted)
+    assert run_cli("cascade", "--graph", security_file, "--thresholds",
+                   "uniform:0.5", "--trials", 3, "--out",
+                   tmp_path / "c.csv") == 0
+    assert calls == [0.5]
+
+
+@pytest.mark.parametrize("k", [0, -2])
+def test_injure_k_below_one_exits_2(security_file, tmp_path, capsys, k):
+    out = tmp_path / "inj.csv"
+    assert run_cli("injure", "--graph", security_file, "--k", k,
+                   "--out", out) == 2
+    assert "--k must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_injure_sweep(security_file, tmp_path):
     out = tmp_path / "inj.csv"
     assert run_cli("injure", "--graph", security_file, "--attack", "top",
@@ -198,6 +241,35 @@ def test_analyze_golden_hash(tmp_path, seed):
                        "--seed", seed, "--out", out) == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == GOLDEN_ANALYZE_SHA256[report, seed], report
+
+
+# SHA-256 of `cascade --k 40 --thresholds T --trials 3 --seed S` on a
+# security graph (n=2000, d=4, a=1.5, generated at seed S), computed while
+# the cascade kernel compared precomputed integer need counts
+GOLDEN_CASCADE_SHA256 = {
+    ("uniform:0.28", 1):
+        "37bacc9550e1435c05f1a3e81ebe07d12d66955be91be87268452e6c3635c773",
+    ("uniform:0.28", 2):
+        "17303913ab042812795ed7760c9a04b84ecddca987d30d1b4a15d340fc856240",
+    ("random", 1):
+        "12de15c7a4cd83d1e92b5b9683d37da28c04c3b7c068dee724ddcfdfa0603b88",
+    ("random", 2):
+        "980ee998d35709677bbcfe505d69fee9c4f82777b078646bbe6e878eaafa64ec",
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_cascade_golden_hash(tmp_path, seed):
+    path = tmp_path / "sec.graph"
+    assert run_cli("generate", "--model", "security", "--n", 2000, "--d", 4,
+                   "--a", 1.5, "--seed", seed, "--out", path) == 0
+    for thresholds in ("uniform:0.28", "random"):
+        out = tmp_path / "cascade.csv"
+        assert run_cli("cascade", "--graph", path, "--k", 40, "--thresholds",
+                       thresholds, "--trials", 3, "--seed", seed,
+                       "--out", out) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == GOLDEN_CASCADE_SHA256[thresholds, seed], thresholds
 
 
 def test_analyze_field_past_int64_exits_2(tmp_path, capsys):

@@ -231,6 +231,52 @@ def test_fig3_golden_hash(setting, seed):
         GOLDEN_FIG3_SHA256[setting, seed]
 
 
+# fig1 and fig2 bytes, keyed (setting, graphs_per_cell, master_seed): both
+# run the threshold trials over an attack order, fig2 with either attack
+FIG12_SETTINGS = {
+    "fig1": dict(experiment="fig1", models=("er", "pa")),
+    "fig2-top": dict(experiment="fig2", models=("er", "pa", "security")),
+    "fig2-random": dict(experiment="fig2", models=("er", "pa", "security"),
+                        attack="random"),
+}
+GOLDEN_FIG12_SHA256 = {
+    ("fig1", 1, 1):
+        "7a93762910ec50bdd4a8a325dd244564a6d3284ceb79e5afe11f3581ffa4d408",
+    ("fig1", 1, 2):
+        "0a92a770d88bcc0566e38a647499f24e78a397d727060d22745a92a63a146f5c",
+    ("fig1", 2, 1):
+        "425b8b5338ed792234bdc0014709248f9c6c65dcce7142511791645931fab9ae",
+    ("fig1", 2, 2):
+        "f142f53db7ef91c1d919c97d623b6686ef4535a83f2e4c88f5ea0ea45cfa5eda",
+    ("fig2-top", 1, 1):
+        "a8986980e87d39d12ed2cb9cd0694c3de0715d3743504fbdfdd0fc9a0a3ec206",
+    ("fig2-top", 1, 2):
+        "e70966b18bd89666674f94f9236885336a042dce759a934294b005b2c6015310",
+    ("fig2-top", 2, 1):
+        "2cf6c305b6ba49cf71c3ace8bcf9c02073e9d286046dd5e6df5810c04f528bb6",
+    ("fig2-top", 2, 2):
+        "915c45f806b2049e8a1392dbaa458eed08d573c8720c3563e7d6ead9c0fc078f",
+    ("fig2-random", 1, 1):
+        "a4b66d5349d91426b9c7ee58835ca5d41d2f5b67f892da7e2513e10af738c27e",
+    ("fig2-random", 1, 2):
+        "09f170beec90ad0acc373590812bc5c267b3fd00135faa188308d9bd80dced43",
+    ("fig2-random", 2, 1):
+        "db33aa44804236fc6db1a12d878e0c2a0deb1fd7e8e5a2a368ad4272aaeff103",
+    ("fig2-random", 2, 2):
+        "57732febfc3c80948d73614a23eb62d3000c83109508263e257777d2104b6b74",
+}
+
+
+@pytest.mark.parametrize("setting,graphs,seed", sorted(GOLDEN_FIG12_SHA256))
+def test_fig1_fig2_golden_hash(setting, graphs, seed):
+    cfg = ExperimentConfig(n_list=(100, 400), d=4, a=1.5, trials=6,
+                           master_seed=seed, graphs_per_cell=graphs,
+                           **FIG12_SETTINGS[setting])
+    csv = figure_csv(cfg)
+    assert hashlib.sha256(csv.encode("utf-8")).hexdigest() == \
+        GOLDEN_FIG12_SHA256[setting, graphs, seed]
+
+
 # ---- orchestration ----------------------------------------------------------------
 
 def test_resume_skips_completed_cells(tmp_path):

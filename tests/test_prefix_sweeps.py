@@ -133,7 +133,7 @@ def attacks(draw, g):
     return draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=cap))
 
 
-# fractions k/deg for small deg, where a node's need changes
+# fractions k/deg for small deg, where a node's qualifying count changes
 _FRACTIONS = sorted({k / m for m in range(1, 13) for k in range(1, m + 1)})
 
 
@@ -223,8 +223,53 @@ def test_next_prefix_node_already_infected():
 def test_degree_zero_nodes_only_join_when_attacked():
     g = LabeledGraph.from_edges(4, [(0, 1)])
     theta = random_thresholds(g, 3)
-    assert theta.uninfectable[2] and theta.uninfectable[3]
+    assert theta.phi[2] == theta.phi[3] == 1.0
     assert prefix_infection_counts(g, [0, 2, 3], theta).tolist() == [2, 3, 4]
+    assert prefix_infection_counts(g, [0, 1], theta).tolist() == [2, 2]
+
+
+# every (phi, deg) with phi on the 0.01 grid and deg < 200 where the
+# shortcuts misjudge the least k with k/deg >= phi in float: phi * deg
+# rounds above k, and ceil(phi * deg) is k + 1 (7/25 >= 0.28, yet
+# 0.28 * 25 > 7)
+BOUNDARY_PAIRS = [
+    (0.07, 100), (0.14, 50), (0.14, 100), (0.14, 150), (0.28, 25),
+    (0.28, 50), (0.28, 75), (0.28, 100), (0.28, 150), (0.28, 175),
+    (0.34, 150), (0.55, 100), (0.55, 180), (0.56, 25), (0.56, 50),
+    (0.56, 75), (0.56, 100), (0.56, 150), (0.56, 175), (0.68, 75),
+    (0.68, 150), (0.68, 175),
+]
+
+
+@pytest.mark.parametrize("phi,deg", BOUNDARY_PAIRS)
+def test_fraction_exactly_at_phi_infects(phi, deg):
+    # attacking k leaves of a star makes the hub's fraction exactly phi:
+    # the hub falls and takes every leaf, and k - 1 leaves infect nothing
+    g = LabeledGraph.from_edges(deg + 1, [(0, i) for i in range(1, deg + 1)])
+    k = next(k for k in range(1, deg + 1) if k / deg >= phi)
+    theta = uniform_thresholds(g, phi)
+    order = list(range(1, k + 1))
+    assert infection_set(g, order, theta).infected.size == deg + 1
+    assert prefix_infection_counts(g, order, theta).tolist() == \
+        list(range(1, k)) + [deg + 1]
+    # one grid step above phi holds the cascade to the attack set
+    grid = [phi, round(phi + 0.01, 2)]
+    epsilon = (k + 0.5) / (deg + 1)
+    assert security_threshold(g, order, grid, epsilon) == grid[1]
+    assert linear_security_threshold(g, order, grid, epsilon) == grid[1]
+    assert security_threshold(g, order, grid[:1], epsilon) is None
+
+
+def test_threshold_assignment_must_match_graph_size():
+    g = LabeledGraph.from_edges(3, [(0, 1), (1, 2)], color=[0, 0, 0],
+                                is_seed=[1, 0, 0])
+    theta = uniform_thresholds(LabeledGraph.from_edges(2, [(0, 1)]), 0.5)
+    with pytest.raises(ValueError, match="does not match graph size"):
+        infection_set(g, [0], theta)
+    with pytest.raises(ValueError, match="does not match graph size"):
+        prefix_infection_counts(g, [0], theta)
+    with pytest.raises(ValueError, match="does not match graph size"):
+        cl.count_vulnerable(g, theta)
 
 
 def test_injury_ties_between_equal_components():
