@@ -44,7 +44,7 @@ from .structure import Community, _community_layout, intra_color_adjacency
 
 @dataclass(frozen=True)
 class ThresholdAssignment:
-    """Per-node thresholds phi in (0, 1].
+    """Per-node thresholds phi in (0, 1], checked on construction.
 
     A degree-0 node (phi 1.0 under random thresholds) never qualifies,
     because it is in no neighbor list; it joins an infection set only
@@ -52,6 +52,12 @@ class ThresholdAssignment:
     """
 
     phi: np.ndarray
+
+    def __post_init__(self):
+        bad = np.flatnonzero(~((self.phi > 0.0) & (self.phi <= 1.0)))
+        if bad.size:
+            raise ValueError(f"node {bad[0]} has threshold "
+                             f"{self.phi[bad[0]]}, outside (0, 1]")
 
 
 def uniform_thresholds(g: LabeledGraph, phi: float) -> ThresholdAssignment:

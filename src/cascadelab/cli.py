@@ -71,20 +71,28 @@ def _parse_attack(g, attack: str, k: int):
 
 def _cmd_cascade(args) -> int:
     choice = args.thresholds
-    if choice != "random" and not choice.startswith("uniform:"):
+    phi = None
+    if choice.startswith("uniform:"):
+        try:
+            phi = float(choice[len("uniform:"):])
+        except ValueError:
+            phi = math.nan
+        if not 0.0 < phi <= 1.0:
+            raise ConfigError(f"--thresholds needs uniform:PHI with PHI in "
+                              f"(0, 1], got {choice!r}")
+    elif choice != "random":
         raise ConfigError(
             f"thresholds must be 'uniform:PHI' or 'random', got {choice!r}")
     if args.trials < 1:
         raise ConfigError(f"--trials must be at least 1, got {args.trials}")
     g = load_graph(args.graph)
     attack = _parse_attack(g, args.attack, args.k)
-    if choice != "random":
-        phi = float(choice[len("uniform:"):])
+    if phi is not None:
         theta = uniform_thresholds(g, phi)
         mode, parameter = "uniform", fmt_number(phi)
     rows = []
     for trial in range(args.trials):
-        if choice == "random":
+        if phi is None:
             seed = derive_trial_seed(args.seed, "cascade", "graph", g.n, trial)
             theta = random_thresholds(g, seed)
             mode, parameter = "random", str(seed)
@@ -173,6 +181,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     values = parse_config_file(args.config) if args.config else {}
     if args.fig is not None:
         values["experiment"] = f"fig{args.fig}"

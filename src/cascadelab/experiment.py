@@ -1,10 +1,12 @@
 """Experiment harness: attack/injury curves, cascade-size curves, and
 security-threshold curves for the three network models, reproduced as CSV.
 
-One master seed determines every byte of output: graphs and threshold
-trials draw from seeds derived per (experiment, model, n, trial), cells
-are independent work units, and aggregation (max/mean over trials) is
-order-insensitive, so results are identical for any worker count.
+Each figure maps one per-graph step (seed graph j, generate it, pick the
+attack order, measure) over a (model, n) cell's graphs, then aggregates
+per figure.  One master seed determines every byte of output: graphs and
+threshold trials draw from seeds derived per (experiment, model, n,
+trial), and cells are independent work units, so results are identical
+for any worker count.
 
 Outputs per experiment: ``<experiment>.csv`` plus ``manifest.txt``
 recording the config hash, tool version and completed cells; per-cell row
@@ -147,15 +149,20 @@ def default_config(experiment: str, **overrides) -> ExperimentConfig:
     """Config with the per-experiment default models/n_list/d filled in."""
     if experiment not in _EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}")
-    values = dict(_DEFAULTS[experiment])
-    values.update(overrides)
-    return ExperimentConfig(experiment=experiment, **values)
+    return ExperimentConfig(experiment=experiment,
+                            **{**_DEFAULTS[experiment], **overrides})
 
 
 # ---- config file parsing ----------------------------------------------------
 
-_INT_KEYS = {"d", "trials", "master_seed", "graphs_per_cell"}
-_FLOAT_KEYS = {"a", "epsilon"}
+def _tuple_of(cast):
+    return lambda text: tuple(cast(v) for v in text.split(",") if v.strip())
+
+
+_PARSERS = {"d": int, "trials": int, "master_seed": int,
+            "graphs_per_cell": int, "a": float, "epsilon": float,
+            "models": _tuple_of(str.strip), "n_list": _tuple_of(int),
+            "phi_grid": _tuple_of(float)}
 _ALIASES = {"seed": "master_seed", "fig": "experiment"}
 
 
@@ -191,16 +198,7 @@ def config_from_values(values: dict) -> ExperimentConfig:
             raise ConfigError(f"unknown config key {key!r}")
         if isinstance(value, str):
             try:
-                if key in _INT_KEYS:
-                    value = int(value)
-                elif key in _FLOAT_KEYS:
-                    value = float(value)
-                elif key == "models":
-                    value = tuple(v.strip() for v in value.split(",") if v.strip())
-                elif key == "n_list":
-                    value = tuple(int(v) for v in value.split(",") if v.strip())
-                elif key == "phi_grid":
-                    value = tuple(float(v) for v in value.split(",") if v.strip())
+                value = _PARSERS.get(key, str)(value)
             except ValueError as exc:
                 raise ConfigError(f"bad value for {key!r}: {exc}") from None
         parsed[key] = value
@@ -226,86 +224,49 @@ def cell_id(cfg: ExperimentConfig, model: str, n: int) -> str:
     return f"{cfg.experiment}_{model}_n{n}"
 
 
-def _make_graph(cfg: ExperimentConfig, model: str, n: int, graph_index: int):
-    seed = derive_seed(cfg.master_seed, f"{cfg.experiment}/graph", model, n,
-                       graph_index)
-    return generate(model, n, cfg.d, cfg.a if model == "security" else None,
-                    master_seed=seed)
-
-
-def _trial_tag(cfg: ExperimentConfig, graph_index: int) -> str:
-    return cfg.experiment if graph_index == 0 else \
-        f"{cfg.experiment}/g{graph_index}"
-
-
-def _attack_order(cfg: ExperimentConfig, g, model: str, n: int, k: int,
-                  graph_index: int):
-    if cfg.attack == "top":
-        return degree_order(g, k)
-    rng = rng_from(cfg.master_seed, f"{cfg.experiment}/attack", model, n,
-                   graph_index)
-    return rng.choice(n, size=k, replace=False)
-
-
-def _max_infection_fractions(cfg, g, model, n, order, graph_index):
-    """Max over the threshold trials of the infected fraction after each
-    attack prefix ``order[:k]``."""
-    best = np.zeros(len(order))
-    tag = _trial_tag(cfg, graph_index)
+def _graph_result(cfg: ExperimentConfig, model: str, n: int, j: int):
+    """Graph j of a (model, n) cell, measured: fig1's injury and
+    max-infection fractions per attack size, fig2's max-infection fraction
+    (maxima over the threshold trials), or fig3's security threshold."""
+    g = generate(model, n, cfg.d, cfg.a if model == "security" else None,
+                 master_seed=derive_seed(cfg.master_seed,
+                                         f"{cfg.experiment}/graph", model, n, j))
+    fig1 = cfg.experiment == "fig1"
+    k = attack_size(n, _FIG1_ATTACK_SCALE if fig1 else 1.0)
+    if cfg.attack == "random":
+        order = rng_from(cfg.master_seed, f"{cfg.experiment}/attack", model,
+                         n, j).choice(n, size=k, replace=False)
+    else:
+        order = degree_order(g, k)
+    if cfg.experiment == "fig3":
+        return security_threshold(g, order, cfg.phi_grid, cfg.epsilon)
+    tag = cfg.experiment if j == 0 else f"{cfg.experiment}/g{j}"
+    best = np.zeros(k)
     for t in range(cfg.trials):
         theta = random_thresholds(
             g, derive_trial_seed(cfg.master_seed, tag, model, n, t))
         best = np.maximum(best, prefix_infection_counts(g, order, theta) / n)
-    return best
+    return (prefix_injury_counts(g, order) / n, best) if fig1 else best[-1]
 
 
 def _compute_cell(cfg: ExperimentConfig, model: str, n: int) -> list[str]:
     """All CSV data rows of one (model, n) cell, in canonical order."""
+    results = [_graph_result(cfg, model, n, j)
+               for j in range(cfg.graphs_per_cell)]
     if cfg.experiment == "fig1":
-        k_max = attack_size(n, _FIG1_ATTACK_SCALE)
-        injury = np.zeros(k_max)
-        max_inf = np.zeros(k_max)
-        for j in range(cfg.graphs_per_cell):
-            g = _make_graph(cfg, model, n, j)
-            order = degree_order(g, k_max)
-            injury += prefix_injury_counts(g, order) / n
-            max_inf += _max_infection_fractions(cfg, g, model, n, order, j)
+        injury, max_inf = (sum(column) for column in zip(*results))
         scale = 1.0 / cfg.graphs_per_cell
-        return [
-            f"{model},{n},{cfg.d},{k},{fmt_number(inj * scale)},"
-            f"{fmt_number(inf * scale)}"
-            for k, (inj, inf) in enumerate(
-                zip(injury.tolist(), max_inf.tolist()), start=1)
-        ]
-
+        return [f"{model},{n},{cfg.d},{k},{fmt_number(inj * scale)},"
+                f"{fmt_number(inf * scale)}"
+                for k, (inj, inf) in enumerate(
+                    zip(injury.tolist(), max_inf.tolist()), start=1)]
     if cfg.experiment == "fig2":
-        k = attack_size(n)
-        total = 0.0
-        for j in range(cfg.graphs_per_cell):
-            g = _make_graph(cfg, model, n, j)
-            order = _attack_order(cfg, g, model, n, k, j)
-            total += _max_infection_fractions(cfg, g, model, n, order, j)[-1]
-        a_field = fmt_number(cfg.a) if model == "security" else ""
-        return [f"{model},{n},{cfg.d},{a_field},"
-                f"{fmt_number(total / cfg.graphs_per_cell)}"]
-
-    # fig3
-    k = attack_size(n)
-    found = []
-    for j in range(cfg.graphs_per_cell):
-        g = _make_graph(cfg, model, n, j)
-        phi = security_threshold(g, degree_order(g, k), cfg.phi_grid,
-                                 cfg.epsilon)
-        if phi is not None:
-            found.append(phi)
+        value = fmt_number(sum(results) / cfg.graphs_per_cell)
+    else:  # fig3 averages the graphs that found a threshold
+        found = [phi for phi in results if phi is not None]
+        value = fmt_number(sum(found) / len(found)) if found else ""
     a_field = fmt_number(cfg.a) if model == "security" else ""
-    value = fmt_number(sum(found) / len(found)) if found else ""
     return [f"{model},{n},{cfg.d},{a_field},{value}"]
-
-
-def _cell_task(args):
-    cfg, model, n = args
-    return cell_id(cfg, model, n), _compute_cell(cfg, model, n)
 
 
 # ---- orchestration -----------------------------------------------------------
@@ -359,8 +320,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None,
     out_dir set, writes ``<experiment>.csv``, ``manifest.txt`` and the
     per-cell fragments.  Cell failures are collected, not raised.
     """
-    cells = [(model, n) for model in cfg.models for n in cfg.n_list]
-    ids = {(model, n): cell_id(cfg, model, n) for model, n in cells}
+    cells = {cell_id(cfg, model, n): (model, n)
+             for model in cfg.models for n in cfg.n_list}
     rows: dict[str, list[str]] = {}
     skipped: list[str] = []
     failed: dict = {}
@@ -371,15 +332,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None,
         cells_dir = out_dir / "cells"
         cells_dir.mkdir(parents=True, exist_ok=True)
         done = _read_manifest(out_dir, cfg)
-        for key in cells:
-            cid = ids[key]
+        for cid in cells:
             fragment = cells_dir / f"{cid}.csv"
             if cid in done and fragment.exists():
-                content = fragment.read_text(encoding="utf-8").splitlines()
-                rows[cid] = content
+                rows[cid] = fragment.read_text(encoding="utf-8").splitlines()
                 skipped.append(cid)
 
-    todo = [key for key in cells if ids[key] not in rows]
+    todo = [cid for cid in cells if cid not in rows]
 
     def record(cid: str, cell_rows: list[str]) -> None:
         rows[cid] = cell_rows
@@ -391,28 +350,27 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None,
 
     if jobs > 1 and len(todo) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {pool.submit(_cell_task, (cfg, model, n)): ids[(model, n)]
-                       for model, n in todo}
-            for future, cid in futures.items():
+            futures = {cid: pool.submit(_compute_cell, cfg, *cells[cid])
+                       for cid in todo}
+            for cid, future in futures.items():
                 exc = future.exception()
                 if exc is not None:
                     failed[cid] = f"{type(exc).__name__}: {exc}"
                 else:
-                    record(*future.result())
+                    record(cid, future.result())
     else:
-        for model, n in todo:
-            cid = ids[(model, n)]
+        for cid in todo:
             try:
-                record(*_cell_task((cfg, model, n)))
+                record(cid, _compute_cell(cfg, *cells[cid]))
             except Exception as exc:  # noqa: BLE001 - reported, not hidden
                 failed[cid] = f"{type(exc).__name__}: {exc}"
 
-    csv_text = None
-    csv_path = None
+    csv_text = csv_path = None
     if not failed:
         lines = [_HEADERS[cfg.experiment]]
-        for key in cells:
-            lines.extend(rows[ids[key]])
+        for model in cfg.models:  # a model listed twice repeats its rows
+            for n in cfg.n_list:
+                lines.extend(rows[cell_id(cfg, model, n)])
         csv_text = "\n".join(lines) + "\n"
         if out_dir is not None:
             csv_path = out_dir / f"{cfg.experiment}.csv"

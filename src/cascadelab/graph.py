@@ -67,10 +67,10 @@ class GraphFormatError(ValueError):
 class LabeledGraph:
     """Immutable simple undirected graph with per-node metadata.
 
-    Construct via :meth:`from_edges` (generators, tests) or
-    :func:`deserialize`.  Node ids are dense in [0, n); edges are stored
-    with u < v.  Construction validates simplicity: no self-loops, no
-    duplicate edges, endpoints in range.
+    Generators and :func:`deserialize` call the constructor with arrays;
+    :meth:`from_edges` builds one from edge tuples.  Node ids are dense in
+    [0, n); edges are stored with u < v.  Construction validates
+    simplicity: no self-loops, no duplicate edges, endpoints in range.
     """
 
     __slots__ = ("n", "color", "is_seed", "birth_time", "edge_u", "edge_v",

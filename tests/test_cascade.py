@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import cascadelab as cl
-from cascadelab import (CommunityStrength, LabeledGraph, classify_community,
-                        communities, count_vulnerable, infection_set,
-                        injury_set, random_thresholds, security_threshold,
-                        top_degree_nodes, uniform_thresholds)
+from cascadelab import (CommunityStrength, LabeledGraph, ThresholdAssignment,
+                        classify_community, communities, count_vulnerable,
+                        infection_set, injury_set, random_thresholds,
+                        security_threshold, top_degree_nodes,
+                        uniform_thresholds)
 
 from oracles import async_infection, random_attack, random_small_graph, rescan_infection
 
@@ -36,6 +37,15 @@ def test_uniform_thresholds_range_errors():
     for bad in (0.0, -0.1, 1.0001):
         with pytest.raises(ValueError):
             uniform_thresholds(g, bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -0.1, 1.5, math.inf])
+def test_threshold_assignment_rejects_phi_outside_unit_interval(bad):
+    phi = np.full(5, 0.5)
+    phi[2] = bad
+    phi[4] = bad
+    with pytest.raises(ValueError, match="node 2"):
+        ThresholdAssignment(phi)
 
 
 def test_random_thresholds_degree_one_is_one():

@@ -109,6 +109,15 @@ def test_cascade_bad_thresholds_without_trials(security_file, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("phi", ["abc", "0", "-0.1", "1.5", "nan"])
+def test_cascade_bad_uniform_phi_checked_before_graph(tmp_path, capsys, phi):
+    out = tmp_path / "c.csv"
+    assert run_cli("cascade", "--graph", tmp_path / "missing.graph",
+                   "--thresholds", f"uniform:{phi}", "--out", out) == 2
+    assert "--thresholds" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("trials", [0, -3])
 def test_cascade_trials_below_one_exits_2(security_file, tmp_path, capsys,
                                           trials):
@@ -350,6 +359,17 @@ def test_experiment_cli_repeated_key(tmp_path, capsys):
     assert run_cli("experiment", "--config", cfg) == 2
     err = capsys.readouterr().err
     assert "exp.cfg:7:" in err and "line 6" in err
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_experiment_cli_jobs_below_one_exits_2(tmp_path, capsys, jobs):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("experiment=fig2\nmodels=er\nn_list=60\nd=4\ntrials=1\n")
+    out = tmp_path / "run"
+    assert run_cli("experiment", "--config", cfg, "--jobs", jobs,
+                   "--out", out) == 2
+    assert "--jobs must be at least 1" in capsys.readouterr().err
+    assert not (out / "fig2.csv").exists()
 
 
 def test_experiment_cli_missing_config_file(tmp_path):

@@ -1,10 +1,15 @@
 import hashlib
 import math
+import os
 
 import pytest
 
+import cascadelab as cl
 import cascadelab.experiment as xp
 from cascadelab import ConfigError, ExperimentConfig
+from cascadelab.cascade import degree_order
+from cascadelab.cli import main
+from cascadelab.seeding import derive_seed
 
 from conftest import figure_csv
 
@@ -190,16 +195,18 @@ def test_fig3_finds_threshold():
 
 
 # SHA-256 of run_experiment(cfg).csv_text for fig3 (er, pa and security,
-# n_list=(300, 2000), d=5, a=1.5) under four grid/epsilon settings.  Taken
+# n_list=(300, 2000), d=5, a=1.5) under five grid/epsilon settings.  Taken
 # while security_threshold still ran one cascade per grid value.  "coarse"
 # and "single" (a one-value grid) leave some cells empty; "multi" averages
-# three graphs per cell and puts 1.0 on the grid.
+# three graphs per cell and puts 1.0 on the grid.  "mixed", pinned later,
+# has a cell (er, n=300, seed 1) where only some graphs find a threshold.
 FIG3_SETTINGS = {
     "default": {},
     "coarse": dict(phi_grid=(0.05, 0.1, 0.2, 0.3), epsilon=0.02),
     "single": dict(phi_grid=(0.25,), epsilon=0.05),
     "multi": dict(phi_grid=(0.1, 0.2, 0.25, 0.3, 0.35, 1.0), epsilon=0.2,
                   graphs_per_cell=3),
+    "mixed": dict(phi_grid=(0.1, 0.2, 0.3), epsilon=0.1, graphs_per_cell=3),
 }
 GOLDEN_FIG3_SHA256 = {
     ("default", 1):
@@ -218,6 +225,10 @@ GOLDEN_FIG3_SHA256 = {
         "081891fc28d3573ca5c03a72a0d0dabd0bce7d79549920a959de713a2571c86b",
     ("multi", 2):
         "2eed1f54fbd66cdee0d457a3aa16f897044263098d2751f3de68dfbaa7a1a93b",
+    ("mixed", 1):
+        "b80fbfc7f47159f5e9bac9d0f0b61e73e79e42b49bfd054ccf04cf972d6db987",
+    ("mixed", 2):
+        "b80fbfc7f47159f5e9bac9d0f0b61e73e79e42b49bfd054ccf04cf972d6db987",
 }
 
 
@@ -229,6 +240,22 @@ def test_fig3_golden_hash(setting, seed):
     csv = figure_csv(cfg)
     assert hashlib.sha256(csv.encode("utf-8")).hexdigest() == \
         GOLDEN_FIG3_SHA256[setting, seed]
+
+
+def test_fig3_mixed_cell_averages_only_found_thresholds():
+    # the "mixed" pin's er cell at n=300, seed 1: one of three graphs finds
+    # phi 0.3, so the row is 0.3 (not 0.3 / 3 and not empty)
+    grid = FIG3_SETTINGS["mixed"]["phi_grid"]
+    per_graph = []
+    for j in range(3):
+        g = cl.generate("er", 300, 5, master_seed=derive_seed(
+            1, "fig3/graph", "er", 300, j))
+        per_graph.append(cl.security_threshold(
+            g, degree_order(g, xp.attack_size(300)), grid, 0.1))
+    assert per_graph == [None, 0.3, None]
+    cfg = ExperimentConfig(experiment="fig3", models=("er",), n_list=(300,),
+                           d=5, master_seed=1, **FIG3_SETTINGS["mixed"])
+    assert figure_csv(cfg).splitlines()[1] == "er,300,5,,0.3"
 
 
 # fig1 and fig2 bytes, keyed (setting, graphs_per_cell, master_seed): both
@@ -347,6 +374,28 @@ def test_partial_failure_reported(tmp_path, monkeypatch):
     fixed = xp.run_experiment(cfg, out_dir=tmp_path)
     assert fixed.ok
     assert fixed.computed == ("fig2_pa_n120",)
+
+
+_REAL_COMPUTE_CELL = xp._compute_cell
+
+
+def _exit_in_pa_120(cfg, model, n):
+    # module level, so a pool can pickle it by name when it is patched in
+    if model == "pa" and n == 120:
+        os._exit(1)
+    return _REAL_COMPUTE_CELL(cfg, model, n)
+
+
+def test_worker_crash_reported_as_broken_pool(tmp_path, monkeypatch):
+    monkeypatch.setattr(xp, "_compute_cell", _exit_in_pa_120)
+    result = xp.run_experiment(tiny_cfg(), jobs=2)
+    assert result.failed["fig2_pa_n120"].startswith("BrokenProcessPool")
+    assert result.csv_text is None
+    path = tmp_path / "exp.cfg"
+    path.write_text("experiment=fig2\nmodels=er,pa\nn_list=60,120\nd=4\n"
+                    "trials=3\nmaster_seed=5\n", encoding="utf-8")
+    assert main(["experiment", "--config", str(path), "--jobs", "2",
+                 "--out", str(tmp_path / "out")]) == 3
 
 
 def test_trial_seed_layout_matches_spec_signature():
