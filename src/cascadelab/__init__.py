@@ -24,12 +24,11 @@ from .graph import (EdgeTag, GraphFormatError, LabeledGraph, deserialize,
                     largest_connected_component, load_graph, save_graph,
                     serialize)
 from .seeding import derive_seed, derive_trial_seed, rng_from, splitmix64
-from .structure import (Community, CommunityConductance, DegreeProfile,
-                        DistanceStats, NavigationResult, PowerlawFit,
-                        PriorityTree, communities, community_conductances,
-                        community_diameters, conductance, degree_profile,
-                        distance_stats, infection_priority_tree, navigate,
-                        powerlaw_exponent)
+from .structure import (Community, CommunityConductance, DistanceStats,
+                        NavigationResult, PowerlawFit, PriorityTree,
+                        communities, community_conductances,
+                        community_diameters, conductance, distance_stats,
+                        infection_priority_tree, navigate, powerlaw_exponent)
 
 __all__ = [
     "__version__",
@@ -46,11 +45,10 @@ __all__ = [
     "injury_set", "top_degree_nodes", "security_threshold",
     "classify_community", "count_vulnerable",
     # structure metrics
-    "Community", "CommunityConductance", "DegreeProfile", "DistanceStats",
-    "NavigationResult", "PowerlawFit", "PriorityTree", "communities",
-    "community_conductances", "community_diameters", "conductance",
-    "degree_profile", "distance_stats", "infection_priority_tree",
-    "navigate", "powerlaw_exponent",
+    "Community", "CommunityConductance", "DistanceStats", "NavigationResult",
+    "PowerlawFit", "PriorityTree", "communities", "community_conductances",
+    "community_diameters", "conductance", "distance_stats",
+    "infection_priority_tree", "navigate", "powerlaw_exponent",
     # experiment harness
     "ExperimentConfig", "ExperimentResult", "ConfigError", "attack_size",
     "config_from_values", "default_config", "parse_config_file",

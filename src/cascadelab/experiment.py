@@ -82,6 +82,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if not self.models:
             raise ConfigError("models must not be empty")
+        if len(set(self.models)) != len(self.models):
+            raise ConfigError("models must not repeat")
         allowed = ("er", "pa") if self.experiment == "fig1" else _MODELS
         for model in self.models:
             if model not in allowed:
@@ -368,7 +370,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None,
     csv_text = csv_path = None
     if not failed:
         lines = [_HEADERS[cfg.experiment]]
-        for model in cfg.models:  # a model listed twice repeats its rows
+        for model in cfg.models:
             for n in cfg.n_list:
                 lines.extend(rows[cell_id(cfg, model, n)])
         csv_text = "\n".join(lines) + "\n"

@@ -22,16 +22,15 @@ The format is canonical: node lines must appear in id order and edge lines
 in ascending (u, v) order, so serialization round-trips bit-exactly.
 
 Both directions work on whole columns.  :func:`serialize` formats rows
-from ``tolist()`` chunks.  :func:`deserialize` first checks the whole file
-against the canonical grammar with one regex per section, parses every
-integer in one ``np.fromstring`` call, confirms the header counts by the
-edge-line and integer counts, and checks ids, ``u < v < n`` and the edge
-order with array operations.  A file
-that fails any of these goes to the line-by-line parser, which is the only
-code that writes format errors, so they keep naming the first bad line.
-An integer field must be spelled as the writer spells it (ASCII digits, no
-sign, no leading zero, nothing trailing such as a ``\r``); the one
-leniency left is a missing final newline.
+from ``tolist()`` chunks.  :func:`deserialize` confirms the header counts
+by the line count, checks each section against the canonical grammar with
+one regex, parses every integer in one ``np.fromstring`` call, and checks
+ids, ``u < v < n`` and the edge order with array operations.  Only the
+lines that these checks flag, and rows with a field that may be past
+int64, go to one per-line checker; it writes every format error, naming
+the first bad line.  An integer field must be spelled as the writer spells
+it (ASCII digits, no sign, no leading zero, nothing trailing such as a
+``\r``); the one leniency left is a missing final newline.
 """
 
 from __future__ import annotations
@@ -53,8 +52,6 @@ class EdgeTag(IntEnum):
     HOMOPHYLY = 3   # a non-seed's degree-proportional edge inside its color class
     PLAIN = 4       # baseline models (ER / PA) with no provenance story
 
-
-_TAG_BY_NAME = {tag.name: tag for tag in EdgeTag}
 
 FORMAT_MAGIC = "cascadelab-graph"
 FORMAT_VERSION = "v1"
@@ -296,10 +293,11 @@ def serialize(g: LabeledGraph) -> bytes:
     return b"".join([head, *nodes, *edges])
 
 
-# Canonical lines only: \d is ASCII-only in a bytes pattern, 18 digits
-# always fit int64, and the possessive *+ keeps no per-line backtracking
-# state (a plain * costs memory in proportion to the file).
-_UINT = rb"(?:0|[1-9]\d{0,17})"
+# Canonical lines only: \d is ASCII-only in a bytes pattern, and the
+# possessive *+ keeps no per-line backtracking state (a plain * costs memory
+# in proportion to the file).  A 19-digit field may be past int64, where
+# np.fromstring saturates it at 2**63 - 1.
+_UINT = rb"(?:0|[1-9]\d{0,18})"
 _HEADER = re.compile(re.escape(f"{FORMAT_MAGIC} {FORMAT_VERSION} ".encode())
                      + rb"(%s) (%s)\n" % (_UINT, _UINT))
 _NODE_LINES = re.compile(rb"(?:N %s %s [01] %s\n)*+" % (_UINT, _UINT, _UINT))
@@ -312,66 +310,53 @@ _TAG_BY_LETTERS = np.zeros((256, 256), dtype=np.uint8)
 for _tag in EdgeTag:
     _TAG_BY_LETTERS[ord(_tag.name[-1]), ord(_tag.name[-4])] = _tag
 assert len({(t.name[-1], t.name[-4]) for t in EdgeTag}) == len(EdgeTag)
+_INT64_MAX = int(np.iinfo(np.int64).max)
+_CANONICAL_INT = re.compile(r"0|[1-9][0-9]*")
 
 
 def deserialize(data: bytes) -> LabeledGraph:
     """Parse the v1 format; errors name the offending line.
 
-    A canonical file is checked and parsed in bulk.  Any other input goes
-    to the line-by-line parser, which accepts a missing final newline and
-    otherwise names the first bad line.
+    The file is checked and parsed in bulk.  Only the lines that a bulk
+    check flags go to :func:`_check_lines`, which names the first bad one.
     """
-    g = _parse_canonical(data)
-    return _parse_lines(data) if g is None else g
-
-
-def _parse_canonical(data: bytes) -> LabeledGraph | None:
-    """Bulk parse of a canonical file; None if any check fails."""
-    head = _HEADER.match(data)
-    if head is None:
-        return None
-    n, m = int(head[1]), int(head[2])
-    nodes_at = head.end()
-    edges_at = _NODE_LINES.match(data, nodes_at).end()
-    if (_EDGE_LINES.fullmatch(data, edges_at) is None
-            or data.count(b"\n", edges_at) != m):
-        return None
-    values = np.fromstring(data[nodes_at:].translate(_LETTERS_TO_BLANKS),
-                           dtype=np.int64, sep=" ")
-    # m is confirmed by the line count and now n by the value count; only
-    # from here on may the header counts size an array
-    if values.shape[0] != 4 * n + 2 * m:
-        return None
-    node = values[:4 * n].reshape(n, 4)
-    u, v = values[4 * n:].reshape(m, 2).T
-    du = np.diff(u)
-    if not ((node[:, 0] == np.arange(n)).all() and (u < v).all()
-            and (v < n).all()
-            and ((du > 0) | ((du == 0) & (np.diff(v) > 0))).all()):
-        return None
+    if data and not data.endswith(b"\n"):
+        data += b"\n"
     buf = np.frombuffer(data, dtype=np.uint8)
-    ends = edges_at + np.flatnonzero(buf[edges_at:] == ord("\n"))
-    tag = _TAG_BY_LETTERS[buf[ends - 1], buf[ends - 4]]
+    ends = np.flatnonzero(buf == ord("\n"))  # ends[i] closes line i + 1
+    head = _HEADER.match(data)
+    if head is None or len(ends) != 1 + int(head[1]) + int(head[2]):
+        _check_lines(data, [])  # raises: the header or the line count is bad
+    # the line count confirms n and m; only from here on may they size arrays
+    n = int(head[1])
+    edges_at = int(ends[n]) + 1
+    stop = _NODE_LINES.match(data, head.end(), edges_at).end()
+    if stop == edges_at:
+        stop = _EDGE_LINES.match(data, edges_at).end()
+    # each line before stop is well formed and holds 4 or 2 integers
+    values = np.fromstring(data[head.end():stop].translate(_LETTERS_TO_BLANKS),
+                           dtype=np.int64, sep=" ")
+    node = values[:4 * n].reshape(-1, 4)
+    u, v = values[4 * n:].reshape(-1, 2).T
+    bad_node = ((node[:, 0] != np.arange(node.shape[0]))
+                | (node[:, 1] == _INT64_MAX) | (node[:, 3] == _INT64_MAX))
+    bad_edge = (u >= v) | (v >= n)
+    du = np.diff(u)
+    bad_edge[1:] |= (du < 0) | ((du == 0) & (np.diff(v) <= 0))
+    suspects = [*(2 + np.flatnonzero(bad_node)).tolist(),
+                *(2 + n + np.flatnonzero(bad_edge)).tolist()]
+    if stop < len(data):
+        suspects.append(1 + data.count(b"\n", 0, stop))
+    if suspects:
+        _check_lines(data, suspects)  # returns if they only hold 2**63 - 1
+    tag = _TAG_BY_LETTERS[buf[ends[1 + n:] - 1], buf[ends[1 + n:] - 4]]
     return LabeledGraph(n, node[:, 1], node[:, 2] == 1, node[:, 3], u, v, tag)
 
 
-_INT64_MAX = int(np.iinfo(np.int64).max)
-_CANONICAL_INT = re.compile(r"0|[1-9][0-9]*")
-
-
-def _fail(lineno: int, message: str):
-    raise GraphFormatError(f"line {lineno}: {message}")
-
-
-def _check_spelling(lineno: int, fields: list[str], line: str) -> None:
-    """Reject integer fields that int() reads but the writer never writes
-    (a sign, a leading zero, '_', non-ASCII digits, whitespace such as '\\r')."""
-    if not all(map(_CANONICAL_INT.fullmatch, fields)):
-        _fail(lineno, f"non-canonical integer field in {line!r}")
-
-
-def _parse_lines(data: bytes) -> LabeledGraph:
-    """Line-by-line parse; the only source of format error messages."""
+def _check_lines(data: bytes, suspects: list[int]) -> None:
+    """Raise the format error of the first bad line among the header, the
+    line count and the suspect line numbers (ascending); return if all of
+    them are good."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -379,74 +364,75 @@ def _parse_lines(data: bytes) -> LabeledGraph:
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
+    error = _first_error(lines, suspects)
+    if error is not None:
+        raise GraphFormatError("line %d: %s" % error)
+
+
+def _first_error(lines: list[str], suspects: list[int]) -> tuple[int, str] | None:
+    """(line number, message) of the first bad line that _check_lines reads."""
     if not lines:
-        _fail(1, "empty file, expected header")
+        return 1, "empty file, expected header"
     head = lines[0].split(" ")
     if len(head) != 4 or head[0] != FORMAT_MAGIC or head[1] != FORMAT_VERSION:
-        _fail(1, f"malformed header {lines[0]!r}")
+        return 1, f"malformed header {lines[0]!r}"
     try:
         n, m = int(head[2]), int(head[3])
     except ValueError:
-        _fail(1, f"malformed header counts {lines[0]!r}")
+        return 1, f"malformed header counts {lines[0]!r}"
     if n < 0 or m < 0:
-        _fail(1, "negative node or edge count")
+        return 1, "negative node or edge count"
     if len(lines) != 1 + n + m:
-        _fail(len(lines), f"expected {1 + n + m} lines for n={n}, m={m}, "
-                          f"found {len(lines)}")
-    _check_spelling(1, head[2:], lines[0])
-
-    color = np.empty(n, dtype=np.int64)
-    is_seed = np.empty(n, dtype=bool)
-    birth = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        lineno = 2 + i
-        parts = lines[1 + i].split(" ")
-        if len(parts) != 5 or parts[0] != "N":
-            _fail(lineno, f"malformed node line {lines[1 + i]!r}")
-        try:
-            nid, col, seed, bt = (int(parts[1]), int(parts[2]),
-                                  int(parts[3]), int(parts[4]))
-        except ValueError:
-            _fail(lineno, f"non-integer field in node line {lines[1 + i]!r}")
-        if nid != i:
-            _fail(lineno, f"node lines must be sorted by id; expected {i}, got {nid}")
-        if seed not in (0, 1):
-            _fail(lineno, "is_seed must be 0 or 1")
-        if col < 0 or bt < 0:
-            _fail(lineno, "color and birth_time must be non-negative")
-        if col > _INT64_MAX or bt > _INT64_MAX:
-            _fail(lineno, "color and birth_time must fit in int64")
-        _check_spelling(lineno, parts[1:], lines[1 + i])
-        color[i], is_seed[i], birth[i] = col, bool(seed), bt
-
-    eu = np.empty(m, dtype=np.int64)
-    ev = np.empty(m, dtype=np.int64)
-    et = np.empty(m, dtype=np.uint8)
-    prev = (-1, -1)
-    for j in range(m):
-        lineno = 2 + n + j
-        parts = lines[1 + n + j].split(" ")
-        if len(parts) != 4 or parts[0] != "E":
-            _fail(lineno, f"malformed edge line {lines[1 + n + j]!r}")
-        try:
-            u, v = int(parts[1]), int(parts[2])
-        except ValueError:
-            _fail(lineno, f"non-integer endpoint in {lines[1 + n + j]!r}")
-        tag = _TAG_BY_NAME.get(parts[3])
-        if tag is None:
-            _fail(lineno, f"unknown provenance {parts[3]!r}")
-        if not (0 <= u < n) or not (0 <= v < n):
-            _fail(lineno, f"dangling edge endpoint ({u}, {v}) with n={n}")
-        if u >= v:
-            _fail(lineno, f"edge endpoints must satisfy u < v, got ({u}, {v})")
-        if (u, v) == prev:
-            _fail(lineno, f"duplicate edge ({u}, {v})")
-        if (u, v) < prev:
-            _fail(lineno, f"edge lines not in canonical (u, v) order at ({u}, {v})")
-        _check_spelling(lineno, parts[1:3], lines[1 + n + j])
-        prev = (u, v)
-        eu[j], ev[j], et[j] = u, v, tag
-    return LabeledGraph(n, color, is_seed, birth, eu, ev, et)
+        return len(lines), (f"expected {1 + n + m} lines for n={n}, m={m}, "
+                            f"found {len(lines)}")
+    for lineno in (1, *suspects):
+        line = lines[lineno - 1]
+        parts = line.split(" ")
+        fields = parts[1:]
+        if lineno == 1:
+            fields = parts[2:]
+        elif lineno <= 1 + n:
+            if len(parts) != 5 or parts[0] != "N":
+                return lineno, f"malformed node line {line!r}"
+            try:
+                nid, col, seed, bt = map(int, fields)
+            except ValueError:
+                return lineno, f"non-integer field in node line {line!r}"
+            if nid != lineno - 2:
+                return lineno, (f"node lines must be sorted by id; "
+                                f"expected {lineno - 2}, got {nid}")
+            if seed not in (0, 1):
+                return lineno, "is_seed must be 0 or 1"
+            if col < 0 or bt < 0:
+                return lineno, "color and birth_time must be non-negative"
+            if col > _INT64_MAX or bt > _INT64_MAX:
+                return lineno, "color and birth_time must fit in int64"
+        else:
+            if len(parts) != 4 or parts[0] != "E":
+                return lineno, f"malformed edge line {line!r}"
+            try:
+                u, v = int(parts[1]), int(parts[2])
+            except ValueError:
+                return lineno, f"non-integer endpoint in {line!r}"
+            if parts[3] not in EdgeTag.__members__:
+                return lineno, f"unknown provenance {parts[3]!r}"
+            if not (0 <= u < n) or not (0 <= v < n):
+                return lineno, f"dangling edge endpoint ({u}, {v}) with n={n}"
+            if u >= v:
+                return lineno, f"edge endpoints must satisfy u < v, got ({u}, {v})"
+            prev = (-1, -1)
+            if lineno > n + 2:  # an edge line, good or it would be named
+                before = lines[lineno - 2].split(" ")
+                prev = (int(before[1]), int(before[2]))
+            if (u, v) == prev:
+                return lineno, f"duplicate edge ({u}, {v})"
+            if (u, v) < prev:
+                return lineno, (f"edge lines not in canonical (u, v) order "
+                                f"at ({u}, {v})")
+            fields = parts[1:3]
+        if not all(map(_CANONICAL_INT.fullmatch, fields)):
+            return lineno, f"non-canonical integer field in {line!r}"
+    return None
 
 
 def save_graph(g: LabeledGraph, path) -> None:

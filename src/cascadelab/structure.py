@@ -170,43 +170,13 @@ def community_conductances(g: LabeledGraph) -> dict[int, CommunityConductance]:
 
 
 @dataclass(frozen=True)
-class DegreeProfile:
-    """Neighbor color classes of one node, largest first.
-
-    entries are (color, count) pairs sorted by count descending (ties by
-    smaller color id); length is the number of distinct neighbor colors;
-    first_degree/second_degree are the two largest counts (0 if absent).
-    """
-
-    node: int
-    entries: tuple[tuple[int, int], ...]
-    length: int
-    first_degree: int
-    second_degree: int
-
-
-def degree_profile(g: LabeledGraph, v: int) -> DegreeProfile:
-    """Color-class profile of v's neighborhood."""
-    nbrs = g.neighbors(v)
-    colors, counts = np.unique(g.color[nbrs], return_counts=True)
-    order = np.lexsort((colors, -counts))
-    entries = tuple((int(colors[i]), int(counts[i])) for i in order)
-    return DegreeProfile(
-        node=int(v),
-        entries=entries,
-        length=len(entries),
-        first_degree=entries[0][1] if entries else 0,
-        second_degree=entries[1][1] if len(entries) > 1 else 0,
-    )
-
-
-@dataclass(frozen=True)
 class DegreePrioritySummary:
     """Vectorized degree-priority statistics for every node at once.
 
-    Arrays of length n: profile length, first/second degree, and the top
-    neighbor color (-1 for isolated nodes).  Matches
-    :func:`degree_profile` node for node, including its tie rule.
+    Arrays of length n: the number of distinct neighbor colors, the largest
+    and second-largest neighbor color class sizes (0 if absent), and the
+    color of the largest class (-1 for isolated nodes; ties go to the
+    smaller color id).
     """
 
     length: np.ndarray
@@ -220,7 +190,7 @@ class DegreePrioritySummary:
 
 
 def degree_priority_summary(g: LabeledGraph) -> DegreePrioritySummary:
-    """One pass over the edge list instead of n calls to degree_profile.
+    """Degree-priority statistics of every node in one pass over the edges.
 
     Colors are keyed by their rank among the distinct colors, so any int64
     color works; the graph need not have communities.  Each edge end packs

@@ -15,6 +15,8 @@ an integer need from ``_need_counts``: the least k with k/deg >= phi,
 the encoding the kernel used before it compared fractions), and
 navigation over dict-of-lists adjacency, and the generators that called
 numpy once per draw (public names carry a prefix naming the method).
+``degree_profile`` is the per-node reference for
+``degree_priority_summary``, moved here from the library.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import math
 from array import array
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csgraph
@@ -257,6 +260,41 @@ def per_line_deserialize(data: bytes) -> LabeledGraph:
         prev = (u, v)
         eu[j], ev[j], et[j] = u, v, tag
     return LabeledGraph(n, color, is_seed, birth, eu, ev, et)
+
+
+# ---- degree priority: the per-node profile that degree_priority_summary
+# computes for every node at once ---------------------------------------------
+
+
+@dataclass(frozen=True)
+class DegreeProfile:
+    """Neighbor color classes of one node, largest first.
+
+    entries are (color, count) pairs sorted by count descending (ties by
+    smaller color id); length is the number of distinct neighbor colors;
+    first_degree/second_degree are the two largest counts (0 if absent).
+    """
+
+    node: int
+    entries: tuple[tuple[int, int], ...]
+    length: int
+    first_degree: int
+    second_degree: int
+
+
+def degree_profile(g: LabeledGraph, v: int) -> DegreeProfile:
+    """Color-class profile of v's neighborhood, by np.unique per node."""
+    nbrs = g.neighbors(v)
+    colors, counts = np.unique(g.color[nbrs], return_counts=True)
+    order = np.lexsort((colors, -counts))
+    entries = tuple((int(colors[i]), int(counts[i])) for i in order)
+    return DegreeProfile(
+        node=int(v),
+        entries=entries,
+        length=len(entries),
+        first_degree=entries[0][1] if entries else 0,
+        second_degree=entries[1][1] if len(entries) > 1 else 0,
+    )
 
 
 # ---- structure reports: the Dijkstra distances and diameters, the

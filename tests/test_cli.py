@@ -206,7 +206,8 @@ def test_degree_priority_rows_match_per_node_format(security_file, tmp_path):
 # and diameters and the dict-adjacency navigation; the conductance,
 # degree-priority and ptree entries were computed while those reports still
 # indexed arrays by color value, and the communities entries while
-# communities() still grouped nodes with np.split
+# communities() still grouped nodes with np.split; the powerlaw entries
+# were computed while the graph parser still had a line-by-line fallback
 GOLDEN_ANALYZE_SHA256 = {
     ("communities", 1):
         "0df2f8c0b8cef95b5031a13d3ad7a7a343cb93596fe399d84d84562596856df6",
@@ -236,6 +237,10 @@ GOLDEN_ANALYZE_SHA256 = {
         "2c2f7d48d0ec094e7baf649baae18166c761528edda823057b4b246748843787",
     ("ptree", 2):
         "bee622317a8511cf2a57a3d0a1f19a31298e0c757cd90d4bc9a7a07b67f53eec",
+    ("powerlaw", 1):
+        "9f3b7d5526e4d113c674b8f291dfeefa0b98a62bf29ed7d682cf748b861d901f",
+    ("powerlaw", 2):
+        "57eefd7ec7ca9b27cd0b0e2082bc61d3aad9b538dad22c089b9d0837ab3ef309",
 }
 
 
@@ -343,6 +348,15 @@ def test_experiment_cli_config_error(tmp_path, capsys):
     cfg.write_text("experiment=fig1\nmodels=security\nd=4\na=1.5\nn_list=60\n")
     assert run_cli("experiment", "--config", cfg) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_experiment_cli_repeated_model_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("experiment=fig2\nmodels=er,er\nn_list=60\nd=4\ntrials=1\n")
+    out = tmp_path / "run"
+    assert run_cli("experiment", "--config", cfg, "--out", out) == 2
+    assert "models" in capsys.readouterr().err
+    assert not (out / "fig2.csv").exists()
 
 
 def test_experiment_cli_fig1_n_below_attack_size(tmp_path, capsys):

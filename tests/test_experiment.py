@@ -57,6 +57,11 @@ def test_validation_errors():
         tiny_cfg(models=("security",), a=1.0)
 
 
+def test_repeated_model_rejected():
+    with pytest.raises(ConfigError, match="models"):
+        tiny_cfg(models=("er", "pa", "er"))
+
+
 def test_small_d_warns():
     with pytest.warns(UserWarning, match="d=2"):
         tiny_cfg(d=2)

@@ -11,11 +11,13 @@ Every input must give the same bytes, the same graph, or the same error
   finds nothing else wrong up to that line, the reader raises
   ``GraphFormatError`` naming that line as non-canonical.
 
-A canonical file must take the bulk path; a file the bulk checks reject
-falls back to the line-by-line parser.
+Every file is parsed in bulk.  Only the lines a bulk check flags reach the
+per-line checker ``_check_lines``; in a valid file those are the lines that
+hold a field equal to 2**63 - 1.
 """
 
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,13 +26,13 @@ from hypothesis import strategies as st
 
 from cascadelab import (EdgeTag, GraphFormatError, LabeledGraph,
                         deserialize, serialize)
-from cascadelab.graph import _parse_canonical
+from cascadelab import graph
 
 from oracles import per_line_deserialize, per_line_serialize, random_small_graph
 
 IO_SETTINGS = settings(max_examples=200, deadline=None)
 
-# field values: small, many-digit, and past the 18 digits the bulk parser reads
+# field values: small, many-digit, and 19-digit ones up to the int64 maximum
 values = st.one_of(st.integers(0, 30), st.integers(0, 10**18 - 1),
                    st.integers(10**18, 2**63 - 1))
 
@@ -103,10 +105,6 @@ def assert_parses_like_oracle(data):
         assert ours == oracle
 
 
-def fits_bulk_parser(g):
-    return all(int(a.max(initial=0)) < 10**18 for a in (g.color, g.birth_time))
-
-
 @IO_SETTINGS
 @given(graphs)
 def test_round_trip_matches_per_line_format(g):
@@ -114,8 +112,22 @@ def test_round_trip_matches_per_line_format(g):
     assert data == per_line_serialize(g)
     assert deserialize(data) == g
     assert per_line_deserialize(data) == g
-    # canonical files with fields the bulk parser reads never fall back
-    assert (_parse_canonical(data) is not None) == fits_bulk_parser(g)
+
+
+@IO_SETTINGS
+@given(graphs)
+def test_valid_file_checks_only_int64_max_lines(g):
+    """np.fromstring saturates past int64, so a row holding 2**63 - 1 is the
+    only line of a valid file that the bulk checks cannot clear."""
+    at_max = (g.color == 2**63 - 1) | (g.birth_time == 2**63 - 1)
+    suspects = (2 + np.flatnonzero(at_max)).tolist()
+    expected = [mock.call(mock.ANY, suspects)] if suspects else []
+    data = serialize(g)
+    for raw in (data, data[:-1]):
+        with mock.patch.object(graph, "_check_lines",
+                               wraps=graph._check_lines) as checker:
+            assert deserialize(raw) == g
+        assert checker.call_args_list == expected
 
 
 MUTATIONS = ("byte", "delete", "duplicate", "swap")
@@ -203,16 +215,27 @@ def small_file(*, newline=b"\n"):
                  id="trailing-space"),
     pytest.param(small_file().replace(b"SEED_LINK", b"SEED_LINK\xff"),
                  id="not-utf8"),
+    # two bad lines: the first one is named
+    pytest.param(small_file().replace(b"N 1 0 0 1", b"N 1 0 0 " + b"9" * 20)
+                 .replace(b"HOMOPHYLY", b"HOMOPHILY"),
+                 id="past-int64-then-bad-tag"),
+    pytest.param(small_file().replace(b"N 1 0 0 1",
+                                      b"N 1 0 0 9223372036854775807")
+                 .replace(b"HOMOPHYLY", b"HOMOPHILY"),
+                 id="int64-max-then-bad-tag"),
+    pytest.param(small_file().replace(b"N 1", b"N 5")
+                 .replace(b"SEED_LINK", b"SEED_LINK\r"),
+                 id="wrong-node-id-then-cr"),
+    # the line count holds, but the fourth node line sits where the first
+    # edge line belongs
+    pytest.param(b"cascadelab-graph v1 3 2\nN 0 1 1 0\nN 1 0 0 1\n"
+                 b"N 2 1 0 2\nN 3 0 0 3\nE 0 1 SEED_LINK\n",
+                 id="node-line-in-edge-section"),
+    pytest.param(small_file().replace(b"HOMOPHYLY", b"HOMOPHILY")[:-1],
+                 id="bad-last-line-no-final-newline"),
 ])
 def test_hand_written_file_parses_like_oracle(data):
     assert_parses_like_oracle(data)
-
-
-def test_canonical_file_takes_bulk_path():
-    assert _parse_canonical(small_file()) is not None
-    for data in (small_file()[:-1], small_file(newline=b"\r\n"),
-                 small_file().replace(b"N 2 1 0 2", b"N +2 1 0 2")):
-        assert _parse_canonical(data) is None
 
 
 @pytest.mark.parametrize("data,lineno", [
@@ -243,3 +266,11 @@ def test_field_past_int64_names_its_line(line):
     # the largest int64 still loads
     edge = small_file().replace(b"N 1 0 0 1", b"N 1 0 0 9223372036854775807")
     assert deserialize(edge).birth_time[1] == 2**63 - 1
+
+
+@pytest.mark.parametrize("birth", [b"9223372036854775808", b"9" * 20])
+def test_field_past_int64_before_a_bad_tag_names_its_line(birth):
+    data = (small_file().replace(b"N 1 0 0 1", b"N 1 0 0 " + birth)
+            .replace(b"HOMOPHYLY", b"HOMOPHILY"))
+    with pytest.raises(GraphFormatError, match="^line 3: .*int64"):
+        deserialize(data)

@@ -6,12 +6,13 @@ import pytest
 import cascadelab as cl
 from cascadelab import (LabeledGraph, communities,
                         community_conductances, community_diameters,
-                        conductance, degree_profile, distance_stats,
+                        conductance, distance_stats,
                         infection_priority_tree, navigate, powerlaw_exponent)
 from cascadelab.structure import degree_priority_summary
 
 from frozen_constants import (COND_C, COND_BETA, DIAM_C, DIST_C2, HEIGHT_C3,
                               SIZE_C1)
+from oracles import degree_profile
 
 
 def colored_graph(n, edges, colors, seeds):
