@@ -1,6 +1,6 @@
 """cascadelab: generate, attack, and analyze homophyly security networks.
 
-A numpy/scipy laboratory for threshold-cascade security of networks:
+A numpy laboratory for threshold-cascade security of networks:
 three generators (Erdős–Rényi, preferential attachment, and the
 homophyly/randomness/PA security model), two attack semantics (threshold
 cascades and physical node removal), and the structural measurements that

@@ -35,9 +35,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.sparse import csgraph
 
-from .graph import LabeledGraph, largest_connected_component
+from .graph import LabeledGraph, _component_labels, largest_connected_component
 from .seeding import rng_from
 from .structure import Community, _community_layout, intra_color_adjacency
 
@@ -232,20 +231,13 @@ def prefix_injury_counts(g: LabeledGraph, order) -> np.ndarray:
         raise IndexError("removal order contains out-of-range node ids")
     if np.unique(order).size != size:
         raise ValueError("removal order repeats a node")
-    removed = np.zeros(n, dtype=bool)
-    removed[order] = True
-    survivors = np.flatnonzero(~removed)
-    _, labels = csgraph.connected_components(
-        g.csr()[survivors][:, survivors], directed=False)
-    # union-find over components: survivors' components, then one
-    # singleton per removed node (ids ncomp + i, in order)
-    comp_sizes = np.bincount(labels)
-    ncomp = comp_sizes.shape[0]
-    comp_of = np.empty(n, dtype=np.int64)
-    comp_of[survivors] = labels
-    comp_of[order] = ncomp + np.arange(size)
-    sizes = comp_sizes.tolist() + [1] * size
-    parent = list(range(ncomp + size))
+    keep = np.ones(n, dtype=bool)
+    keep[order] = False
+    # union-find over components named by their smallest id; a removed
+    # node is a singleton under its own id
+    comp_of = _component_labels(g, keep)
+    sizes = np.bincount(comp_of, minlength=n).tolist()
+    parent = list(range(n))
 
     def find(c):
         while parent[c] != c:
@@ -253,15 +245,15 @@ def prefix_injury_counts(g: LabeledGraph, order) -> np.ndarray:
         return c
 
     indptr, indices = g.adjacency()
-    lcc = max(comp_sizes.tolist(), default=0)
+    lcc = int(np.bincount(comp_of[keep]).max(initial=0))
     counts = np.empty(size, dtype=np.int64)
     for k in range(size, 0, -1):
         counts[k - 1] = n - k - lcc
         v = order[k - 1]
-        removed[v] = False  # v rejoins: state of prefix k-1
+        keep[v] = True  # v rejoins: state of prefix k-1
         nbrs = indices[indptr[v]:indptr[v + 1]]
         root = find(comp_of[v])
-        for c in np.unique(comp_of[nbrs[~removed[nbrs]]]).tolist():
+        for c in np.unique(comp_of[nbrs[keep[nbrs]]]).tolist():
             other = find(c)
             if other != root:
                 parent[other] = root

@@ -10,13 +10,16 @@ for any worker count.
 
 Outputs per experiment: ``<experiment>.csv`` plus ``manifest.txt``
 recording the config hash, tool version and completed cells; per-cell row
-fragments under ``cells/`` make interrupted runs resumable.
+fragments under ``cells/`` make interrupted runs resumable.  Each file is
+written under a per-process temp name in its directory and renamed into
+place, so an interrupted write leaves the previous file whole.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
@@ -290,14 +293,23 @@ class ExperimentResult:
         return not self.failed
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write text to a temp name beside path, then rename it over path."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _write_manifest(out_dir: Path, cfg: ExperimentConfig,
                     done: set[str]) -> None:
     lines = ["cascadelab-manifest v1",
              f"version {__version__}",
              f"config {config_hash(cfg)}"]
     lines.extend(f"cell {c}" for c in sorted(done))
-    (out_dir / "manifest.txt").write_text("\n".join(lines) + "\n",
-                                          encoding="utf-8")
+    _write_atomic(out_dir / "manifest.txt", "\n".join(lines) + "\n")
 
 
 def _read_manifest(out_dir: Path, cfg: ExperimentConfig) -> set[str]:
@@ -345,9 +357,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None,
     def record(cid: str, cell_rows: list[str]) -> None:
         rows[cid] = cell_rows
         if cells_dir is not None:
-            (cells_dir / f"{cid}.csv").write_text(
-                "\n".join(cell_rows) + "\n" if cell_rows else "",
-                encoding="utf-8")
+            _write_atomic(cells_dir / f"{cid}.csv",
+                          "\n".join(cell_rows) + "\n" if cell_rows else "")
             _write_manifest(out_dir, cfg, set(rows) - set(failed))
 
     if jobs > 1 and len(todo) > 1:
@@ -363,9 +374,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None,
     else:
         for cid in todo:
             try:
-                record(cid, _compute_cell(cfg, *cells[cid]))
+                cell_rows = _compute_cell(cfg, *cells[cid])
             except Exception as exc:  # noqa: BLE001 - reported, not hidden
                 failed[cid] = f"{type(exc).__name__}: {exc}"
+            else:
+                record(cid, cell_rows)
 
     csv_text = csv_path = None
     if not failed:
@@ -376,7 +389,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None,
         csv_text = "\n".join(lines) + "\n"
         if out_dir is not None:
             csv_path = out_dir / f"{cfg.experiment}.csv"
-            csv_path.write_text(csv_text, encoding="utf-8")
+            _write_atomic(csv_path, csv_text)
     computed = tuple(cid for cid in sorted(rows) if cid not in skipped)
     return ExperimentResult(csv_text=csv_text, csv_path=csv_path,
                             computed=computed, skipped=tuple(sorted(skipped)),

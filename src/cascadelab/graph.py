@@ -6,8 +6,8 @@ birth times for generated graphs), and whose edges carry a provenance tag
 recording which construction rule created them.
 
 Storage is array-based (numpy): edge endpoint arrays plus lazily built CSR
-adjacency, so a 10^5-node graph with 10^6 edges costs a few tens of MB and
-all bulk queries are vectorized.  Graphs are immutable after construction
+adjacency arrays (``indptr``, ``indices``), so a 10^5-node graph with 10^6
+edges costs a few tens of MB and all bulk queries are vectorized.  Graphs are immutable after construction
 and safe to share across worker processes or threads.
 
 File format (version 1, UTF-8, LF line endings)::
@@ -39,8 +39,6 @@ import re
 from enum import IntEnum
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse import csgraph
 
 
 class EdgeTag(IntEnum):
@@ -64,10 +62,10 @@ class GraphFormatError(ValueError):
 class LabeledGraph:
     """Immutable simple undirected graph with per-node metadata.
 
-    Generators and :func:`deserialize` call the constructor with arrays;
-    :meth:`from_edges` builds one from edge tuples.  Node ids are dense in
-    [0, n); edges are stored with u < v.  Construction validates
-    simplicity: no self-loops, no duplicate edges, endpoints in range.
+    Generators and :func:`deserialize` call the constructor with arrays.
+    Node ids are dense in [0, n); edges are stored with u < v.
+    Construction validates simplicity: no self-loops, no duplicate edges,
+    endpoints in range.
     """
 
     __slots__ = ("n", "color", "is_seed", "birth_time", "edge_u", "edge_v",
@@ -99,31 +97,6 @@ class LabeledGraph:
         self._derived: dict = {}
         if validate:
             self._validate()
-
-    @classmethod
-    def from_edges(cls, n, edges, *, color=None, is_seed=None, birth_time=None):
-        """Build a graph from an iterable of (u, v) or (u, v, tag) tuples.
-
-        Metadata defaults: color 0 everywhere, no seeds, birth_time = id.
-        """
-        edges = list(edges)
-        if edges and len(edges[0]) == 3:
-            eu = [e[0] for e in edges]
-            ev = [e[1] for e in edges]
-            et = [int(e[2]) for e in edges]
-        else:
-            eu = [e[0] for e in edges]
-            ev = [e[1] for e in edges]
-            et = [int(EdgeTag.PLAIN)] * len(edges)
-        return cls(
-            n,
-            np.zeros(n, dtype=np.int64) if color is None else color,
-            np.zeros(n, dtype=bool) if is_seed is None else is_seed,
-            np.arange(n, dtype=np.int64) if birth_time is None else birth_time,
-            np.asarray(eu, dtype=np.int64),
-            np.asarray(ev, dtype=np.int64),
-            np.asarray(et, dtype=np.uint8),
-        )
 
     # ---- validation -------------------------------------------------------
 
@@ -169,23 +142,26 @@ class LabeledGraph:
 
     def adjacency(self) -> tuple[np.ndarray, np.ndarray]:
         """CSR adjacency (indptr, indices); neighbor lists sorted ascending."""
+        return self.csr()
+
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """The cached CSR (indptr, indices) of both edge directions.
+
+        Each directed edge is the int64 key ``u * n + v``; sorted, the keys
+        list row u's neighbors in ascending order, so row u starts at the
+        first key >= u * n.  n * n must fit in int64.
+        """
 
         def build():
-            a = self.csr()
-            return a.indptr.astype(np.int64), a.indices.astype(np.int64)
-
-        return self.cached("adjacency", build)
-
-    def csr(self) -> sp.csr_matrix:
-        """Symmetric 0/1 adjacency matrix in CSR form (cached)."""
-
-        def build():
-            row = np.concatenate([self.edge_u, self.edge_v])
-            col = np.concatenate([self.edge_v, self.edge_u])
-            data = np.ones(row.shape[0], dtype=np.int8)
-            a = sp.coo_matrix((data, (row, col)), shape=(self.n, self.n)).tocsr()
-            a.sort_indices()
-            return a
+            n = self.n
+            if n > 3_000_000_000:
+                raise ValueError(f"CSR keys u*n + v overflow int64 for n={n}; "
+                                 "at most 3e9 nodes")
+            keys = np.concatenate([self.edge_u * n + self.edge_v,
+                                   self.edge_v * n + self.edge_u])
+            keys.sort()
+            indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+            return indptr, keys % n
 
         return self.cached("csr", build)
 
@@ -241,32 +217,49 @@ def largest_connected_component(g: LabeledGraph, excluded=()) -> np.ndarray:
     excluded = np.asarray(sorted(set(int(x) for x in excluded)), dtype=np.int64)
     if excluded.size and (excluded.min() < 0 or excluded.max() >= g.n):
         raise IndexError("excluded node id out of range")
-    if excluded.size == 0:
-        return g.cached(
-            "lcc", lambda: _lcc_of(g, np.arange(g.n, dtype=np.int64)))
     keep = np.ones(g.n, dtype=bool)
+    if excluded.size == 0:
+        return g.cached("lcc", lambda: _lcc_of(g, keep))
     keep[excluded] = False
+    return _lcc_of(g, keep)
+
+
+def _component_labels(g: LabeledGraph, keep: np.ndarray) -> np.ndarray:
+    """Label every node by the smallest node id in its connected component
+    of the subgraph induced by the `keep` mask; a removed node keeps its
+    own id.
+
+    Each round hooks every root to its least neighbouring root over the
+    kept edges, then pointer-jumps every label to its root; it stops when
+    no kept edge joins two labels.  Labels only fall, so the root of a
+    component is its smallest id.
+    """
+    labels = np.arange(g.n, dtype=np.int64)
+    both = keep[g.edge_u] & keep[g.edge_v]
+    u, v = g.edge_u[both], g.edge_v[both]
+    while True:
+        lu, lv = labels[u], labels[v]
+        apart = lu != lv
+        if not apart.any():
+            return labels
+        u, v, lu, lv = u[apart], v[apart], lu[apart], lv[apart]
+        np.minimum.at(labels, np.maximum(lu, lv), np.minimum(lu, lv))
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
+
+
+def _lcc_of(g: LabeledGraph, keep: np.ndarray) -> np.ndarray:
     survivors = np.flatnonzero(keep)
-    return _lcc_of(g, survivors)
-
-
-def _lcc_of(g: LabeledGraph, survivors: np.ndarray) -> np.ndarray:
     if survivors.size == 0:
-        return survivors.astype(np.int64)
-    if survivors.size == g.n:
-        sub = g.csr()
-    else:
-        sub = g.csr()[survivors][:, survivors]
-    _, labels = csgraph.connected_components(sub, directed=False)
-    sizes = np.bincount(labels)
-    best_size = sizes.max()
-    # labels appear in survivor (= ascending id) order, so per-label first
-    # occurrence identifies the component with the smallest surviving id
-    candidates = np.flatnonzero(sizes == best_size)
-    firsts = np.full(sizes.shape[0], g.n, dtype=np.int64)
-    np.minimum.at(firsts, labels, np.arange(labels.shape[0]))
-    best = candidates[np.argmin(firsts[candidates])]
-    return survivors[labels == best].astype(np.int64)
+        return survivors
+    labels = _component_labels(g, keep)[survivors]
+    # a component's label is its smallest id, so argmax's first maximum
+    # is the largest component with the smallest surviving id
+    best = np.argmax(np.bincount(labels))
+    return survivors[labels == best]
 
 
 # ---- serialization ---------------------------------------------------------

@@ -1,5 +1,12 @@
 """Independent reference implementations used to check the library.
 
+``graph_from_edges`` builds a graph from edge tuples for the tests (it
+was ``LabeledGraph.from_edges``, which no library code used).  The scipy
+oracles are the calls the numpy CSR, component labeller and CCDF r²
+replaced: ``scipy_csr`` (``coo_matrix(...).tocsr()``),
+``scipy_component_labels`` (``csgraph.connected_components`` on the
+survivor submatrix) and ``linregress_r2``.
+
 The cascade oracles deliberately share no code with cascadelab.cascade:
 they compare infected-neighbor fractions directly and rescan until
 stable.  The exception is ``linear_security_threshold``: the scan with
@@ -27,6 +34,8 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy import stats
 from scipy.sparse import csgraph
 
 from cascadelab.cascade import (CommunityStrength, ThresholdAssignment,
@@ -39,6 +48,56 @@ from cascadelab.graph import (FORMAT_MAGIC, FORMAT_VERSION, EdgeTag,
 from cascadelab.seeding import rng_from
 from cascadelab.structure import (Community, DistanceStats,
                                   NavigationResult, sample_lcc_pairs)
+
+
+def graph_from_edges(n, edges, *, color=None, is_seed=None, birth_time=None):
+    """Build a graph from an iterable of (u, v) or (u, v, tag) tuples.
+
+    Metadata defaults: color 0 everywhere, no seeds, birth_time = id.
+    """
+    edges = list(edges)
+    if edges and len(edges[0]) == 3:
+        et = [int(e[2]) for e in edges]
+    else:
+        et = [int(EdgeTag.PLAIN)] * len(edges)
+    return LabeledGraph(
+        n,
+        np.zeros(n, dtype=np.int64) if color is None else color,
+        np.zeros(n, dtype=bool) if is_seed is None else is_seed,
+        np.arange(n, dtype=np.int64) if birth_time is None else birth_time,
+        np.asarray([e[0] for e in edges], dtype=np.int64),
+        np.asarray([e[1] for e in edges], dtype=np.int64),
+        np.asarray(et, dtype=np.uint8),
+    )
+
+
+# ---- scipy: the CSR build, component labelling and r² that numpy replaced ---
+
+
+def scipy_csr(g: LabeledGraph) -> sp.csr_matrix:
+    """Symmetric 0/1 adjacency matrix through scipy's COO-to-CSR path."""
+    row = np.concatenate([g.edge_u, g.edge_v])
+    col = np.concatenate([g.edge_v, g.edge_u])
+    data = np.ones(row.shape[0], dtype=np.int8)
+    a = sp.coo_matrix((data, (row, col)), shape=(g.n, g.n)).tocsr()
+    a.sort_indices()
+    return a
+
+
+def scipy_component_labels(g: LabeledGraph, keep: np.ndarray) -> np.ndarray:
+    """csgraph component labels of the kept nodes (in id order), on the
+    submatrix of the kept rows and columns."""
+    survivors = np.flatnonzero(keep)
+    if survivors.size == 0:
+        return survivors
+    _, labels = csgraph.connected_components(
+        scipy_csr(g)[survivors][:, survivors], directed=False)
+    return labels
+
+
+def linregress_r2(x, y) -> float:
+    """r² of scipy's least-squares line through (x, y)."""
+    return float(stats.linregress(x, y).rvalue ** 2)
 
 
 def rescan_infection(g, s, theta) -> set[int]:
@@ -305,7 +364,7 @@ def degree_profile(g: LabeledGraph, v: int) -> DegreeProfile:
 def _bfs_distance_rows(g: LabeledGraph, sources: np.ndarray) -> np.ndarray:
     """BFS distances from the given sources to all nodes (chunked)."""
     out = np.empty((sources.shape[0], g.n), dtype=np.float64)
-    a = g.csr()
+    a = scipy_csr(g)
     for lo in range(0, sources.shape[0], 64):
         chunk = sources[lo:lo + 64]
         out[lo:lo + chunk.shape[0]] = csgraph.dijkstra(
@@ -365,7 +424,7 @@ def dijkstra_community_diameters(g: LabeledGraph) -> dict[int, float]:
     Disconnected communities report math.inf.  Returned as a dict keyed
     by color.
     """
-    a = g.csr()
+    a = scipy_csr(g)
     out: dict[int, float] = {}
     for com in split_communities(g):
         if com.size == 1:
@@ -648,10 +707,10 @@ def loop_gen_er(n: int, d: int, master_seed: int = 0) -> LabeledGraph:
     if n > 1 and d >= n:
         raise ValueError(f"d={d} with n={n} gives edge probability above 1")
     if n == 1:
-        return LabeledGraph.from_edges(1, [])
+        return graph_from_edges(1, [])
     p = d / (n - 1)
     if p >= 1.0:
-        return LabeledGraph.from_edges(n, _complete_edges(n, EdgeTag.PLAIN))
+        return graph_from_edges(n, _complete_edges(n, EdgeTag.PLAIN))
     rng = rng_from(master_seed, "er", n, d)
     eu = array("q")
     ev = array("q")

@@ -4,21 +4,22 @@ import numpy as np
 import pytest
 
 import cascadelab as cl
-from cascadelab import (CommunityStrength, LabeledGraph, ThresholdAssignment,
+from cascadelab import (CommunityStrength, ThresholdAssignment,
                         classify_community, communities, count_vulnerable,
                         infection_set, injury_set, random_thresholds,
                         security_threshold, top_degree_nodes,
                         uniform_thresholds)
 
-from oracles import async_infection, random_attack, random_small_graph, rescan_infection
+from oracles import (async_infection, graph_from_edges, random_attack,
+                     random_small_graph, rescan_infection)
 
 
 def star_graph(leaves):
-    return LabeledGraph.from_edges(leaves + 1, [(0, i + 1) for i in range(leaves)])
+    return graph_from_edges(leaves + 1, [(0, i + 1) for i in range(leaves)])
 
 
 def path_graph(k):
-    return LabeledGraph.from_edges(k, [(i, i + 1) for i in range(k - 1)])
+    return graph_from_edges(k, [(i, i + 1) for i in range(k - 1)])
 
 
 # ---- threshold assignments -----------------------------------------------------
@@ -65,7 +66,7 @@ def test_random_thresholds_deterministic():
 
 def test_random_thresholds_degree_zero_uninfectable():
     # a degree-0 node gets phi 1.0 and, in no neighbor list, never falls
-    g = LabeledGraph.from_edges(3, [(0, 1)])
+    g = graph_from_edges(3, [(0, 1)])
     theta = random_thresholds(g, 5)
     assert theta.phi.tolist() == [1.0, 1.0, 1.0]
     assert infection_set(g, {0}, theta).infected.tolist() == [0, 1]
@@ -77,7 +78,7 @@ def test_random_thresholds_degree_four_frequencies():
     n = 10_000
     edges = [(i, (i + 1) % n) for i in range(n)] + \
             [(i, (i + 2) % n) for i in range(n)]
-    g = LabeledGraph.from_edges(n, edges)
+    g = graph_from_edges(n, edges)
     theta = random_thresholds(g, 99)
     values, counts = np.unique(theta.phi, return_counts=True)
     assert values.tolist() == [0.25, 0.5, 0.75, 1.0]
@@ -118,7 +119,7 @@ def test_phi_one_needs_every_neighbor():
 
 
 def test_attacked_degree_zero_node_stays_infected():
-    g = LabeledGraph.from_edges(3, [(0, 1)])
+    g = graph_from_edges(3, [(0, 1)])
     out = infection_set(g, {2}, random_thresholds(g, 1))
     assert out.infected.tolist() == [2]
 
@@ -194,7 +195,7 @@ def test_attack_out_of_range():
 # ---- injury_set -----------------------------------------------------------------
 
 def test_injury_cycle_minus_one():
-    g = LabeledGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    g = graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     assert injury_set(g, {0}).size == 0
 
 
@@ -311,7 +312,7 @@ def test_classify_requires_whole_color_class():
 
 def test_classify_isolated_community_always_strong():
     # no edge leaves X, so no thresholds can reach its seed
-    g = LabeledGraph.from_edges(
+    g = graph_from_edges(
         4, [(0, 1), (2, 3)],
         color=np.array([0, 0, 1, 1]),
         is_seed=np.array([True, False, True, False]))

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+from pathlib import Path
 
 import pytest
 
@@ -356,6 +357,43 @@ def test_parallel_matches_serial(tmp_path):
     assert serial.csv_text == parallel.csv_text
     assert ((tmp_path / "a" / "manifest.txt").read_bytes()
             == (tmp_path / "b" / "manifest.txt").read_bytes())
+
+
+def _files(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_failed_manifest_write_keeps_previous_manifest(tmp_path, monkeypatch,
+                                                       jobs):
+    cfg = tiny_cfg()
+    xp.run_experiment(cfg, out_dir=tmp_path / "clean", jobs=jobs)
+    out = tmp_path / "out"
+    real_write = Path.write_text
+    manifests = []
+
+    def fail_second_manifest(self, text, *args, **kwargs):
+        if self.name.startswith(".manifest.txt."):
+            manifests.append((out / "manifest.txt").read_bytes()
+                             if manifests else None)
+            if len(manifests) == 2:  # half written, then the disk fills up
+                real_write(self, text[:len(text) // 2], *args, **kwargs)
+                raise OSError("disk full")
+        return real_write(self, text, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", fail_second_manifest)
+    with pytest.raises(OSError, match="disk full"):
+        xp.run_experiment(cfg, out_dir=out, jobs=jobs)
+    monkeypatch.undo()
+
+    previous = manifests[1]
+    assert previous.count(b"\ncell ") == 1
+    assert (out / "manifest.txt").read_bytes() == previous
+    assert not [p for p in out.rglob("*") if p.name.endswith(".tmp")]
+    resumed = xp.run_experiment(cfg, out_dir=out, jobs=jobs)
+    assert resumed.ok and len(resumed.skipped) == 1
+    assert _files(out) == _files(tmp_path / "clean")
 
 
 def test_partial_failure_reported(tmp_path, monkeypatch):

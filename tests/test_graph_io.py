@@ -24,11 +24,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cascadelab import (EdgeTag, GraphFormatError, LabeledGraph,
-                        deserialize, serialize)
+from cascadelab import EdgeTag, GraphFormatError, deserialize, serialize
 from cascadelab import graph
 
-from oracles import per_line_deserialize, per_line_serialize, random_small_graph
+from oracles import (graph_from_edges, per_line_deserialize,
+                     per_line_serialize, random_small_graph)
 
 IO_SETTINGS = settings(max_examples=200, deadline=None)
 
@@ -50,7 +50,7 @@ def edge_graphs(draw, max_n=20):
     edges = sorted(edges)
     tags = draw(st.lists(st.sampled_from(list(EdgeTag)),
                          min_size=len(edges), max_size=len(edges)))
-    return LabeledGraph.from_edges(
+    return graph_from_edges(
         n, [(u, v, t) for (u, v), t in zip(edges, tags)],
         color=np.asarray(draw(st.lists(values, min_size=n, max_size=n)),
                          dtype=np.int64),

@@ -13,16 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cascadelab as cl
-from cascadelab import (Community, CommunityStrength, LabeledGraph,
-                        classify_community, communities, infection_set,
-                        injury_set, random_thresholds, security_threshold,
+from cascadelab import (Community, CommunityStrength, classify_community,
+                        communities, infection_set, injury_set,
+                        random_thresholds, security_threshold,
                         top_degree_nodes, uniform_thresholds)
 from cascadelab import cascade
 from cascadelab.cascade import (degree_order, prefix_infection_counts,
                                 prefix_injury_counts)
 
-from oracles import (linear_security_threshold, random_small_graph,
-                     sync_round_growth)
+from oracles import (graph_from_edges, linear_security_threshold,
+                     random_small_graph, sync_round_growth)
 
 SWEEP_SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -33,7 +33,7 @@ def edge_graphs(draw, max_n=20):
     pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     edges = {(min(u, v), max(u, v)) for u, v in draw(st.lists(pairs, max_size=3 * n))
              if u != v}
-    return LabeledGraph.from_edges(n, sorted(edges))
+    return graph_from_edges(n, sorted(edges))
 
 
 @st.composite
@@ -215,13 +215,13 @@ def test_security_threshold_at_every_grid_position():
 def test_next_prefix_node_already_infected():
     # attacking the hub of a star infects every leaf (phi = 1); the next
     # attack nodes are infected already and must not be counted twice
-    g = LabeledGraph.from_edges(5, [(0, i) for i in range(1, 5)])
+    g = graph_from_edges(5, [(0, i) for i in range(1, 5)])
     theta = uniform_thresholds(g, 1.0)
     assert prefix_infection_counts(g, [0, 3, 1], theta).tolist() == [5, 5, 5]
 
 
 def test_degree_zero_nodes_only_join_when_attacked():
-    g = LabeledGraph.from_edges(4, [(0, 1)])
+    g = graph_from_edges(4, [(0, 1)])
     theta = random_thresholds(g, 3)
     assert theta.phi[2] == theta.phi[3] == 1.0
     assert prefix_infection_counts(g, [0, 2, 3], theta).tolist() == [2, 3, 4]
@@ -245,7 +245,7 @@ BOUNDARY_PAIRS = [
 def test_fraction_exactly_at_phi_infects(phi, deg):
     # attacking k leaves of a star makes the hub's fraction exactly phi:
     # the hub falls and takes every leaf, and k - 1 leaves infect nothing
-    g = LabeledGraph.from_edges(deg + 1, [(0, i) for i in range(1, deg + 1)])
+    g = graph_from_edges(deg + 1, [(0, i) for i in range(1, deg + 1)])
     k = next(k for k in range(1, deg + 1) if k / deg >= phi)
     theta = uniform_thresholds(g, phi)
     order = list(range(1, k + 1))
@@ -261,9 +261,9 @@ def test_fraction_exactly_at_phi_infects(phi, deg):
 
 
 def test_threshold_assignment_must_match_graph_size():
-    g = LabeledGraph.from_edges(3, [(0, 1), (1, 2)], color=[0, 0, 0],
+    g = graph_from_edges(3, [(0, 1), (1, 2)], color=[0, 0, 0],
                                 is_seed=[1, 0, 0])
-    theta = uniform_thresholds(LabeledGraph.from_edges(2, [(0, 1)]), 0.5)
+    theta = uniform_thresholds(graph_from_edges(2, [(0, 1)]), 0.5)
     with pytest.raises(ValueError, match="does not match graph size"):
         infection_set(g, [0], theta)
     with pytest.raises(ValueError, match="does not match graph size"):
@@ -275,18 +275,18 @@ def test_threshold_assignment_must_match_graph_size():
 def test_injury_ties_between_equal_components():
     # two triangles joined through node 6: removing it leaves a tie
     edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 6), (3, 6)]
-    g = LabeledGraph.from_edges(7, edges)
+    g = graph_from_edges(7, edges)
     assert prefix_injury_counts(g, [6, 0]).tolist() == [3, 2]
     assert [injury_set(g, [6]).size, injury_set(g, [6, 0]).size] == [3, 2]
 
 
 def test_injury_whole_graph_removed():
-    g = LabeledGraph.from_edges(3, [(0, 1)])
+    g = graph_from_edges(3, [(0, 1)])
     assert prefix_injury_counts(g, [0, 2, 1]).tolist() == [1, 0, 0]
 
 
 def test_injury_order_must_not_repeat():
-    g = LabeledGraph.from_edges(3, [(0, 1)])
+    g = graph_from_edges(3, [(0, 1)])
     with pytest.raises(ValueError, match="repeats"):
         prefix_injury_counts(g, [1, 1])
 
@@ -296,7 +296,7 @@ def test_classify_infects_only_inside_the_community():
     # once, through the preloaded external counts.  Member 1 falls at
     # once, and node 2 would reach its own threshold from it; letting 2
     # "fall" again would push seed 0 over phi = 1/2 by double counting.
-    g = LabeledGraph.from_edges(
+    g = graph_from_edges(
         6, [(0, 2), (0, 4), (0, 5), (1, 2), (1, 3)],
         color=[0, 0, 1, 1, 0, 0], is_seed=[1, 0, 1, 0, 0, 0])
     x = Community(color=0, members=np.array([0, 1, 4, 5]), seed=0)

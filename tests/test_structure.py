@@ -12,13 +12,13 @@ from cascadelab.structure import degree_priority_summary
 
 from frozen_constants import (COND_C, COND_BETA, DIAM_C, DIST_C2, HEIGHT_C3,
                               SIZE_C1)
-from oracles import degree_profile
+from oracles import degree_profile, graph_from_edges
 
 
 def colored_graph(n, edges, colors, seeds):
     is_seed = np.zeros(n, dtype=bool)
     is_seed[list(seeds)] = True
-    return LabeledGraph.from_edges(n, edges, color=np.asarray(colors),
+    return graph_from_edges(n, edges, color=np.asarray(colors),
                                    is_seed=is_seed)
 
 
@@ -52,12 +52,12 @@ def test_two_seeds_one_color_rejected():
 # ---- conductance ---------------------------------------------------------------
 
 def test_conductance_cycle_pair():
-    g = LabeledGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    g = graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     assert conductance(g, {0, 1}) == pytest.approx(0.5)
 
 
 def test_conductance_complete_graph_single():
-    g = LabeledGraph.from_edges(4, [(i, j) for i in range(4)
+    g = graph_from_edges(4, [(i, j) for i in range(4)
                                     for j in range(i + 1, 4)])
     assert conductance(g, {0}) == pytest.approx(1.0)
 
@@ -74,7 +74,7 @@ def test_conductance_symmetry_and_range(security_mid):
 
 
 def test_conductance_validation():
-    g = LabeledGraph.from_edges(3, [(0, 1), (1, 2)])
+    g = graph_from_edges(3, [(0, 1), (1, 2)])
     with pytest.raises(ValueError):
         conductance(g, set())
     with pytest.raises(ValueError):
@@ -183,7 +183,7 @@ def test_powerlaw_pa_exponent_single_run():
 # ---- distances -------------------------------------------------------------------------
 
 def test_distance_stats_complete_graph():
-    g = LabeledGraph.from_edges(4, [(i, j) for i in range(4)
+    g = graph_from_edges(4, [(i, j) for i in range(4)
                                     for j in range(i + 1, 4)])
     st = distance_stats(g, 100)
     assert st.avg_distance == pytest.approx(1.0)
@@ -192,7 +192,7 @@ def test_distance_stats_complete_graph():
 
 
 def test_distance_stats_path_three():
-    g = LabeledGraph.from_edges(3, [(0, 1), (1, 2)])
+    g = graph_from_edges(3, [(0, 1), (1, 2)])
     st = distance_stats(g, 10)
     assert st.avg_distance == pytest.approx(4 / 3)
     assert st.est_diameter == 2
@@ -205,7 +205,7 @@ def test_distance_stats_deterministic(security_mid):
 
 
 def test_distance_stats_validation():
-    g = LabeledGraph.from_edges(2, [(0, 1)])
+    g = graph_from_edges(2, [(0, 1)])
     with pytest.raises(ValueError):
         distance_stats(g, 0)
 
@@ -271,7 +271,7 @@ def test_ptree_chain_height_and_birth_order():
     # initial seeds 0 and 1; later seeds 2, 3, 4 (colors 9, 7, 5) each hang
     # off the one born before; the seed link 0-4 is dropped
     tags = cl.EdgeTag
-    g = LabeledGraph.from_edges(
+    g = graph_from_edges(
         5, [(0, 1, tags.INITIAL), (0, 2, tags.PA_GLOBAL), (0, 4, tags.SEED_LINK),
             (2, 3, tags.PA_GLOBAL), (3, 4, tags.PA_GLOBAL)],
         color=[0, 1, 9, 7, 5], is_seed=[1, 1, 1, 1, 1])

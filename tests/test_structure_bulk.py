@@ -17,12 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cascadelab as cl
-from cascadelab import (LabeledGraph, community_diameters, count_vulnerable,
+from cascadelab import (community_diameters, count_vulnerable,
                         distance_stats, navigate, random_thresholds,
                         uniform_thresholds)
 from cascadelab.structure import pair_distances
 
 from oracles import (classify_loop_count_vulnerable, dict_navigate,
+                     graph_from_edges,
                      dijkstra_community_diameters, dijkstra_distance_stats,
                      dijkstra_pair_distances, split_communities)
 
@@ -32,7 +33,7 @@ BULK_SETTINGS = settings(max_examples=150, deadline=None)
 def colored_graph(n, edges, color, seeds):
     is_seed = np.zeros(n, dtype=bool)
     is_seed[list(seeds)] = True
-    return LabeledGraph.from_edges(n, sorted(edges),
+    return graph_from_edges(n, sorted(edges),
                                    color=np.asarray(color, dtype=np.int64),
                                    is_seed=is_seed)
 
@@ -119,7 +120,7 @@ def seeded_colorings(draw, max_n=30):
     else:
         is_seed = np.asarray(draw(st.lists(st.booleans(), min_size=n,
                                            max_size=n)), dtype=bool)
-    return LabeledGraph.from_edges(n, [], color=color, is_seed=is_seed)
+    return graph_from_edges(n, [], color=color, is_seed=is_seed)
 
 
 def community_rows(coms):
@@ -149,7 +150,7 @@ def test_communities_match_split(g):
 ], ids=["empty", "one-node", "singletons", "1e15-apart", "no-seed",
         "two-seeds"])
 def test_communities_fixed_cases(color, is_seed, expected):
-    g = LabeledGraph.from_edges(len(color), [],
+    g = graph_from_edges(len(color), [],
                                 color=np.asarray(color, dtype=np.int64),
                                 is_seed=np.asarray(is_seed, dtype=bool))
     if isinstance(expected, str):
@@ -304,7 +305,7 @@ def test_distance_sources_at_word_edges(sources):
 
 def test_distances_across_components():
     # two paths, 0-1-2-3 and 4-5, plus the isolated node 6
-    g = LabeledGraph.from_edges(7, [(0, 1), (1, 2), (2, 3), (4, 5)])
+    g = graph_from_edges(7, [(0, 1), (1, 2), (2, 3), (4, 5)])
     pair_u = np.asarray([0, 0, 0, 3, 4, 6, 6])
     pair_v = np.asarray([3, 4, 0, 0, 5, 6, 0])
     np.testing.assert_array_equal(pair_distances(g, pair_u, pair_v),
