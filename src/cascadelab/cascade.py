@@ -115,12 +115,9 @@ def _gather_neighbors(indptr, indices, frontier) -> np.ndarray:
     """All neighbors of the frontier nodes, concatenated (with repeats)."""
     starts = indptr[frontier]
     lens = indptr[frontier + 1] - starts
-    total = int(lens.sum())
-    if total == 0:
-        return np.empty(0, dtype=indices.dtype)
     cum = np.cumsum(lens)
     shift = np.repeat(starts - (cum - lens), lens)
-    return indices[np.arange(total, dtype=np.int64) + shift]
+    return indices[np.arange(shift.size, dtype=np.int64) + shift]
 
 
 def _propagate(indptr, indices, deg, phi, infected, cnt, frontier) -> list[int]:
@@ -134,16 +131,10 @@ def _propagate(indptr, indices, deg, phi, infected, cnt, frontier) -> list[int]:
     last counted them.  Returns the number of nodes newly infected in
     each round.
     """
-    n = infected.shape[0]
     growth = []
     while frontier.size:
         nbrs = _gather_neighbors(indptr, indices, frontier)
-        if nbrs.size == 0:
-            break
-        if nbrs.size >= n // 4:
-            cnt += np.bincount(nbrs, minlength=n)
-        else:
-            np.add.at(cnt, nbrs, 1)
+        np.add.at(cnt, nbrs, 1)
         hit = nbrs[(~infected[nbrs]) & (cnt[nbrs] / deg[nbrs] >= phi[nbrs])]
         if hit.size == 0:
             break
@@ -162,11 +153,10 @@ def infection_set(g: LabeledGraph, s, theta: ThresholdAssignment) -> CascadeOutc
     attack = _as_node_array(s, g.n)
     infected = np.zeros(g.n, dtype=bool)
     infected[attack] = True
-    growth = [int(attack.size)]
-    if attack.size:
-        indptr, indices = g.adjacency()
-        growth += _propagate(indptr, indices, g.degrees, _phi(g, theta),
-                             infected, np.zeros(g.n, dtype=np.int64), attack)
+    indptr, indices = g.adjacency()
+    growth = [int(attack.size)] + _propagate(
+        indptr, indices, g.degrees, _phi(g, theta), infected,
+        np.zeros(g.n, dtype=np.int64), attack)
     return CascadeOutcome(
         infected=np.flatnonzero(infected).astype(np.int64),
         rounds=len(growth) - 1,

@@ -24,8 +24,8 @@ import numpy as np
 from . import __version__
 from .cascade import (degree_order, infection_set, prefix_injury_counts,
                       random_thresholds, top_degree_nodes, uniform_thresholds)
-from .experiment import (ConfigError, config_from_values, fmt_number,
-                         parse_config_file, run_experiment)
+from .experiment import (ConfigError, _write_atomic, config_from_values,
+                         fmt_number, parse_config_file, run_experiment)
 from .generators import generate
 from .graph import load_graph, save_graph
 from .seeding import derive_trial_seed, rng_from
@@ -36,8 +36,7 @@ from .structure import (communities, community_conductances,
 
 
 def _write_csv(path, header: str, rows) -> None:
-    text = "\n".join([header, *rows]) + "\n"
-    Path(path).write_text(text, encoding="utf-8")
+    _write_atomic(Path(path), "\n".join([header, *rows]) + "\n")
 
 
 def _cmd_generate(args) -> int:
@@ -173,6 +172,8 @@ def _analyze_rows(g, args) -> tuple[str, list[str]]:
 
 
 def _cmd_analyze(args) -> int:
+    if args.pairs < 1:
+        raise ConfigError(f"--pairs must be at least 1, got {args.pairs}")
     g = load_graph(args.graph)
     header, rows = _analyze_rows(g, args)
     _write_csv(args.out, header, rows)

@@ -140,8 +140,7 @@ class ExperimentConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, tuple):
-                value = ",".join(fmt_number(v) if isinstance(v, float)
-                                 else str(v) for v in value)
+                value = ",".join(map(str, value))
             parts.append(f"{f.name}={value}")
         return "\n".join(parts) + "\n"
 
@@ -303,12 +302,14 @@ def _write_atomic(path: Path, text: str) -> None:
         tmp.unlink(missing_ok=True)
 
 
+def _manifest_head(cfg: ExperimentConfig) -> list[str]:
+    return ["cascadelab-manifest v1", f"version {__version__}",
+            f"config {config_hash(cfg)}"]
+
+
 def _write_manifest(out_dir: Path, cfg: ExperimentConfig,
                     done: set[str]) -> None:
-    lines = ["cascadelab-manifest v1",
-             f"version {__version__}",
-             f"config {config_hash(cfg)}"]
-    lines.extend(f"cell {c}" for c in sorted(done))
+    lines = _manifest_head(cfg) + [f"cell {c}" for c in sorted(done)]
     _write_atomic(out_dir / "manifest.txt", "\n".join(lines) + "\n")
 
 
@@ -317,11 +318,8 @@ def _read_manifest(out_dir: Path, cfg: ExperimentConfig) -> set[str]:
     if not path.exists():
         return set()
     lines = path.read_text(encoding="utf-8").splitlines()
-    if len(lines) < 3 or lines[0] != "cascadelab-manifest v1":
-        return set()
-    if (lines[1] != f"version {__version__}"
-            or lines[2] != f"config {config_hash(cfg)}"):
-        return set()  # another version or config: start over
+    if lines[:3] != _manifest_head(cfg):
+        return set()  # malformed, or another version or config: start over
     return {line.removeprefix("cell ").strip()
             for line in lines[3:] if line.startswith("cell ")}
 

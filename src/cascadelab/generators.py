@@ -149,8 +149,8 @@ def gen_security(n: int, d: int, a: float, master_seed: int = 0) -> LabeledGraph
     every initial node a seed with its own color.  At each step i >= d+1,
     with probability p_i = min(1, 1/(ln i)^a) the new node founds a new
     color as a seed: it gains one degree-proportional edge over all nodes
-    (PA_GLOBAL) and d-1 uniform links to distinct existing seeds
-    (SEED_LINK; all existing seeds when fewer than d-1 are eligible).
+    (PA_GLOBAL) and d-1 uniform links to distinct existing seeds other
+    than that target (SEED_LINK).
     Otherwise it adopts a uniformly random old color and gains
     min(d, class size) edges to distinct same-color nodes sampled
     proportionally to their global degree (HOMOPHYLY).
@@ -183,11 +183,9 @@ def gen_security(n: int, d: int, a: float, master_seed: int = 0) -> LabeledGraph
             # new seed with a fresh color; exclude the PA target if a seed
             target = ends[integers(len(ends))]
             rank = color[target] if seeds[color[target]] == target else len(seeds)
+            # K_{d+1} gives d+1 seeds, so at least d are eligible
             eligible = len(seeds) - (rank < len(seeds))
-            if eligible <= d - 1:
-                links = seeds[:rank] + seeds[rank + 1:]
-            else:
-                links = [seeds[j + (j >= rank)] for j in draw.choice(eligible, d - 1)]
+            links = [seeds[j + (j >= rank)] for j in draw.choice(eligible, d - 1)]
             for k, s in enumerate([target, *links]):
                 class_ends[color[s]].append(s)
                 ends.append(i)
@@ -195,7 +193,7 @@ def gen_security(n: int, d: int, a: float, master_seed: int = 0) -> LabeledGraph
                 tags.append(seed_link if k else pa_global)
             color.append(len(seeds))
             members.append(array("q", (i,)))
-            class_ends.append(array("q", (i,)) * (1 + len(links)))
+            class_ends.append(array("q", (i,)) * d)
             seeds.append(i)
         else:
             c = integers(len(members))

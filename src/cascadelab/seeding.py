@@ -38,8 +38,6 @@ def splitmix64(x: int) -> int:
 
 def _token64(token: int | str) -> int:
     """Reduce a context token to 64 bits (FNV-1a for strings)."""
-    if isinstance(token, bool):  # bool is an int subclass; be explicit
-        return int(token)
     if isinstance(token, int):
         return token & _MASK64
     if isinstance(token, str):

@@ -494,16 +494,12 @@ def infection_priority_tree(g: LabeledGraph) -> PriorityTree:
     a, b = vu[cross], vv[cross]
     child = np.where(births[a] > births[b], a, b)
     parent = np.where(births[a] > births[b], b, a)
-    if child.size:
-        edge_arr = np.unique(np.stack([child, parent], axis=1), axis=0)
-    else:
-        edge_arr = np.empty((0, 2), dtype=np.int64)
+    edge_arr = np.unique(np.stack([child, parent], axis=1), axis=0)
     edge_set = [(c, p) for c, p in edge_arr.tolist()]
 
     violations: list[str] = []
     n_vertices = births.shape[0]
-    out_deg = np.bincount(edge_arr[:, 0], minlength=n_vertices) \
-        if edge_arr.size else np.zeros(n_vertices, dtype=np.int64)
+    out_deg = np.bincount(edge_arr[:, 0], minlength=n_vertices)
     if out_deg[0] != 0:
         violations.append("root has an outgoing edge")
     for v in range(1, n_vertices):
@@ -513,7 +509,6 @@ def infection_priority_tree(g: LabeledGraph) -> PriorityTree:
         elif out_deg[v] > 1:
             violations.append(
                 f"community {vertex_colors[v]} has {out_deg[v]} parents")
-    is_tree = not violations and len(edge_set) == n_vertices - 1
 
     # longest directed path; edges always point to earlier births and the
     # vertices are numbered in birth order, so one pass over the edges
@@ -526,7 +521,7 @@ def infection_priority_tree(g: LabeledGraph) -> PriorityTree:
         vertex_colors=vertex_colors,
         vertex_births=tuple(births.tolist()),
         edges=tuple(edge_set),
-        is_tree=bool(is_tree),
+        is_tree=not violations,
         height=max(depth),
         violations=tuple(violations),
     )
@@ -601,10 +596,8 @@ def _bfs_path(indptr, indices, start: int,
 
 def _bidirectional_bfs(indptr, indices, start: int,
                        goal: int) -> tuple[list[int] | None, int]:
-    """Bidirectional BFS over CSR rows; returns (shortest path, nodes
-    expanded)."""
-    if start == goal:
-        return [start], 1
+    """Bidirectional BFS over CSR rows between two distinct nodes; returns
+    (shortest path, nodes expanded)."""
     orig_start = start
     parent_f = {start: start}
     parent_b = {goal: goal}
@@ -658,28 +651,22 @@ def navigate(g: LabeledGraph, u: int, v: int, hop_budget: int) -> NavigationResu
         return NavigationResult(path=(u,), hops=0, visited=1)
     intra = intra_color_adjacency(g)
     lay = _community_layout(g)
-    visited = 0
     if g.color[u] == g.color[v]:
-        path, expanded = _bfs_path(*intra, u, v)
+        legs = [(_bfs_path, intra, u, v)]
+    else:
+        seed_u, seed_v = int(lay.seeds[lay.index[u]]), int(lay.seeds[lay.index[v]])
+        legs = [(_bfs_path, intra, u, seed_u),
+                (_bidirectional_bfs, _seed_adjacency(g), seed_u, seed_v),
+                (_bfs_path, intra, seed_v, v)]
+    path, visited = [u], 0
+    for search, csr, start, goal in legs:
+        leg, expanded = search(*csr, start, goal)
         visited += expanded
-        if path is None or len(path) - 1 > hop_budget:
-            return NavigationResult(path=None, hops=-1, visited=visited)
-        return NavigationResult(path=tuple(path), hops=len(path) - 1,
-                                visited=visited)
-    seed_u, seed_v = int(lay.seeds[lay.index[u]]), int(lay.seeds[lay.index[v]])
-    up, expanded = _bfs_path(*intra, u, seed_u)
-    visited += expanded
-    if up is None:
-        return NavigationResult(path=None, hops=-1, visited=visited)
-    mid, expanded = _bidirectional_bfs(*_seed_adjacency(g), seed_u, seed_v)
-    visited += expanded
-    if mid is None:
-        return NavigationResult(path=None, hops=-1, visited=visited)
-    down, expanded = _bfs_path(*intra, seed_v, v)
-    visited += expanded
-    if down is None:
-        return NavigationResult(path=None, hops=-1, visited=visited)
-    path = up + mid[1:] + down[1:]
-    if len(path) - 1 > hop_budget:
-        return NavigationResult(path=None, hops=-1, visited=visited)
-    return NavigationResult(path=tuple(path), hops=len(path) - 1, visited=visited)
+        if leg is None:
+            break
+        path += leg[1:]
+    else:
+        if len(path) - 1 <= hop_budget:
+            return NavigationResult(path=tuple(path), hops=len(path) - 1,
+                                    visited=visited)
+    return NavigationResult(path=None, hops=-1, visited=visited)

@@ -288,6 +288,24 @@ def test_classify_requires_homochromatic():
         classify_community(g, broken, theta)
 
 
+@pytest.mark.parametrize("case, message", [
+    ("empty", "community has no members"),
+    ("seed-outside", "community seed is not a member"),
+    ("seed-unflagged", "is not flagged as a seed"),
+])
+def test_classify_rejects_bad_community(case, message):
+    # colors 0 = {0 (seed), 1, 2} and 1 = {3 (seed), 4}
+    g = graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)],
+                         color=np.array([0, 0, 0, 1, 1]),
+                         is_seed=np.array([1, 0, 0, 1, 0], dtype=bool))
+    members, seed = {"empty": ([], 0), "seed-outside": ([0, 1, 2], 3),
+                     "seed-unflagged": ([0, 1, 2], 1)}[case]
+    x = cl.Community(color=0, members=np.array(members, dtype=np.int64),
+                     seed=seed)
+    with pytest.raises(ValueError, match=message):
+        classify_community(g, x, uniform_thresholds(g, 0.5))
+
+
 def test_classify_requires_whole_color_class():
     g = cl.gen_security(200, 3, 1.5, master_seed=2)
     theta = uniform_thresholds(g, 0.5)

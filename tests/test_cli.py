@@ -1,4 +1,5 @@
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -150,6 +151,39 @@ def test_injure_k_below_one_exits_2(security_file, tmp_path, capsys, k):
                    "--out", out) == 2
     assert "--k must be at least 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("report", ["navigate", "distances"])
+@pytest.mark.parametrize("pairs", [0, -3])
+def test_analyze_pairs_below_one_checked_before_graph(tmp_path, capsys,
+                                                      report, pairs):
+    out = tmp_path / "a.csv"
+    assert run_cli("analyze", "--graph", tmp_path / "missing.graph",
+                   "--report", report, "--pairs", pairs, "--out", out) == 2
+    assert "--pairs must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_failed_csv_write_keeps_previous_csv(security_file, tmp_path,
+                                             monkeypatch, capsys):
+    out = tmp_path / "report.csv"
+    assert run_cli("analyze", "--graph", security_file, "--report",
+                   "communities", "--out", out) == 0
+    previous = out.read_bytes()
+    real_write = Path.write_text
+
+    def half_then_fail(self, text, *args, **kwargs):
+        real_write(self, text[:len(text) // 2], *args, **kwargs)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", half_then_fail)
+    assert run_cli("analyze", "--graph", security_file, "--report",
+                   "conductance", "--out", out) == 2
+    monkeypatch.undo()
+    assert "disk full" in capsys.readouterr().err
+    assert out.read_bytes() == previous
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.csv",
+                                                          "sec.graph"]
 
 
 def test_injure_sweep(security_file, tmp_path):

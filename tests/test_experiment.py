@@ -58,6 +58,24 @@ def test_validation_errors():
         tiny_cfg(models=("security",), a=1.0)
 
 
+@pytest.mark.parametrize("over, message", [
+    (dict(experiment="fig4"), "unknown experiment 'fig4'"),
+    (dict(models=()), "models must not be empty"),
+    (dict(n_list=()), "n_list must not be empty"),
+    (dict(d=0), "d must be at least 1"),
+    (dict(models=("security",), d=1), r"security model requires d >= 2"),
+    (dict(phi_grid=()), "phi_grid must not be empty"),
+    (dict(phi_grid=(0.0, 0.5)), r"phi_grid values must lie in \(0, 1\]"),
+    (dict(phi_grid=(0.5, 1.5)), r"phi_grid values must lie in \(0, 1\]"),
+    (dict(phi_grid=(float("nan"),)), r"phi_grid values must lie in \(0, 1\]"),
+    (dict(graphs_per_cell=0), "graphs_per_cell must be at least 1"),
+], ids=["experiment", "models", "n_list", "d", "security-d", "grid-empty",
+        "grid-zero", "grid-above-one", "grid-nan", "graphs"])
+def test_config_rejections(over, message):
+    with pytest.raises(ConfigError, match=message):
+        tiny_cfg(**over)
+
+
 def test_repeated_model_rejected():
     with pytest.raises(ConfigError, match="models"):
         tiny_cfg(models=("er", "pa", "er"))
@@ -107,6 +125,33 @@ def test_config_file_repeated_key(tmp_path):
                     encoding="utf-8")
     with pytest.raises(ConfigError, match=r"exp\.cfg:4: 'master_seed'.*line 2"):
         xp.parse_config_file(path)
+
+
+def test_config_values_bad_value_and_shorthand():
+    with pytest.raises(ConfigError, match="bad value for 'd'"):
+        xp.config_from_values({"experiment": "fig2", "d": "ten"})
+    with pytest.raises(ConfigError, match="bad value for 'phi_grid'"):
+        xp.config_from_values({"experiment": "fig3", "phi_grid": "0.1,x"})
+    cfg = xp.config_from_values({"experiment": "1", "n_list": "300"})
+    assert cfg == xp.default_config("fig1", n_list=(300,))
+
+
+def test_config_hash_tells_grids_apart_past_six_decimals(tmp_path):
+    cfg = xp.default_config("fig3", models=("pa",), n_list=(300,),
+                            phi_grid=(0.05, 0.1, 0.2))
+    near = xp.default_config("fig3", models=("pa",), n_list=(300,),
+                             phi_grid=(0.05, 0.1, 0.2000001))
+    assert xp.config_hash(cfg) != xp.config_hash(near)
+    xp.run_experiment(cfg, out_dir=tmp_path)
+    rerun = xp.run_experiment(near, out_dir=tmp_path)
+    assert rerun.skipped == () and rerun.computed == ("fig3_pa_n300",)
+
+
+def test_default_grid_canonical_text_is_stable():
+    # the manifest's config hash, and so its bytes, rest on this text
+    text = xp.default_config("fig3").canonical_text()
+    grid = ",".join(xp.fmt_number(i / 100) for i in range(1, 51))
+    assert f"\nphi_grid={grid}\n" in text
 
 
 def test_config_requires_experiment():
@@ -347,6 +392,23 @@ def test_resume_invalidated_by_version_change(tmp_path):
     assert rerun.ok and rerun.skipped == ()
     assert set(rerun.computed) == {"fig2_er_n60", "fig2_er_n120",
                                    "fig2_pa_n60", "fig2_pa_n120"}
+    assert rerun.csv_text == first.csv_text
+
+
+@pytest.mark.parametrize("lines", [
+    ["cascadelab-manifest v1", f"version {xp.__version__}"],
+    [],
+    ["cascadelab-manifest v0", f"version {xp.__version__}", "{config}",
+     "cell fig2_er_n60"],
+], ids=["two-lines", "empty", "wrong-magic"])
+def test_malformed_manifest_starts_over(tmp_path, lines):
+    cfg = tiny_cfg()
+    first = xp.run_experiment(cfg, out_dir=tmp_path)
+    text = "\n".join(lines).format(config=f"config {xp.config_hash(cfg)}")
+    (tmp_path / "manifest.txt").write_text(text, encoding="utf-8")
+    rerun = xp.run_experiment(cfg, out_dir=tmp_path)
+    assert rerun.ok and rerun.skipped == ()
+    assert len(rerun.computed) == 4
     assert rerun.csv_text == first.csv_text
 
 

@@ -69,6 +69,33 @@ def test_rejects_out_of_range_endpoint():
         graph_from_edges(3, [(0, 3)])
 
 
+def _columns(**over):
+    """The constructor arguments of a 3-node path, with some replaced."""
+    cols = dict(n=3, color=[0, 0, 0], is_seed=[0, 0, 0], birth_time=[0, 1, 2],
+                edge_u=[0, 1], edge_v=[1, 2], edge_tag=[4, 4])
+    cols.update(over)
+    return cols
+
+
+@pytest.mark.parametrize("over, message", [
+    (dict(n=-1, color=[], is_seed=[], birth_time=[], edge_u=[], edge_v=[],
+          edge_tag=[]), "node count must be non-negative"),
+    (dict(color=[0, 0]), "color must have length n=3"),
+    (dict(is_seed=[0, 0, 0, 0]), "is_seed must have length n=3"),
+    (dict(birth_time=[0]), "birth_time must have length n=3"),
+    (dict(edge_v=[1]), "edge arrays must have equal length"),
+    (dict(edge_tag=[4]), "edge arrays must have equal length"),
+    (dict(edge_tag=[4, len(EdgeTag)]), "unknown edge tag"),
+    (dict(color=[0, -1, 0]), "colors must be non-negative"),
+    (dict(birth_time=[0, -1, 2]), "birth times must be non-negative"),
+], ids=["n", "color", "is_seed", "birth_time", "edge_v", "edge_tag",
+        "tag-value", "color-value", "birth-value"])
+def test_constructor_rejections(over, message):
+    with pytest.raises(ValueError, match=message):
+        LabeledGraph(**_columns(**over))
+    LabeledGraph(**_columns())  # the unchanged columns are accepted
+
+
 # ---- largest connected component ----------------------------------------------
 
 def test_lcc_cycle_minus_one_node():

@@ -272,6 +272,15 @@ def test_threshold_assignment_must_match_graph_size():
         cl.count_vulnerable(g, theta)
 
 
+@pytest.mark.parametrize("order", [[3], [-1], [0, 5]])
+def test_prefix_sweeps_reject_out_of_range_order(order):
+    g = graph_from_edges(3, [(0, 1), (1, 2)])
+    with pytest.raises(IndexError, match="attack order"):
+        prefix_infection_counts(g, order, uniform_thresholds(g, 0.5))
+    with pytest.raises(IndexError, match="removal order"):
+        prefix_injury_counts(g, order)
+
+
 def test_injury_ties_between_equal_components():
     # two triangles joined through node 6: removing it leaves a tie
     edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 6), (3, 6)]

@@ -12,7 +12,7 @@ from cascadelab.structure import degree_priority_summary
 
 from frozen_constants import (COND_C, COND_BETA, DIAM_C, DIST_C2, HEIGHT_C3,
                               SIZE_C1)
-from oracles import degree_profile, graph_from_edges
+from oracles import degree_profile, dict_navigate, graph_from_edges
 
 
 def colored_graph(n, edges, colors, seeds):
@@ -79,6 +79,10 @@ def test_conductance_validation():
         conductance(g, set())
     with pytest.raises(ValueError):
         conductance(g, {0, 1, 2})
+    with pytest.raises(IndexError, match="out of range"):
+        conductance(g, {0, 3})
+    with pytest.raises(IndexError, match="out of range"):
+        conductance(g, {-1})
 
 
 def test_community_conductances_match_pointwise():
@@ -282,6 +286,46 @@ def test_ptree_chain_height_and_birth_order():
     assert t.is_tree and t.height == 3
 
 
+def test_ptree_root_with_outgoing_edge():
+    # later seed 0 (color 5) is born at time 0, like the root, and has the
+    # smaller id, so its edge to the root points away from the root
+    tags = cl.EdgeTag
+    g = graph_from_edges(
+        3, [(0, 1, tags.PA_GLOBAL), (1, 2, tags.INITIAL)],
+        color=[5, 0, 1], is_seed=[1, 1, 1])
+    t = infection_priority_tree(g)
+    assert t.vertex_colors == (None, 5) and t.vertex_births == (0, 0)
+    assert t.edges == ((0, 1),)
+    assert not t.is_tree
+    assert t.violations == ("root has an outgoing edge",
+                            "community 5 has no parent (unreachable)")
+
+
+def test_ptree_community_without_parent():
+    # seed 2's only edge is a seed link, which the tree drops
+    tags = cl.EdgeTag
+    g = graph_from_edges(
+        3, [(0, 1, tags.INITIAL), (0, 2, tags.SEED_LINK)],
+        color=[0, 1, 2], is_seed=[1, 1, 1])
+    t = infection_priority_tree(g)
+    assert t.edges == ()
+    assert not t.is_tree and t.height == 0
+    assert t.violations == ("community 2 has no parent (unreachable)",)
+
+
+def test_ptree_community_with_two_parents():
+    # community 3 links to the root and to the earlier community 2
+    tags = cl.EdgeTag
+    g = graph_from_edges(
+        4, [(0, 1, tags.INITIAL), (0, 2, tags.PA_GLOBAL),
+            (0, 3, tags.PA_GLOBAL), (2, 3, tags.HOMOPHYLY)],
+        color=[0, 1, 2, 3], is_seed=[1, 1, 1, 1])
+    t = infection_priority_tree(g)
+    assert t.edges == ((1, 0), (2, 0), (2, 1))
+    assert not t.is_tree and t.height == 2
+    assert t.violations == ("community 3 has 2 parents",)
+
+
 def test_ptree_rejects_plain_graph():
     g = cl.gen_er(20, 3, master_seed=0)
     with pytest.raises(ValueError, match="provenance"):
@@ -340,6 +384,37 @@ def test_navigate_budget_fail():
         res = navigate(g, u, v, 1)  # cross-community needs > 1 hop
         failed += not res.succeeded
     assert failed > 0
+
+
+def _navigation_graph():
+    # color 0: seed 0, path 0-1-2, member 7 cut off from the seed
+    # color 1: seed 3, edge 3-4, member 8 cut off from the seed
+    # color 2: seed 5, edge 5-6; seed 5 has no seed-seed edge
+    # seeds 0 and 3 are linked; 7-4 and 8-6 cross colors
+    is_seed = np.zeros(9, dtype=bool)
+    is_seed[[0, 3, 5]] = True
+    return graph_from_edges(
+        9, [(0, 1), (0, 3), (1, 2), (3, 4), (4, 7), (5, 6), (6, 8)],
+        color=np.array([0, 0, 0, 1, 1, 2, 2, 0, 1]), is_seed=is_seed)
+
+
+@pytest.mark.parametrize("u, v, budget, path", [
+    (1, 2, 5, (1, 2)),              # same community
+    (2, 0, 1, None),                # same community, over budget
+    (7, 1, 5, None),                # same community, disconnected
+    (2, 4, 4, (2, 1, 0, 3, 4)),     # climb, cross, descend
+    (2, 4, 3, None),                # all three legs found, over budget
+    (7, 4, 10, None),               # the climb fails
+    (1, 6, 10, None),               # the crossing fails
+    (1, 8, 10, None),               # the descent fails
+    (0, 3, 1, (0, 3)),              # seed to seed
+])
+def test_navigate_each_leg_and_budget(u, v, budget, path):
+    g = _navigation_graph()
+    res = navigate(g, u, v, budget)
+    assert res.path == path
+    assert res.hops == (-1 if path is None else len(path) - 1)
+    assert res == dict_navigate(g, u, v, budget)
 
 
 def test_navigate_rejects_uncolored():
