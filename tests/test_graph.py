@@ -215,6 +215,11 @@ GOLDEN_SHA256_MORE = {
         "c0ffbb59e353b61aa14596fef14b743b0c931b023aa52f3c76b48aa46bd0dfc2",
     ("er", 2000, 5, None, 2):
         "e2457c691a0b30ac6403111ae0f1e598354d71042d38e5bb07f7601b71f75e2f",
+    # about 29 and 116 Lemire rejections: the per-draw rejection path runs
+    ("pa", 100_000, 5, None, 1):
+        "b8e40556392c54ea5998faba2a0006b176397563b3c27f6800dc544db557006e",
+    ("pa", 100_000, 10, None, 2):
+        "35661ec28cb110bc8360e83280ea638d38861bd4e8309f0a964d8a3a5a584233",
 }
 
 
