@@ -10,12 +10,17 @@ Degree-proportional sampling draws a uniform endpoint: each edge adds its
 two endpoints, u then v, to an endpoint buffer, so global endpoint k is
 endpoint ``k & 1`` of edge ``k >> 1`` in creation order and a node appears
 once per incident edge.  The PA and security generators keep that buffer
-as their edge list (``array('q')``, with no second copy), and the security
-model keeps one more buffer per color class, holding the same endpoints
-restricted to the class (a node's multiplicity there equals its global
-degree).  Their draws come from :class:`cascadelab.seeding._Replay`, which
-gives exactly numpy's values without a numpy call per draw; ER draws its
-Batagelj–Brandes skips in chunks.
+as their edge list, with no second copy, and the security model keeps one
+more buffer per color class, holding the same endpoints restricted to the
+class (a node's multiplicity there equals its global degree).  Their draws
+come from :class:`cascadelab.seeding._Replay`, which gives exactly numpy's
+values without a numpy call per draw; ER draws its Batagelj–Brandes skips
+in chunks.
+
+PA runs blocks of steps at once (Batagelj & Brandes, PRE 71, 036113, 2005)
+with the values of one draw at a time: each draw is a 32-bit half, step t
+draws below d(2t - d - 1) endpoints, and a block keeps the steps before the
+first with a Lemire rejection or a repeated target, which then draws alone.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from array import array
 import numpy as np
 
 from .graph import EdgeTag, LabeledGraph
-from .seeding import _Replay, rng_from
+from .seeding import _MASK32, _Replay, rng_from
 
 _ER_CHUNK = 1 << 14  # skips per draw; larger chunks raised peak RSS, not speed
 
@@ -127,19 +132,46 @@ def gen_pa(n: int, d: int, master_seed: int = 0) -> LabeledGraph:
 
     Each new node attaches d edges to distinct existing nodes sampled with
     probability proportional to their degree in the previous graph.  Single
-    color 0, no seeds, edges tagged PLAIN.
+    color 0, no seeds, edges tagged PLAIN.  Steps run in blocks (see the
+    module notes).  Raises ValueError when 2m > 2**32, past 32-bit draws.
     """
     if d < 1:
         raise ValueError("d must be at least 1")
     if n < d + 1:
         raise ValueError("n must be at least d + 1")
-    integers = _Replay(rng_from(master_seed, "pa", n, d)).integers
-    ends = _initial_ends(d)
-    for t in range(d + 1, n):
-        for u in _draw_distinct(integers, ends, d):
-            ends.append(u)
-            ends.append(t)
+    if d * (2 * n - d - 1) > 1 << 32:
+        raise ValueError(f"gen_pa needs 2m <= 2**32; n={n}, d={d} gives {d * (2 * n - d - 1)}")
+    draw = _Replay(rng_from(master_seed, "pa", n, d))
+    ends = np.empty(d * (2 * n - d - 1), dtype=np.int64)
+    ends[:d * (d + 1)] = _initial_ends(d)
+    t, size = d + 1, 64
+    while t < n:
+        b = min(size, n - t)
+        t += (done := _pa_block(draw, ends, t, d, b)) + (done < b)  # and the step that redrew
+        size = 2 * size if done == b else max(1, size // 2)
     return _plain_graph(n, *_edges(ends))
+
+
+def _pa_block(draw: _Replay, ends: np.ndarray, t: int, d: int, b: int) -> int:
+    """Write up to b PA steps from t to ``ends``; return how many precede one that redrew."""
+    h = draw.halves(b * d)
+    start, stop = d * (2 * t - d - 1), d * (2 * (t + b) - d - 1)  # endpoints before t, t+b
+    high = np.arange(start, stop, 2 * d, dtype=np.uint64).repeat(d)
+    rejected = ((h * high & _MASK32) < (1 << 32) % high).reshape(b, d).any(axis=1)
+    pos = (h * high >> 32).astype(np.int64)
+    # past start, odd slots hold new nodes and even ones earlier draws: re-read to a fixed point
+    ends[start + 1:stop:2] = np.arange(t, t + b).repeat(d)
+    value, last = ends[pos], None
+    while not np.array_equal(value, last):
+        ends[start:stop:2] = last = value
+        value = ends[pos]
+    bad = rejected | (np.diff(np.sort(value.reshape(b, d))) == 0).any(axis=1)
+    done = int(bad.argmax()) if bad.any() else b
+    draw.skip(done * d)
+    if done < b:  # that step draws alone; its new node is written above
+        start += 2 * d * done
+        ends[start:start + 2 * d:2] = _draw_distinct(draw.integers, ends[:start], d)
+    return done
 
 
 def gen_security(n: int, d: int, a: float, master_seed: int = 0) -> LabeledGraph:

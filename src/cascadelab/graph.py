@@ -84,12 +84,11 @@ class LabeledGraph:
         swap = u > v
         if swap.any():
             u, v = np.where(swap, v, u), np.where(swap, u, v)
-        # canonical edge order (u, v) ascending, deterministic for equal graphs;
-        # the sort is stable, so edges already in order (generator output,
-        # parsed files) skip it and keep their arrays
+        # canonical edge order (u, v) ascending; sorted input keeps its arrays.  Distinct
+        # keys u*n + v (n <= 3e9, as in csr) sort one way, so any sort kind gives it
         du = np.diff(u)
         if ((du < 0) | ((du == 0) & (np.diff(v) < 0))).any():
-            order = np.lexsort((v, u))
+            order = np.argsort(u * self.n + v)
             u, v, tag = u[order], v[order], tag[order]
         self.edge_u = u
         self.edge_v = v

@@ -16,6 +16,7 @@ numpy call per draw.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from operator import length_hint
 
 import numpy as np
 
@@ -74,11 +75,7 @@ def rng_from(master_seed: int, *tokens: int | str) -> np.random.Generator:
 
 _MASK32 = (1 << 32) - 1
 _WORDS_PER_FETCH = 1 << 14
-
-
-def _raw_words(bit_generator: np.random.BitGenerator) -> Iterator[int]:
-    while True:
-        yield from bit_generator.random_raw(_WORDS_PER_FETCH).tolist()
+_WORDS_PER_PIECE = 1 << 10  # words turned into Python ints at a time
 
 
 class _Replay:
@@ -95,11 +92,26 @@ class _Replay:
       shuffle of the tail of ``range(pop)`` instead.
     """
 
-    __slots__ = ("_next64", "_half")
+    __slots__ = ("_bits", "_buf", "_at", "_piece", "_next64", "_half")
 
     def __init__(self, rng: np.random.Generator):
-        self._next64 = _raw_words(rng.bit_generator).__next__
+        self._bits = rng.bit_generator
+        self._buf, self._at = np.empty(0, dtype=np.uint64), 0  # raw words, next one
+        self._piece: Iterator[int] = iter(())  # words the scalar draws take next
+        self._next64 = self._words().__next__
         self._half = -1  # pending high half of a split word, or -1
+
+    def _ahead(self, count: int) -> np.ndarray:  # the next count words past the pieces
+        if self._at + count > len(self._buf):
+            fetched = self._bits.random_raw(max(count, _WORDS_PER_FETCH))
+            self._buf, self._at = np.concatenate([self._buf[self._at:], fetched]), 0
+        return self._buf[self._at:self._at + count]
+
+    def _words(self) -> Iterator[int]:
+        while True:
+            self._piece = iter(self._ahead(_WORDS_PER_PIECE).tolist())
+            self._at += _WORDS_PER_PIECE
+            yield from self._piece
 
     def random(self) -> float:
         return (self._next64() >> 11) * (1.0 / (1 << 53))
@@ -112,6 +124,23 @@ class _Replay:
         word = self._next64()
         self._half = word >> 32
         return word & _MASK32
+
+    def halves(self, k: int) -> np.ndarray:
+        """The next k 32-bit draws as uint64 (the pending half, then each
+        word's low and high half), which only ``skip`` takes."""
+        self._at -= length_hint(self._piece)  # the scalar draws restart at _at
+        self._piece, self._next64 = iter(()), self._words().__next__
+        lead = [] if self._half < 0 else [self._half]
+        words = self._ahead((k - len(lead) + 1) // 2)
+        return np.concatenate([np.array(lead, dtype=np.uint64),
+                               np.column_stack([words & _MASK32, words >> 32]).ravel()])[:k]
+
+    def skip(self, k: int) -> None:
+        """Take the first k draws that ``halves`` just showed."""
+        k -= self._half >= 0  # -1: the pending half stays
+        if k >= 0:
+            self._at += (k + 1) // 2
+            self._half = int(self._buf[self._at - 1] >> 32) if k % 2 else -1
 
     def integers(self, high: int) -> int:
         """Like ``rng.integers(0, high)``."""

@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cascadelab import (EdgeTag, GraphFormatError, LabeledGraph, deserialize,
                         gen_security, generate, largest_connected_component,
@@ -62,6 +64,41 @@ def test_rejects_self_loop():
 def test_rejects_duplicate_edge():
     with pytest.raises(ValueError, match="duplicate"):
         graph_from_edges(3, [(0, 1), (1, 0)])
+
+
+@st.composite
+def edge_lists(draw):
+    """Distinct pairs u != v in either orientation, each with a tag, and
+    sometimes one pair listed twice."""
+    n = draw(st.integers(2, 40))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                          .filter(lambda e: e[0] != e[1]),
+                          unique_by=lambda e: (min(e), max(e)), max_size=120))
+    if pairs and draw(st.booleans()):
+        pairs.insert(draw(st.integers(0, len(pairs))), draw(st.sampled_from(pairs))[::-1])
+    tags = draw(st.lists(st.integers(0, len(EdgeTag) - 1), min_size=len(pairs),
+                         max_size=len(pairs)))
+    return n, pairs, tags
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_lists())
+def test_canonical_edge_order_is_lexsort_order(case):
+    n, pairs, tags = case
+    u, v = (np.array([e[i] for e in pairs], dtype=np.int64) for i in (0, 1))
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    order = np.lexsort((hi, lo))
+    dup = (np.diff(lo[order]) == 0) & (np.diff(hi[order]) == 0)
+    args = (n, np.zeros(n), np.zeros(n, bool), np.arange(n), u, v, np.array(tags))
+    if dup.any():
+        i = order[np.flatnonzero(dup)[0]]
+        with pytest.raises(ValueError, match=rf"duplicate edge \({lo[i]}, {hi[i]}\)"):
+            LabeledGraph(*args)
+        return
+    g = LabeledGraph(*args)
+    assert np.array_equal(g.edge_u, lo[order])
+    assert np.array_equal(g.edge_v, hi[order])
+    assert np.array_equal(g.edge_tag, np.array(tags, dtype=np.uint8)[order])
 
 
 def test_rejects_out_of_range_endpoint():
@@ -215,7 +252,7 @@ GOLDEN_SHA256_MORE = {
         "c0ffbb59e353b61aa14596fef14b743b0c931b023aa52f3c76b48aa46bd0dfc2",
     ("er", 2000, 5, None, 2):
         "e2457c691a0b30ac6403111ae0f1e598354d71042d38e5bb07f7601b71f75e2f",
-    # about 29 and 116 Lemire rejections: the per-draw rejection path runs
+    # 29 and 125 Lemire rejections: the per-draw rejection path runs
     ("pa", 100_000, 5, None, 1):
         "b8e40556392c54ea5998faba2a0006b176397563b3c27f6800dc544db557006e",
     ("pa", 100_000, 10, None, 2):

@@ -7,13 +7,17 @@ write the same bytes as the per-draw loops they replaced
 (``oracles.loop_gen_*``).
 """
 
+from array import array
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cascadelab import gen_er, gen_pa, gen_security, serialize
-from cascadelab.generators import _triangular_pairs
+from cascadelab import gen_er, gen_pa, gen_security, generators, serialize
+from cascadelab.generators import (_draw_distinct, _initial_ends, _pa_block,
+                                   _triangular_pairs)
 from cascadelab.seeding import _Replay
 
 from oracles import loop_gen_er, loop_gen_pa, loop_gen_security
@@ -33,6 +37,9 @@ calls = st.one_of(
         st.just("choice"), st.just(pop), st.integers(pop // 50 - 3, pop // 50 + 3))),
     st.integers(1, 300).flatmap(lambda pop: st.tuples(
         st.just("choice"), st.just(pop), st.integers(0, pop))),
+    # show k halves, take j of them
+    st.integers(0, 3000).flatmap(lambda k: st.tuples(
+        st.just("halves"), st.just(k), st.integers(0, k))),
 )
 
 
@@ -41,6 +48,8 @@ def numpy_call(rng, call):
         return rng.random()
     if call[0] == "integers":
         return int(rng.integers(0, call[1]))
+    if call[0] == "halves":
+        return rng.integers(0, 2**32, size=call[2]).tolist()
     return rng.choice(call[1], call[2], replace=False).tolist()
 
 
@@ -49,6 +58,11 @@ def replay_call(draw, call):
         return draw.random()
     if call[0] == "integers":
         return draw.integers(call[1])
+    if call[0] == "halves":
+        shown = draw.halves(call[1])
+        draw.skip(call[2])
+        assert np.array_equal(draw.halves(call[1] - call[2]), shown[call[2]:])
+        return shown[:call[2]].tolist()
     return draw.choice(call[1], call[2])
 
 
@@ -125,3 +139,183 @@ def test_triangular_pairs_past_float_precision():
     w, row = _triangular_pairs(t)
     assert ((0 <= w) & (w < row)).all()
     assert np.array_equal(row * (row - 1) // 2 + w, t)
+
+
+# ---- gen_pa's block pass ----------------------------------------------------------
+
+
+class _Given:
+    """A bit generator whose first raw words are given; PCG64's follow."""
+
+    def __init__(self, words):
+        self.words = np.array(words, dtype=np.uint64)
+        self.rest = np.random.PCG64(0)
+
+    def random_raw(self, size):
+        head, self.words = self.words[:size], self.words[size:]
+        return np.concatenate([head, self.rest.random_raw(size - len(head))])
+
+
+def given_halves(halves):
+    """An rng stand-in whose 32-bit draws start with ``halves``."""
+    h = np.array(list(halves) + [7] * (len(halves) % 2), dtype=np.uint64)
+    return SimpleNamespace(bit_generator=_Given(h[0::2] | h[1::2] << 32))
+
+
+class _Counted(_Replay):
+    __slots__ = ("taken",)
+
+    def __init__(self, rng):
+        super().__init__(rng)
+        self.taken = 0
+
+    def _next32(self):
+        self.taken += 1
+        return super()._next32()
+
+
+def stepwise_pa(draw, ends, t, stop, d):
+    """PA steps t..stop-1 on ``ends`` one ``_Replay.integers`` draw at a time;
+    the halves each step took."""
+    taken = []
+    for step in range(t, stop):
+        before = draw.taken
+        for u in _draw_distinct(draw.integers, ends, d):
+            ends.append(u)
+            ends.append(step)
+        taken.append(draw.taken - before)
+    return taken
+
+
+def ends_before(d, t):
+    """A real PA endpoint buffer up to step t."""
+    ends = _initial_ends(d)
+    stepwise_pa(_Counted(np.random.default_rng(d)), ends, d + 1, t, d)
+    return ends
+
+
+def half_for(pos, high):
+    """The half whose draw below high is pos, far from Lemire's rejection."""
+    h = ((2 * pos + 1) << 31) // high
+    assert (h * high) >> 32 == pos and (h * high) & (2**32 - 1) >= high
+    return h
+
+
+D, T, B = 3, 50, 6  # a block of 6 steps from step 50 draws below 288 + 6j
+START = D * (2 * T - D - 1)
+
+
+def distinct_targets(j):
+    """Halves for step T + j drawing the new nodes of steps 3j+4, 3j+5, 3j+6
+    (their odd slots), which no other step of the block draws."""
+    return [half_for(D * (D + 1) + 2 * D * (j * D + i) + 1, START + 2 * D * j)
+            for i in range(D)]
+
+
+@pytest.mark.parametrize("case", ["clean", "first draw rejected", "last draw rejected",
+                                  "repeat", "rejection then repeat", "inside"])
+def test_block_pass_matches_stepwise_draws(case):
+    steps = [distinct_targets(j) for j in range(B)]
+    if case == "first draw rejected":  # 2**32 % 288 = 160: a zero half is rejected
+        steps[0][0] = 0
+    elif case == "last draw rejected":
+        steps[-1][-1] = 0
+    elif case == "repeat":
+        steps[2][2] = steps[2][1]
+    elif case == "rejection then repeat":
+        steps[3] = [0, steps[3][0], steps[3][0], *steps[3][1:]]
+    elif case == "inside":
+        # step 4 draws step 1's first target (an even slot, two hops on) and
+        # step 2's node (an odd slot); step 5 draws step 4's first target
+        steps[1][0] = half_for(START, START + 2 * D)
+        steps[4][:2] = [half_for(START + 2 * D, START + 8 * D),
+                        half_for(START + 4 * D + 1, START + 8 * D)]
+        steps[5][0] = half_for(START + 8 * D, START + 10 * D)
+    halves = [h for step in steps for h in step]
+    prefix = ends_before(D, T)
+    draw = _Replay(given_halves(halves))
+    ends = np.empty(D * (2 * (T + B) - D - 1), dtype=np.int64)
+    ends[:START] = prefix
+    done = _pa_block(draw, ends, T, D, B)
+    assert done == {"clean": B, "first draw rejected": 0, "last draw rejected": B - 1,
+                    "repeat": 2, "rejection then repeat": 3, "inside": B}[case]
+    # the steps before the first that redraws take d halves each, and the
+    # block leaves the stream where the stepwise draws leave it
+    written = done + (done < B)
+    expected, stepwise = array("q", prefix), _Counted(given_halves(halves))
+    taken = stepwise_pa(stepwise, expected, T, T + written, D)
+    assert [k == D for k in taken] == [True] * done + [False] * (written - done)
+    assert np.array_equal(ends[:START + 2 * D * written], expected)
+    assert np.array_equal(draw.halves(9), stepwise.halves(9))
+
+
+def test_gen_pa_on_given_halves(monkeypatch):
+    # the first block (64 steps from step 4) stops at once, the next (32
+    # steps) at its last step, and the next (16) at once, on a step whose
+    # retried draw repeats the step's first target
+    d, n = 3, 200
+    first = [0, 1, 3]  # slots of nodes 0, 1, 2 in K_4's endpoints
+
+    def plan(t):
+        targets = first
+        if t in (4, 37):
+            targets = ["reject", *first]
+        if t == 36:
+            targets = [1, 3, "reject", 0]
+        if t == 37:
+            targets = ["reject", 0, 0, 1, 3]
+        high = d * (2 * t - d - 1)
+        return [0 if p == "reject" else half_for(p, high) for p in targets]
+
+    halves = [h for t in range(d + 1, n) for h in plan(t)]
+    blocks = []
+
+    def record(draw, ends, t, d, b):
+        blocks.append((t, b, _pa_block(draw, ends, t, d, b)))
+        return blocks[-1][2]
+
+    monkeypatch.setattr(generators, "rng_from", lambda *_: given_halves(halves))
+    monkeypatch.setattr(generators, "_pa_block", record)
+    g = gen_pa(n, d)
+    expected = _initial_ends(d)
+    taken = stepwise_pa(_Counted(given_halves(halves)), expected, d + 1, n, d)
+    assert [t for t, k in enumerate(taken, d + 1) if k > d] == [4, 36, 37]
+    assert blocks[:3] == [(4, 64, 0), (5, 32, 31), (37, 16, 0)]
+    edges = np.frombuffer(expected, dtype=np.int64).reshape(-1, 2)
+    order = np.lexsort((edges[:, 1], edges[:, 0]))
+    assert np.array_equal(g.edge_u, edges[order, 0])
+    assert np.array_equal(g.edge_v, edges[order, 1])
+
+
+# n = d+1 draws nothing and n = d+2 one step; d = 1 never repeats a target;
+# d near 100 repeats on most early steps
+@pytest.mark.parametrize("n,d,seed", [(2, 1, 1), (3, 1, 2), (6, 5, 3), (7, 5, 4),
+                                      (41, 40, 5), (42, 40, 6), (100, 99, 7),
+                                      (101, 99, 8), (5_000, 1, 9), (500, 40, 10),
+                                      (300, 64, 11), (500, 99, 12)])
+def test_gen_pa_block_edges(n, d, seed):
+    assert serialize(gen_pa(n, d, seed)) == serialize(loop_gen_pa(n, d, seed))
+
+
+def test_gen_pa_flags_first_and_last_steps_of_blocks(monkeypatch):
+    stops = set()
+
+    def record(draw, ends, t, d, b):
+        done = _pa_block(draw, ends, t, d, b)
+        stops.add(("first" if done == 0 else "last" if done == b - 1
+                   else "inside" if done < b else "none") if b > 1 else "one")
+        return done
+
+    monkeypatch.setattr(generators, "_pa_block", record)
+    for seed in range(3):
+        assert serialize(gen_pa(3_000, 4, seed)) == serialize(loop_gen_pa(3_000, 4, seed))
+    assert stops >= {"first", "last", "inside", "none", "one"}
+
+
+def test_gen_pa_rejects_more_than_2_to_32_endpoints():
+    # 2m = d(2n - d - 1): one past the limit at d = 1, and far past it, both
+    # refused before any array is allocated
+    with pytest.raises(ValueError, match=r"2m <= 2\*\*32"):
+        gen_pa(2**31 + 2, 1)
+    with pytest.raises(ValueError, match=r"2m <= 2\*\*32"):
+        gen_pa(10**15, 10)
