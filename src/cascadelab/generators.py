@@ -18,9 +18,9 @@ values without a numpy call per draw; ER draws its Batagelj–Brandes skips
 in chunks.
 
 PA runs blocks of steps at once (Batagelj & Brandes, PRE 71, 036113, 2005)
-with the values of one draw at a time: each draw is a 32-bit half, step t
-draws below d(2t - d - 1) endpoints, and a block keeps the steps before the
-first with a Lemire rejection or a repeated target, which then draws alone.
+with the values of one draw at a time: step t draws 32-bit halves below
+d(2t - d - 1) endpoints (2m <= 2**32), and a block keeps the steps before
+the first with a Lemire rejection or a repeated target; that one draws alone.
 """
 
 from __future__ import annotations
@@ -132,8 +132,7 @@ def gen_pa(n: int, d: int, master_seed: int = 0) -> LabeledGraph:
 
     Each new node attaches d edges to distinct existing nodes sampled with
     probability proportional to their degree in the previous graph.  Single
-    color 0, no seeds, edges tagged PLAIN.  Steps run in blocks (see the
-    module notes).  Raises ValueError when 2m > 2**32, past 32-bit draws.
+    color 0, no seeds, edges tagged PLAIN.  Steps run in blocks (module notes).
     """
     if d < 1:
         raise ValueError("d must be at least 1")

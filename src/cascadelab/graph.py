@@ -84,8 +84,7 @@ class LabeledGraph:
         swap = u > v
         if swap.any():
             u, v = np.where(swap, v, u), np.where(swap, u, v)
-        # canonical edge order (u, v) ascending; sorted input keeps its arrays.  Distinct
-        # keys u*n + v (n <= 3e9, as in csr) sort one way, so any sort kind gives it
+        # canonical edge order (u, v) ascending: distinct keys u*n + v (n <= 3e9) sort one way
         du = np.diff(u)
         if ((du < 0) | ((du == 0) & (np.diff(v) < 0))).any():
             order = np.argsort(u * self.n + v)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from operator import length_hint
+from weakref import proxy
 
 import numpy as np
 
@@ -78,6 +79,13 @@ _WORDS_PER_FETCH = 1 << 14
 _WORDS_PER_PIECE = 1 << 10  # words turned into Python ints at a time
 
 
+def _words(replay: _Replay) -> Iterator[int]:  # a weak proxy: no cycle keeps a replay alive
+    while True:
+        replay._piece = iter(replay._ahead(_WORDS_PER_PIECE).tolist())
+        replay._at += _WORDS_PER_PIECE
+        yield from replay._piece
+
+
 class _Replay:
     """The draws of numpy ``Generator(PCG64)`` ``rng``, replayed from its raw
     64-bit words, value for value, provided ``rng`` draws nothing itself:
@@ -92,13 +100,13 @@ class _Replay:
       shuffle of the tail of ``range(pop)`` instead.
     """
 
-    __slots__ = ("_bits", "_buf", "_at", "_piece", "_next64", "_half")
+    __slots__ = ("_bits", "_buf", "_at", "_piece", "_next64", "_half", "__weakref__")
 
     def __init__(self, rng: np.random.Generator):
         self._bits = rng.bit_generator
         self._buf, self._at = np.empty(0, dtype=np.uint64), 0  # raw words, next one
         self._piece: Iterator[int] = iter(())  # words the scalar draws take next
-        self._next64 = self._words().__next__
+        self._next64 = _words(proxy(self)).__next__
         self._half = -1  # pending high half of a split word, or -1
 
     def _ahead(self, count: int) -> np.ndarray:  # the next count words past the pieces
@@ -106,12 +114,6 @@ class _Replay:
             fetched = self._bits.random_raw(max(count, _WORDS_PER_FETCH))
             self._buf, self._at = np.concatenate([self._buf[self._at:], fetched]), 0
         return self._buf[self._at:self._at + count]
-
-    def _words(self) -> Iterator[int]:
-        while True:
-            self._piece = iter(self._ahead(_WORDS_PER_PIECE).tolist())
-            self._at += _WORDS_PER_PIECE
-            yield from self._piece
 
     def random(self) -> float:
         return (self._next64() >> 11) * (1.0 / (1 << 53))
@@ -129,7 +131,7 @@ class _Replay:
         """The next k 32-bit draws as uint64 (the pending half, then each
         word's low and high half), which only ``skip`` takes."""
         self._at -= length_hint(self._piece)  # the scalar draws restart at _at
-        self._piece, self._next64 = iter(()), self._words().__next__
+        self._piece, self._next64 = iter(()), _words(proxy(self)).__next__
         lead = [] if self._half < 0 else [self._half]
         words = self._ahead((k - len(lead) + 1) // 2)
         return np.concatenate([np.array(lead, dtype=np.uint64),
