@@ -216,7 +216,7 @@ def distinct_targets(j):
                                   "repeat", "rejection then repeat", "inside"])
 def test_block_pass_matches_stepwise_draws(case):
     steps = [distinct_targets(j) for j in range(B)]
-    if case == "first draw rejected":  # 2**32 % 288 = 160: a zero half is rejected
+    if case == "first draw rejected":  # 2**32 % 288 = 256: a zero half is rejected
         steps[0][0] = 0
     elif case == "last draw rejected":
         steps[-1][-1] = 0
@@ -257,13 +257,8 @@ def test_gen_pa_on_given_halves(monkeypatch):
     first = [0, 1, 3]  # slots of nodes 0, 1, 2 in K_4's endpoints
 
     def plan(t):
-        targets = first
-        if t in (4, 37):
-            targets = ["reject", *first]
-        if t == 36:
-            targets = [1, 3, "reject", 0]
-        if t == 37:
-            targets = ["reject", 0, 0, 1, 3]
+        targets = {4: ["reject", *first], 36: [1, 3, "reject", 0],
+                   37: ["reject", 0, 0, 1, 3]}.get(t, first)
         high = d * (2 * t - d - 1)
         return [0 if p == "reject" else half_for(p, high) for p in targets]
 
