@@ -132,7 +132,7 @@ def gen_pa(n: int, d: int, master_seed: int = 0) -> LabeledGraph:
 
     Each new node attaches d edges to distinct existing nodes sampled with
     probability proportional to their degree in the previous graph.  Single
-    color 0, no seeds, edges tagged PLAIN.  Steps run in blocks (module notes).
+    color 0, no seeds, edges tagged PLAIN.  Blocks of steps give the stepwise draws (module notes).
     """
     if d < 1:
         raise ValueError("d must be at least 1")
