@@ -12,15 +12,17 @@ endpoint ``k & 1`` of edge ``k >> 1`` in creation order and a node appears
 once per incident edge.  The PA and security generators keep that buffer
 as their edge list, with no second copy, and the security model keeps one
 more buffer per color class, holding the same endpoints restricted to the
-class (a node's multiplicity there equals its global degree).  Their draws
-come from :class:`cascadelab.seeding._Replay`, which gives exactly numpy's
-values without a numpy call per draw; ER draws its Batagelj–Brandes skips
-in chunks.
+class (a node's multiplicity there equals its global degree).  The security
+model draws from :class:`cascadelab.seeding._Replay`, which gives exactly
+numpy's values without a numpy call per draw; ER draws its Batagelj–Brandes
+skips in chunks.
 
 PA runs blocks of steps at once (Batagelj & Brandes, PRE 71, 036113, 2005)
-with the values of one draw at a time: step t draws 32-bit halves below
-d(2t - d - 1) endpoints (2m <= 2**32), and a block keeps the steps before
-the first with a Lemire rejection or a repeated target; that one draws alone.
+with numpy's values: each draw of step t is a 32-bit Lemire draw below its
+d(2t - d - 1) endpoints (2m <= 2**32), so PA's whole stream is one flat
+array of 32-bit halves, each raw word's low half first.  A block keeps the
+steps before the first with a rejected draw or a repeated target; that one
+reads the array one half at a time.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from array import array
 import numpy as np
 
 from .graph import EdgeTag, LabeledGraph
-from .seeding import _MASK32, _Replay, rng_from
+from .seeding import _MASK32, _WORDS_PER_FETCH, _Replay, rng_from
 
 _ER_CHUNK = 1 << 14  # skips per draw; larger chunks raised peak RSS, not speed
 
@@ -140,20 +142,42 @@ def gen_pa(n: int, d: int, master_seed: int = 0) -> LabeledGraph:
         raise ValueError("n must be at least d + 1")
     if d * (2 * n - d - 1) > 1 << 32:
         raise ValueError(f"gen_pa needs 2m <= 2**32; n={n}, d={d} gives {d * (2 * n - d - 1)}")
-    draw = _Replay(rng_from(master_seed, "pa", n, d))
+    bits = rng_from(master_seed, "pa", n, d).bit_generator
     ends = np.empty(d * (2 * n - d - 1), dtype=np.int64)
     ends[:d * (d + 1)] = _initial_ends(d)
+    h, at = np.empty(0, dtype=np.uint32), 0  # the 32-bit draws fetched, the next one
     t, size = d + 1, 64
     while t < n:
         b = min(size, n - t)
-        t += (done := _pa_block(draw, ends, t, d, b)) + (done < b)  # and the step that redrew
+        if at + b * d > len(h):
+            h, at = _halves(bits, h[at:], b * d), 0
+        t += (done := _pa_block(h[at:at + b * d], ends, t, d, b))
+        at += done * d
         size = 2 * size if done == b else max(1, size // 2)
+        if done < b:  # step t redraws: Lemire's test, then repeats dropped
+            start, picked = d * (2 * t - d - 1), []
+            threshold = (1 << 32) % start
+            while len(picked) < d:
+                if at == len(h):
+                    h, at = _halves(bits, h[at:], 1), 0
+                m, at = int(h[at]) * start, at + 1
+                if m & _MASK32 >= threshold and (u := int(ends[m >> 32])) not in picked:
+                    picked.append(u)
+            ends[start:start + 2 * d:2] = picked  # _pa_block wrote its new node
+            t += 1
     return _plain_graph(n, *_edges(ends))
 
 
-def _pa_block(draw: _Replay, ends: np.ndarray, t: int, d: int, b: int) -> int:
-    """Write up to b PA steps from t to ``ends``; return how many precede one that redrew."""
-    h = draw.halves(b * d)
+def _halves(bits: np.random.BitGenerator, rest: np.ndarray, k: int) -> np.ndarray:
+    """rest, then the next 32-bit draws of ``bits``, at least k in all: each
+    raw word's low half, then its high half, on any byte order."""
+    words = bits.random_raw(max(_WORDS_PER_FETCH, (k - len(rest) + 1) // 2))
+    return np.concatenate([rest, words.astype("<u8").view("<u4")])
+
+
+def _pa_block(h: np.ndarray, ends: np.ndarray, t: int, d: int, b: int) -> int:
+    """Write b PA steps from t to ``ends`` from their b·d halves h; return how
+    many precede the first that redraws, whose new node is written too."""
     start, stop = d * (2 * t - d - 1), d * (2 * (t + b) - d - 1)  # endpoints before t, t+b
     high = np.arange(start, stop, 2 * d, dtype=np.uint64).repeat(d)
     rejected = ((h * high & _MASK32) < (1 << 32) % high).reshape(b, d).any(axis=1)
@@ -165,12 +189,7 @@ def _pa_block(draw: _Replay, ends: np.ndarray, t: int, d: int, b: int) -> int:
         ends[start:stop:2] = last = value
         value = ends[pos]
     bad = rejected | (np.diff(np.sort(value.reshape(b, d))) == 0).any(axis=1)
-    done = int(bad.argmax()) if bad.any() else b
-    draw.skip(done * d)
-    if done < b:  # that step draws alone; its new node is written above
-        start += 2 * d * done
-        ends[start:start + 2 * d:2] = _draw_distinct(draw.integers, ends[:start], d)
-    return done
+    return int(bad.argmax()) if bad.any() else b
 
 
 def gen_security(n: int, d: int, a: float, master_seed: int = 0) -> LabeledGraph:
@@ -193,6 +212,9 @@ def gen_security(n: int, d: int, a: float, master_seed: int = 0) -> LabeledGraph
         raise ValueError("security model requires d >= 2")
     if n < d + 1:
         raise ValueError("n must be at least d + 1")
+    if d * (2 * n - d - 1) > 1 << 32:  # each step adds at most d edges
+        raise ValueError(f"gen_security needs 2m <= 2**32; n={n}, d={d} gives "
+                         f"{d * (2 * n - d - 1)}")
     if not a > 1:
         raise ValueError("homophyly exponent a must exceed 1")
     draw = _Replay(rng_from(master_seed, "security", n, d, float(a).hex()))

@@ -8,16 +8,14 @@ are first reduced to 64 bits with FNV-1a.  Distinct token sequences give
 independent, reproducible streams, so trials can run in any order or in
 parallel without changing results.
 
-The generators draw through :class:`_Replay`: numpy's own values, computed
-in plain Python from raw words fetched in bulk, so a per-edge loop makes no
-numpy call per draw.
+The security generator draws through :class:`_Replay`: numpy's own
+values, computed in plain Python from raw words fetched in bulk, so a
+per-edge loop makes no numpy call per draw.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from operator import length_hint
-from weakref import proxy
 
 import numpy as np
 
@@ -76,14 +74,11 @@ def rng_from(master_seed: int, *tokens: int | str) -> np.random.Generator:
 
 _MASK32 = (1 << 32) - 1
 _WORDS_PER_FETCH = 1 << 14
-_WORDS_PER_PIECE = 1 << 10  # words turned into Python ints at a time
 
 
-def _words(replay: _Replay) -> Iterator[int]:  # a weak proxy: no cycle keeps a replay alive
+def _raw_words(bit_generator: np.random.BitGenerator) -> Iterator[int]:
     while True:
-        replay._piece = iter(replay._ahead(_WORDS_PER_PIECE).tolist())
-        replay._at += _WORDS_PER_PIECE
-        yield from replay._piece
+        yield from bit_generator.random_raw(_WORDS_PER_FETCH).tolist()
 
 
 class _Replay:
@@ -91,29 +86,20 @@ class _Replay:
     64-bit words, value for value, provided ``rng`` draws nothing itself:
 
     * ``random()`` is ``(word >> 11) * 2**-53``;
-    * ``integers(0, high)`` draws nothing for ``high == 1`` and otherwise
-      runs Lemire's multiply-and-reject on 32-bit halves up to 2**32, on
-      words above.  A split word gives its low half first; the high half
-      waits for the next 32-bit draw, while whole-word draws pass it by;
+    * ``integers(0, high)``, for high up to 2**32, draws nothing for
+      ``high == 1`` and otherwise runs Lemire's multiply-and-reject on
+      32-bit halves.  A split word gives its low half first; the high half
+      waits for the next 32-bit draw, while ``random()`` passes it by;
     * ``choice(pop, size, replace=False)`` is Floyd's algorithm, then a
       shuffle of the picks; for pop > 10000 and size > pop // 50 it is a
       shuffle of the tail of ``range(pop)`` instead.
     """
 
-    __slots__ = ("_bits", "_buf", "_at", "_piece", "_next64", "_half", "__weakref__")
+    __slots__ = ("_next64", "_half")
 
     def __init__(self, rng: np.random.Generator):
-        self._bits = rng.bit_generator
-        self._buf, self._at = np.empty(0, dtype=np.uint64), 0  # raw words, next one
-        self._piece: Iterator[int] = iter(())  # words the scalar draws take next
-        self._next64 = _words(proxy(self)).__next__
+        self._next64 = _raw_words(rng.bit_generator).__next__
         self._half = -1  # pending high half of a split word, or -1
-
-    def _ahead(self, count: int) -> np.ndarray:  # the next count words past the pieces
-        if self._at + count > len(self._buf):
-            fetched = self._bits.random_raw(max(count, _WORDS_PER_FETCH))
-            self._buf, self._at = np.concatenate([self._buf[self._at:], fetched]), 0
-        return self._buf[self._at:self._at + count]
 
     def random(self) -> float:
         return (self._next64() >> 11) * (1.0 / (1 << 53))
@@ -127,40 +113,16 @@ class _Replay:
         self._half = word >> 32
         return word & _MASK32
 
-    def halves(self, k: int) -> np.ndarray:
-        """The next k 32-bit draws as uint64 (the pending half, then each
-        word's low and high half), which only ``skip`` takes."""
-        self._at -= length_hint(self._piece)  # the scalar draws restart at _at
-        self._piece, self._next64 = iter(()), _words(proxy(self)).__next__
-        lead = [] if self._half < 0 else [self._half]
-        words = self._ahead((k - len(lead) + 1) // 2)
-        return np.concatenate([np.array(lead, dtype=np.uint64),
-                               np.column_stack([words & _MASK32, words >> 32]).ravel()])[:k]
-
-    def skip(self, k: int) -> None:
-        """Take the first k draws that ``halves`` just showed."""
-        k -= self._half >= 0  # -1: the pending half stays
-        if k >= 0:
-            self._at += (k + 1) // 2
-            self._half = int(self._buf[self._at - 1] >> 32) if k % 2 else -1
-
     def integers(self, high: int) -> int:
-        """Like ``rng.integers(0, high)``."""
-        if high <= 1 << 32:  # at 2**32 this takes one half as it is
-            if high == 1:
-                return 0
-            m = self._next32() * high
-            if m & _MASK32 < high:
-                threshold = (1 << 32) % high
-                while m & _MASK32 < threshold:
-                    m = self._next32() * high
-            return m >> 32
-        m = self._next64() * high
-        if m & _MASK64 < high:
-            threshold = (1 << 64) % high
-            while m & _MASK64 < threshold:
-                m = self._next64() * high
-        return m >> 64
+        """Like ``rng.integers(0, high)`` for high <= 2**32."""
+        if high == 1:
+            return 0
+        m = self._next32() * high  # at 2**32 this takes one half as it is
+        if m & _MASK32 < high:
+            threshold = (1 << 32) % high
+            while m & _MASK32 < threshold:
+                m = self._next32() * high
+        return m >> 32
 
     def choice(self, pop: int, size: int) -> list[int]:
         """Like ``rng.choice(pop, size, replace=False).tolist()``."""

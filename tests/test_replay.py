@@ -1,10 +1,10 @@
 """The replayed RNG stream and the generators that draw from it.
 
 ``seeding._Replay`` must give exactly numpy ``Generator(PCG64)``'s values
-for ``random()``, ``integers(0, high)`` and ``choice(pop, size,
-replace=False)`` in any interleaving, and the generators built on it must
-write the same bytes as the per-draw loops they replaced
-(``oracles.loop_gen_*``).
+for ``random()``, ``integers(0, high)`` (high <= 2**32) and ``choice(pop,
+size, replace=False)`` in any interleaving, ``generators._halves`` must give
+its 32-bit draws in order, and the generators built on them must write the
+same bytes as the per-draw loops they replaced (``oracles.loop_gen_*``).
 """
 
 from array import array
@@ -16,30 +16,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cascadelab import gen_er, gen_pa, gen_security, generators, serialize
-from cascadelab.generators import (_draw_distinct, _initial_ends, _pa_block,
+from cascadelab.generators import (_draw_distinct, _halves, _initial_ends, _pa_block,
                                    _triangular_pairs)
 from cascadelab.seeding import _Replay
 
 from oracles import loop_gen_er, loop_gen_pa, loop_gen_security
 
-# 2**31 + 1 rejects almost half of all 32-bit draws; 2**32 - 1 is the last
-# Lemire bound on halves, 2**32 takes a half as is, 2**40 takes whole words,
-# and 2**64 // 3 + 1 rejects about a third of them
-BOUNDS = [1, 2, 3, 2**31 + 1, 2**32 - 1, 2**32, 2**40, 2**64 // 3 + 1]
+# 2**31 + 1 rejects almost half of all 32-bit draws, 2**32 - 1 is the last
+# Lemire bound on halves, and 2**32 takes a half as is
+BOUNDS = [1, 2, 3, 2**31 + 1, 2**32 - 1, 2**32]
 
 # pop 10001..12000 with size near pop // 50 runs both choice branches
 # (Floyd's algorithm up to pop // 50, the tail shuffle above it)
 calls = st.one_of(
     st.just(("random",)),
     st.tuples(st.just("integers"),
-              st.one_of(st.sampled_from(BOUNDS), st.integers(1, 2**63 - 1))),
+              st.one_of(st.sampled_from(BOUNDS), st.integers(1, 2**32))),
     st.integers(10_001, 12_000).flatmap(lambda pop: st.tuples(
         st.just("choice"), st.just(pop), st.integers(pop // 50 - 3, pop // 50 + 3))),
     st.integers(1, 300).flatmap(lambda pop: st.tuples(
         st.just("choice"), st.just(pop), st.integers(0, pop))),
-    # show k halves, take j of them
-    st.integers(0, 3000).flatmap(lambda k: st.tuples(
-        st.just("halves"), st.just(k), st.integers(0, k))),
 )
 
 
@@ -48,8 +44,6 @@ def numpy_call(rng, call):
         return rng.random()
     if call[0] == "integers":
         return int(rng.integers(0, call[1]))
-    if call[0] == "halves":
-        return rng.integers(0, 2**32, size=call[2]).tolist()
     return rng.choice(call[1], call[2], replace=False).tolist()
 
 
@@ -58,11 +52,6 @@ def replay_call(draw, call):
         return draw.random()
     if call[0] == "integers":
         return draw.integers(call[1])
-    if call[0] == "halves":
-        shown = draw.halves(call[1])
-        draw.skip(call[2])
-        assert np.array_equal(draw.halves(call[1] - call[2]), shown[call[2]:])
-        return shown[:call[2]].tolist()
     return draw.choice(call[1], call[2])
 
 
@@ -83,6 +72,21 @@ def test_replay_long_runs_of_one_bound(high):
     expected = rng.integers(0, high, size=40_000).tolist()
     assert [draw.integers(high) for _ in range(40_000)] == expected
     assert draw.random() == rng.random()
+
+
+@pytest.mark.parametrize("fetch", [1, 3, 1 << 14])
+def test_halves_are_numpys_32_bit_draws(monkeypatch, fetch):
+    # refills keep the unused tail and append the next words after it
+    monkeypatch.setattr(generators, "_WORDS_PER_FETCH", fetch)
+    bits, h, taken = np.random.PCG64(fetch), np.empty(0, dtype=np.uint32), []
+    for k in [1, 5, 2, 7, 1, 40_000, 3, 6]:
+        h = _halves(bits, h, k)
+        assert len(h) >= k
+        taken += h[:k].tolist()
+        h = h[k:]
+    taken += h.tolist()
+    expected = np.random.Generator(np.random.PCG64(fetch)).integers(0, 2**32, size=len(taken))
+    assert taken == expected.tolist()
 
 
 @pytest.mark.parametrize("pop,size", [(10_000, 201), (10_001, 200), (10_001, 201),
@@ -201,6 +205,14 @@ def half_for(pos, high):
     return h
 
 
+def assert_edges(g, ends):
+    """g's edges are the (u, v) pairs of the endpoint buffer ends."""
+    edges = np.frombuffer(ends, dtype=np.int64).reshape(-1, 2)
+    order = np.lexsort((edges[:, 1], edges[:, 0]))
+    assert np.array_equal(g.edge_u, edges[order, 0])
+    assert np.array_equal(g.edge_v, edges[order, 1])
+
+
 D, T, B = 3, 50, 6  # a block of 6 steps from step 50 draws below 288 + 6j
 START = D * (2 * T - D - 1)
 
@@ -233,20 +245,20 @@ def test_block_pass_matches_stepwise_draws(case):
         steps[5][0] = half_for(START + 8 * D, START + 10 * D)
     halves = [h for step in steps for h in step]
     prefix = ends_before(D, T)
-    draw = _Replay(given_halves(halves))
     ends = np.empty(D * (2 * (T + B) - D - 1), dtype=np.int64)
     ends[:START] = prefix
-    done = _pa_block(draw, ends, T, D, B)
+    done = _pa_block(np.array(halves[:B * D], dtype=np.uint32), ends, T, D, B)
     assert done == {"clean": B, "first draw rejected": 0, "last draw rejected": B - 1,
                     "repeat": 2, "rejection then repeat": 3, "inside": B}[case]
-    # the steps before the first that redraws take d halves each, and the
-    # block leaves the stream where the stepwise draws leave it
+    # the steps before the first that redraws take d halves each, so gen_pa
+    # moves past done * d of them; that step's new node is written too
     written = done + (done < B)
-    expected, stepwise = array("q", prefix), _Counted(given_halves(halves))
-    taken = stepwise_pa(stepwise, expected, T, T + written, D)
+    expected = array("q", prefix)
+    taken = stepwise_pa(_Counted(given_halves(halves)), expected, T, T + written, D)
     assert [k == D for k in taken] == [True] * done + [False] * (written - done)
-    assert np.array_equal(ends[:START + 2 * D * written], expected)
-    assert np.array_equal(draw.halves(9), stepwise.halves(9))
+    kept = START + 2 * D * done
+    assert np.array_equal(ends[:kept], expected[:kept])
+    assert np.array_equal(ends[kept + 1:START + 2 * D * written:2], expected[kept + 1::2])
 
 
 def test_gen_pa_on_given_halves(monkeypatch):
@@ -265,8 +277,8 @@ def test_gen_pa_on_given_halves(monkeypatch):
     halves = [h for t in range(d + 1, n) for h in plan(t)]
     blocks = []
 
-    def record(draw, ends, t, d, b):
-        blocks.append((t, b, _pa_block(draw, ends, t, d, b)))
+    def record(h, ends, t, d, b):
+        blocks.append((t, b, _pa_block(h, ends, t, d, b)))
         return blocks[-1][2]
 
     monkeypatch.setattr(generators, "rng_from", lambda *_: given_halves(halves))
@@ -276,10 +288,36 @@ def test_gen_pa_on_given_halves(monkeypatch):
     taken = stepwise_pa(_Counted(given_halves(halves)), expected, d + 1, n, d)
     assert [t for t, k in enumerate(taken, d + 1) if k > d] == [4, 36, 37]
     assert blocks[:3] == [(4, 64, 0), (5, 32, 31), (37, 16, 0)]
-    edges = np.frombuffer(expected, dtype=np.int64).reshape(-1, 2)
-    order = np.lexsort((edges[:, 1], edges[:, 0]))
-    assert np.array_equal(g.edge_u, edges[order, 0])
-    assert np.array_equal(g.edge_v, edges[order, 1])
+    assert_edges(g, expected)
+
+
+@pytest.mark.parametrize("case", ["rejection first", "repeat", "rejection then repeat",
+                                  "across a refill"])
+def test_gen_pa_step_that_redraws(monkeypatch, case):
+    # step 10 redraws; one word per fetch makes the first block's fetch end
+    # at that block's last half, which 400 rejections run past
+    d, n, t0 = 3, 40, 10
+    first = [0, 1, 3]  # slots of nodes 0, 1, 2 in K_4's endpoints
+    redraw = {"rejection first": ["reject", *first], "repeat": [0, 0, 1, 3],
+              "rejection then repeat": ["reject", 1, 1, 0, 3],
+              "across a refill": ["reject"] * 400 + first}[case]
+    halves = [0 if p == "reject" else half_for(p, d * (2 * t - d - 1))
+              for t in range(d + 1, n) for p in (redraw if t == t0 else first)]
+    fetched = []
+
+    def record(bits, rest, k):
+        fetched.append((len(rest), k))
+        return _halves(bits, rest, k)
+
+    monkeypatch.setattr(generators, "_WORDS_PER_FETCH", 1)
+    monkeypatch.setattr(generators, "rng_from", lambda *_: given_halves(halves))
+    monkeypatch.setattr(generators, "_halves", record)
+    g = gen_pa(n, d)
+    expected = _initial_ends(d)
+    taken = stepwise_pa(_Counted(given_halves(halves)), expected, d + 1, n, d)
+    assert [t for t, k in enumerate(taken, d + 1) if k > d] == [t0]
+    assert ((0, 1) in fetched) == (case == "across a refill")
+    assert_edges(g, expected)
 
 
 # n = d+1 draws nothing and n = d+2 one step; d = 1 never repeats a target;
@@ -295,8 +333,8 @@ def test_gen_pa_block_edges(n, d, seed):
 def test_gen_pa_flags_first_and_last_steps_of_blocks(monkeypatch):
     stops = set()
 
-    def record(draw, ends, t, d, b):
-        done = _pa_block(draw, ends, t, d, b)
+    def record(h, ends, t, d, b):
+        done = _pa_block(h, ends, t, d, b)
         stops.add(("first" if done == 0 else "last" if done == b - 1
                    else "inside" if done < b else "none") if b > 1 else "one")
         return done
@@ -314,3 +352,11 @@ def test_gen_pa_rejects_more_than_2_to_32_endpoints():
         gen_pa(2**31 + 2, 1)
     with pytest.raises(ValueError, match=r"2m <= 2\*\*32"):
         gen_pa(10**15, 10)
+
+
+def test_gen_security_rejects_more_than_2_to_32_endpoints():
+    # each step adds at most d edges, so 2m <= d(2n - d - 1) as in gen_pa
+    with pytest.raises(ValueError, match=r"gen_security needs 2m <= 2\*\*32"):
+        gen_security(2**31 + 2, 2, 1.5)
+    with pytest.raises(ValueError, match=r"gen_security needs 2m <= 2\*\*32"):
+        gen_security(10**15, 10, 1.5)
