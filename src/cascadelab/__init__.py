@@ -16,8 +16,8 @@ from .cascade import (CascadeOutcome, CommunityStrength, ThresholdAssignment,
                       injury_set, random_thresholds, security_threshold,
                       top_degree_nodes, uniform_thresholds)
 from .experiment import (ConfigError, ExperimentConfig, ExperimentResult,
-                         attack_size, config_from_values, default_config,
-                         parse_config_file, run_experiment)
+                         attack_size, default_config, read_config,
+                         run_experiment)
 from .generators import (attachment_probability, expected_seed_count, gen_er,
                          gen_pa, gen_security, generate)
 from .graph import (EdgeTag, GraphFormatError, LabeledGraph, deserialize,
@@ -51,8 +51,7 @@ __all__ = [
     "infection_priority_tree", "navigate", "powerlaw_exponent",
     # experiment harness
     "ExperimentConfig", "ExperimentResult", "ConfigError", "attack_size",
-    "config_from_values", "default_config", "parse_config_file",
-    "run_experiment",
+    "default_config", "read_config", "run_experiment",
     # seeding
     "derive_seed", "derive_trial_seed", "rng_from", "splitmix64",
 ]

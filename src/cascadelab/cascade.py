@@ -36,7 +36,8 @@ from enum import Enum
 
 import numpy as np
 
-from .graph import LabeledGraph, _component_labels, largest_connected_component
+from .graph import (LabeledGraph, _component_labels, _node_ids,
+                    largest_connected_component)
 from .seeding import rng_from
 from .structure import Community, _community_layout, intra_color_adjacency
 
@@ -98,13 +99,6 @@ class CascadeOutcome:
         return self.infected.shape[0] / self.num_nodes if self.num_nodes else 0.0
 
 
-def _as_node_array(s, n: int) -> np.ndarray:
-    arr = np.asarray(sorted(set(int(x) for x in s)), dtype=np.int64)
-    if arr.size and (arr[0] < 0 or arr[-1] >= n):
-        raise IndexError("attack set contains out-of-range node ids")
-    return arr
-
-
 def _phi(g: LabeledGraph, theta: ThresholdAssignment) -> np.ndarray:
     if theta.phi.shape[0] != g.n:
         raise ValueError("threshold assignment does not match graph size")
@@ -150,7 +144,7 @@ def infection_set(g: LabeledGraph, s, theta: ThresholdAssignment) -> CascadeOutc
     Round-synchronous propagation; the final set is order-independent
     because the dynamics are monotone.
     """
-    attack = _as_node_array(s, g.n)
+    attack = _node_ids(s, g.n, "attack set", as_set=True)
     infected = np.zeros(g.n, dtype=bool)
     infected[attack] = True
     indptr, indices = g.adjacency()
@@ -173,9 +167,7 @@ def prefix_infection_counts(g: LabeledGraph, order,
     each prefix resumes the cascade from the previous fixed point, so the
     whole sweep costs about one cascade.
     """
-    order = np.asarray(order, dtype=np.int64)
-    if order.size and (order.min() < 0 or order.max() >= g.n):
-        raise IndexError("attack order contains out-of-range node ids")
+    order = _node_ids(order, g.n, "attack order")
     phi = _phi(g, theta)
     deg = g.degrees
     indptr, indices = g.adjacency()
@@ -199,7 +191,7 @@ def injury_set(g: LabeledGraph, s) -> np.ndarray:
     The deleted nodes themselves are not counted as injured.  Returns a
     sorted int64 array.
     """
-    attack = _as_node_array(s, g.n)
+    attack = _node_ids(s, g.n, "attack set", as_set=True)
     lcc = largest_connected_component(g, excluded=attack)
     injured = np.ones(g.n, dtype=bool)
     injured[attack] = False
@@ -215,10 +207,8 @@ def prefix_injury_counts(g: LabeledGraph, order) -> np.ndarray:
     labelling of g minus the whole order, then the removed nodes are added
     back in reverse order with union-find.  order must not repeat a node.
     """
-    order = np.asarray(order, dtype=np.int64)
+    order = _node_ids(order, g.n, "removal order")
     n, size = g.n, order.size
-    if size and (order.min() < 0 or order.max() >= n):
-        raise IndexError("removal order contains out-of-range node ids")
     if np.unique(order).size != size:
         raise ValueError("removal order repeats a node")
     keep = np.ones(n, dtype=bool)
@@ -286,7 +276,7 @@ def security_threshold(g: LabeledGraph, s, grid, epsilon: float):
         raise ValueError("phi grid must be strictly ascending")
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    attack = _as_node_array(s, g.n)
+    attack = _node_ids(s, g.n, "attack set", as_set=True)
     budget = epsilon * g.n
     indptr, indices = g.adjacency()
     infected = np.zeros(g.n, dtype=bool)

@@ -24,10 +24,9 @@ import numpy as np
 from . import __version__
 from .cascade import (degree_order, infection_set, prefix_injury_counts,
                       random_thresholds, top_degree_nodes, uniform_thresholds)
-from .experiment import (ConfigError, _write_atomic, config_from_values,
-                         fmt_number, parse_config_file, run_experiment)
+from .experiment import ConfigError, fmt_number, read_config, run_experiment
 from .generators import generate
-from .graph import load_graph, save_graph
+from .graph import _write_atomic, load_graph, save_graph
 from .seeding import derive_trial_seed, rng_from
 from .structure import (communities, community_conductances,
                         community_diameters, degree_priority_summary,
@@ -36,7 +35,7 @@ from .structure import (communities, community_conductances,
 
 
 def _write_csv(path, header: str, rows) -> None:
-    _write_atomic(Path(path), "\n".join([header, *rows]) + "\n")
+    _write_atomic(path, ("\n".join([header, *rows]) + "\n").encode())
 
 
 def _cmd_generate(args) -> int:
@@ -157,18 +156,17 @@ def _analyze_rows(g, args) -> tuple[str, list[str]]:
         rows = [f"{color},{'inf' if math.isinf(dia) else int(dia)}"
                 for color, dia in sorted(community_diameters(g).items())]
         return "color,diameter", rows
-    if report == "navigate":
-        rng = rng_from(args.seed, "cli-navigate", g.n)
-        budget = args.hop_budget
-        rows = []
-        for i in range(args.pairs):
-            u = int(rng.integers(0, g.n))
-            v = int(rng.integers(0, g.n))
-            res = navigate(g, u, v, budget)
-            rows.append(f"{i},{u},{v},{int(res.succeeded)},"
-                        f"{res.hops if res.succeeded else ''},{res.visited}")
-        return "pair,u,v,success,hops,visited", rows
-    raise ConfigError(f"unknown report {report!r}")
+    # navigate, the last of the --report choices
+    rng = rng_from(args.seed, "cli-navigate", g.n)
+    budget = args.hop_budget
+    rows = []
+    for i in range(args.pairs):
+        u = int(rng.integers(0, g.n))
+        v = int(rng.integers(0, g.n))
+        res = navigate(g, u, v, budget)
+        rows.append(f"{i},{u},{v},{int(res.succeeded)},"
+                    f"{res.hops if res.succeeded else ''},{res.visited}")
+    return "pair,u,v,success,hops,visited", rows
 
 
 def _cmd_analyze(args) -> int:
@@ -184,12 +182,12 @@ def _cmd_analyze(args) -> int:
 def _cmd_experiment(args) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
-    values = parse_config_file(args.config) if args.config else {}
+    overrides = {}
     if args.fig is not None:
-        values["experiment"] = f"fig{args.fig}"
+        overrides["experiment"] = f"fig{args.fig}"
     if args.seed is not None:
-        values["master_seed"] = str(args.seed)
-    cfg = config_from_values(values)
+        overrides["master_seed"] = args.seed
+    cfg = read_config(args.config, **overrides)
     result = run_experiment(cfg, out_dir=args.out, jobs=args.jobs)
     for cid in result.skipped:
         print(f"skipped {cid} (already complete)")

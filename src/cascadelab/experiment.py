@@ -6,7 +6,8 @@ attack order, measure) over a (model, n) cell's graphs, then aggregates
 per figure.  One master seed determines every byte of output: graphs and
 threshold trials draw from seeds derived per (experiment, model, n,
 trial), and cells are independent work units, so results are identical
-for any worker count.
+for any worker count.  Configs come from :func:`read_config` (a key=value
+file whose errors name FILE:LINE, and typed overrides).
 
 Outputs per experiment: ``<experiment>.csv`` plus ``manifest.txt``
 recording the config hash, tool version and completed cells; per-cell row
@@ -19,9 +20,9 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -32,6 +33,7 @@ from .cascade import (degree_order, prefix_infection_counts,
                       prefix_injury_counts, random_thresholds,
                       security_threshold)
 from .generators import generate
+from .graph import _write_atomic
 from .seeding import derive_seed, derive_trial_seed, rng_from
 
 _MODELS = ("er", "pa", "security")
@@ -166,52 +168,43 @@ def _tuple_of(cast):
 _PARSERS = {"d": int, "trials": int, "master_seed": int,
             "graphs_per_cell": int, "a": float, "epsilon": float,
             "models": _tuple_of(str.strip), "n_list": _tuple_of(int),
-            "phi_grid": _tuple_of(float)}
+            "phi_grid": _tuple_of(float),
+            "experiment": lambda v: f"fig{v}" if v in ("1", "2", "3") else v}
 _ALIASES = {"seed": "master_seed", "fig": "experiment"}
 
 
-def parse_config_file(path) -> dict:
-    """Flat key=value config; '#' starts a comment, blank lines ignored.
-
-    A key may be set once; an alias counts as its target key."""
+def read_config(path=None, **overrides) -> ExperimentConfig:
+    """The validated config of a flat key=value file ('#' comments, each
+    key set once, an alias counting as its target, every error naming
+    FILE:LINE), with typed overrides such as ``master_seed=8`` on top."""
+    known = {f.name for f in fields(ExperimentConfig)}
     values: dict = {}
     first_line: dict = {}
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8") if path is not None else ""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        where = f"{path}:{lineno}"
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+            raise ConfigError(f"{where}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key = _ALIASES.get(key.strip(), key.strip())
+        if key not in known:
+            raise ConfigError(f"{where}: unknown config key {key!r}")
         if key in first_line:
-            raise ConfigError(f"{path}:{lineno}: {key!r} repeats the setting "
+            raise ConfigError(f"{where}: {key!r} repeats the setting "
                               f"on line {first_line[key]}")
         first_line[key] = lineno
-        values[key] = value.strip()
-    return values
-
-
-def config_from_values(values: dict) -> ExperimentConfig:
-    """Build a validated config from string-valued settings."""
-    known = {f.name for f in fields(ExperimentConfig)}
-    parsed: dict = {}
-    for key, value in values.items():
-        if key not in known:
-            raise ConfigError(f"unknown config key {key!r}")
-        if isinstance(value, str):
-            try:
-                value = _PARSERS.get(key, str)(value)
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {key!r}: {exc}") from None
-        parsed[key] = value
-    if "experiment" not in parsed:
+        try:
+            values[key] = _PARSERS.get(key, str)(value.strip())
+        except ValueError as exc:
+            raise ConfigError(
+                f"{where}: bad value for {key!r}: {exc}") from None
+    values.update(overrides)
+    if "experiment" not in values:
         raise ConfigError("config must set experiment (fig1, fig2 or fig3)")
-    experiment = parsed.pop("experiment")
-    if experiment in ("1", "2", "3"):
-        experiment = f"fig{experiment}"
-    return default_config(experiment, **parsed)
+    return default_config(**values)
 
 
 # ---- cell computation --------------------------------------------------------
@@ -292,16 +285,6 @@ class ExperimentResult:
         return not self.failed
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Write text to a temp name beside path, then rename it over path."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
 def _manifest_head(cfg: ExperimentConfig) -> list[str]:
     return ["cascadelab-manifest v1", f"version {__version__}",
             f"config {config_hash(cfg)}"]
@@ -310,7 +293,8 @@ def _manifest_head(cfg: ExperimentConfig) -> list[str]:
 def _write_manifest(out_dir: Path, cfg: ExperimentConfig,
                     done: set[str]) -> None:
     lines = _manifest_head(cfg) + [f"cell {c}" for c in sorted(done)]
-    _write_atomic(out_dir / "manifest.txt", "\n".join(lines) + "\n")
+    _write_atomic(out_dir / "manifest.txt",
+                  ("\n".join(lines) + "\n").encode())
 
 
 def _read_manifest(out_dir: Path, cfg: ExperimentConfig) -> set[str]:
@@ -351,32 +335,24 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None,
                 skipped.append(cid)
 
     todo = [cid for cid in cells if cid not in rows]
-
-    def record(cid: str, cell_rows: list[str]) -> None:
-        rows[cid] = cell_rows
-        if cells_dir is not None:
-            _write_atomic(cells_dir / f"{cid}.csv",
-                          "\n".join(cell_rows) + "\n" if cell_rows else "")
-            _write_manifest(out_dir, cfg, set(rows) - set(failed))
-
-    if jobs > 1 and len(todo) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {cid: pool.submit(_compute_cell, cfg, *cells[cid])
-                       for cid in todo}
-            for cid, future in futures.items():
-                exc = future.exception()
-                if exc is not None:
-                    failed[cid] = f"{type(exc).__name__}: {exc}"
-                else:
-                    record(cid, future.result())
-    else:
+    parallel = jobs > 1 and len(todo) > 1
+    # rows come from a pool future or a call in place, in todo order
+    with (ProcessPoolExecutor(max_workers=jobs) if parallel
+          else nullcontext()) as pool:
+        futures = {cid: pool.submit(_compute_cell, cfg, *cells[cid])
+                   for cid in todo} if parallel else {}
         for cid in todo:
             try:
-                cell_rows = _compute_cell(cfg, *cells[cid])
+                cell_rows = (futures[cid].result() if parallel
+                             else _compute_cell(cfg, *cells[cid]))
             except Exception as exc:  # noqa: BLE001 - reported, not hidden
                 failed[cid] = f"{type(exc).__name__}: {exc}"
-            else:
-                record(cid, cell_rows)
+                continue
+            rows[cid] = cell_rows
+            if cells_dir is not None:
+                _write_atomic(cells_dir / f"{cid}.csv", "".join(
+                    f"{row}\n" for row in cell_rows).encode())
+                _write_manifest(out_dir, cfg, set(rows))
 
     csv_text = csv_path = None
     if not failed:
@@ -387,7 +363,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None,
         csv_text = "\n".join(lines) + "\n"
         if out_dir is not None:
             csv_path = out_dir / f"{cfg.experiment}.csv"
-            _write_atomic(csv_path, csv_text)
+            _write_atomic(csv_path, csv_text.encode())
     computed = tuple(cid for cid in sorted(rows) if cid not in skipped)
     return ExperimentResult(csv_text=csv_text, csv_path=csv_path,
                             computed=computed, skipped=tuple(sorted(skipped)),

@@ -35,8 +35,10 @@ it (ASCII digits, no sign, no leading zero, nothing trailing such as a
 
 from __future__ import annotations
 
+import os
 import re
 from enum import IntEnum
+from pathlib import Path
 
 import numpy as np
 
@@ -163,13 +165,6 @@ class LabeledGraph:
 
         return self.cached("csr", build)
 
-    def neighbors(self, v: int) -> np.ndarray:
-        """Neighbor ids of v, ascending."""
-        if not 0 <= v < self.n:
-            raise IndexError(f"node id {v} out of range [0, {self.n})")
-        indptr, indices = self.adjacency()
-        return indices[indptr[v]:indptr[v + 1]]
-
     def cached(self, key: str, builder):
         """Memoize a derived structure on this (immutable) graph."""
         try:
@@ -204,6 +199,16 @@ class LabeledGraph:
         return f"LabeledGraph(n={self.n}, m={self.m}, {tags or 'no edges'})"
 
 
+def _node_ids(ids, n: int, what: str, *, as_set: bool = False) -> np.ndarray:
+    """ids as an int64 array (sorted, without repeats, when as_set), each
+    checked to lie in [0, n); the IndexError names what the ids are."""
+    arr = np.asarray(sorted({int(x) for x in ids}) if as_set else ids,
+                     dtype=np.int64)
+    if arr.size and (arr.min() < 0 or arr.max() >= n):
+        raise IndexError(f"{what} holds a node id out of range [0, {n})")
+    return arr
+
+
 def largest_connected_component(g: LabeledGraph, excluded=()) -> np.ndarray:
     """Node set of the largest connected component of g minus `excluded`.
 
@@ -212,9 +217,7 @@ def largest_connected_component(g: LabeledGraph, excluded=()) -> np.ndarray:
     deterministic function of the input.  Returns a sorted int64 array
     (empty when nothing survives).
     """
-    excluded = np.asarray(sorted(set(int(x) for x in excluded)), dtype=np.int64)
-    if excluded.size and (excluded.min() < 0 or excluded.max() >= g.n):
-        raise IndexError("excluded node id out of range")
+    excluded = _node_ids(excluded, g.n, "excluded set", as_set=True)
     keep = np.ones(g.n, dtype=bool)
     if excluded.size == 0:
         return g.cached("lcc", lambda: _lcc_of(g, keep))
@@ -426,9 +429,21 @@ def _first_error(lines: list[str], suspects: list[int]) -> tuple[int, str] | Non
     return None
 
 
+def _write_atomic(path, data: bytes) -> None:
+    """Write data to a temp name beside path, then rename it over path, so
+    an interrupted write leaves the previous file whole.  A symlinked path
+    is resolved first, so the rename replaces its target, not the link."""
+    path = Path(os.path.realpath(path))
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_graph(g: LabeledGraph, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(serialize(g))
+    _write_atomic(path, serialize(g))
 
 
 def load_graph(path) -> LabeledGraph:

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import EdgeTag, LabeledGraph, largest_connected_component
+from .graph import (EdgeTag, LabeledGraph, _node_ids,
+                    largest_connected_component)
 from .seeding import rng_from
 
 
@@ -114,13 +115,11 @@ def conductance(g: LabeledGraph, w) -> float:
     Requires a non-empty strict subset of the nodes; symmetric in W and
     its complement.
     """
-    w = np.asarray(sorted(set(int(x) for x in w)), dtype=np.int64)
+    w = _node_ids(w, g.n, "W", as_set=True)
     if w.size == 0:
         raise ValueError("W must not be empty")
     if w.size >= g.n:
         raise ValueError("W must be a strict subset of the nodes")
-    if w[0] < 0 or w[-1] >= g.n:
-        raise IndexError("node id out of range")
     mask = np.zeros(g.n, dtype=bool)
     mask[w] = True
     cut = int(np.count_nonzero(mask[g.edge_u] != mask[g.edge_v]))
@@ -645,8 +644,7 @@ def navigate(g: LabeledGraph, u: int, v: int, hop_budget: int) -> NavigationResu
     """
     if not g.is_seed.any():
         raise ValueError("graph has no colors/seeds; navigation needs them")
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise IndexError("node id out of range")
+    _node_ids((u, v), g.n, "navigation endpoints")
     if u == v:
         return NavigationResult(path=(u,), hops=0, visited=1)
     intra = intra_color_adjacency(g)

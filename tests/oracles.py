@@ -1,8 +1,9 @@
 """Independent reference implementations used to check the library.
 
 ``graph_from_edges`` builds a graph from edge tuples for the tests (it
-was ``LabeledGraph.from_edges``, which no library code used).  The scipy
-oracles are the calls the numpy CSR, component labeller and CCDF r²
+was ``LabeledGraph.from_edges``, which no library code used), and
+``neighbors`` reads one row of the CSR (it was ``LabeledGraph.neighbors``,
+which only tests used).  The scipy oracles are the calls the numpy CSR, component labeller and CCDF r²
 replaced: ``scipy_csr`` (``coo_matrix(...).tocsr()``),
 ``scipy_component_labels`` (``csgraph.connected_components`` on the
 survivor submatrix) and ``linregress_r2``.
@@ -39,11 +40,11 @@ from scipy import stats
 from scipy.sparse import csgraph
 
 from cascadelab.cascade import (CommunityStrength, ThresholdAssignment,
-                                _as_node_array, _gather_neighbors,
-                                infection_set, uniform_thresholds)
+                                _gather_neighbors, infection_set,
+                                uniform_thresholds)
 from cascadelab.generators import attachment_probability
 from cascadelab.graph import (FORMAT_MAGIC, FORMAT_VERSION, EdgeTag,
-                              GraphFormatError, LabeledGraph,
+                              GraphFormatError, LabeledGraph, _node_ids,
                               largest_connected_component)
 from cascadelab.seeding import rng_from
 from cascadelab.structure import (Community, DistanceStats,
@@ -69,6 +70,12 @@ def graph_from_edges(n, edges, *, color=None, is_seed=None, birth_time=None):
         np.asarray([e[1] for e in edges], dtype=np.int64),
         np.asarray(et, dtype=np.uint8),
     )
+
+
+def neighbors(g: LabeledGraph, v: int) -> np.ndarray:
+    """Neighbor ids of v, ascending: row v of the CSR."""
+    indptr, indices = g.csr()
+    return indices[indptr[v]:indptr[v + 1]]
 
 
 # ---- scipy: the CSR build, component labelling and r² that numpy replaced ---
@@ -110,7 +117,7 @@ def rescan_infection(g, s, theta) -> set[int]:
         for v in range(g.n):
             if v in infected or deg[v] == 0:
                 continue
-            hit = sum(1 for w in g.neighbors(v) if int(w) in infected)
+            hit = sum(1 for w in neighbors(g, v) if int(w) in infected)
             if hit / deg[v] >= theta.phi[v]:
                 infected.add(v)
                 changed = True
@@ -126,7 +133,7 @@ def async_infection(g, s, theta, rng: np.random.Generator) -> set[int]:
         for v in range(g.n):
             if v in infected or deg[v] == 0:
                 continue
-            hit = sum(1 for w in g.neighbors(v) if int(w) in infected)
+            hit = sum(1 for w in neighbors(g, v) if int(w) in infected)
             if hit / deg[v] >= theta.phi[v]:
                 ready.append(v)
         if not ready:
@@ -148,7 +155,7 @@ def async_sweep_infection(g, s, theta, rng: np.random.Generator) -> set[int]:
             v = int(v)
             if v in infected or deg[v] == 0:
                 continue
-            hit = sum(1 for w in g.neighbors(v) if int(w) in infected)
+            hit = sum(1 for w in neighbors(g, v) if int(w) in infected)
             if hit / deg[v] >= theta.phi[v]:
                 infected.add(v)
                 changed = True
@@ -167,7 +174,7 @@ def sync_round_growth(g, s, theta) -> list[int]:
         for v in range(g.n):
             if v in infected or deg[v] == 0:
                 continue
-            hit = sum(1 for w in g.neighbors(v) if int(w) in infected)
+            hit = sum(1 for w in neighbors(g, v) if int(w) in infected)
             if hit / deg[v] >= theta.phi[v]:
                 ready.add(v)
         if not ready:
@@ -215,7 +222,7 @@ def linear_security_threshold(g: LabeledGraph, s, grid, epsilon: float):
         raise ValueError("phi grid must be strictly ascending")
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    attack = _as_node_array(s, g.n)
+    attack = _node_ids(s, g.n, "attack set", as_set=True)
     budget = epsilon * g.n
     for phi in grid:
         outcome = infection_set(g, attack, uniform_thresholds(g, phi))
@@ -343,7 +350,7 @@ class DegreeProfile:
 
 def degree_profile(g: LabeledGraph, v: int) -> DegreeProfile:
     """Color-class profile of v's neighborhood, by np.unique per node."""
-    nbrs = g.neighbors(v)
+    nbrs = neighbors(g, v)
     colors, counts = np.unique(g.color[nbrs], return_counts=True)
     order = np.lexsort((colors, -counts))
     entries = tuple((int(colors[i]), int(counts[i])) for i in order)

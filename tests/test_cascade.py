@@ -10,8 +10,8 @@ from cascadelab import (CommunityStrength, ThresholdAssignment,
                         security_threshold, top_degree_nodes,
                         uniform_thresholds)
 
-from oracles import (async_infection, graph_from_edges, random_attack,
-                     random_small_graph, rescan_infection)
+from oracles import (async_infection, graph_from_edges, neighbors,
+                     random_attack, random_small_graph, rescan_infection)
 
 
 def star_graph(leaves):
@@ -188,8 +188,12 @@ def test_monotone_in_thresholds():
 
 def test_attack_out_of_range():
     g = star_graph(3)
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match="attack set.*out of range"):
         infection_set(g, {9}, uniform_thresholds(g, 0.5))
+    with pytest.raises(IndexError, match="attack set.*out of range"):
+        injury_set(g, [0, 4])
+    with pytest.raises(IndexError, match="attack set.*out of range"):
+        security_threshold(g, [4], [0.5], 0.1)
 
 
 # ---- injury_set -----------------------------------------------------------------
@@ -347,7 +351,7 @@ def test_classify_phi_one_exact_rule():
     theta = uniform_thresholds(g, 1.0)
     summary = 0
     for com in communities(g):
-        inside = sum(1 for w in g.neighbors(com.seed)
+        inside = sum(1 for w in neighbors(g, com.seed)
                      if g.color[w] == com.color)
         expected = (CommunityStrength.VULNERABLE if inside == 0
                     else CommunityStrength.STRONG)

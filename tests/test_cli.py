@@ -1,4 +1,7 @@
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -170,13 +173,13 @@ def test_failed_csv_write_keeps_previous_csv(security_file, tmp_path,
     assert run_cli("analyze", "--graph", security_file, "--report",
                    "communities", "--out", out) == 0
     previous = out.read_bytes()
-    real_write = Path.write_text
+    real_write = Path.write_bytes
 
-    def half_then_fail(self, text, *args, **kwargs):
-        real_write(self, text[:len(text) // 2], *args, **kwargs)
+    def half_then_fail(self, data):
+        real_write(self, data[:len(data) // 2])
         raise OSError("disk full")
 
-    monkeypatch.setattr(Path, "write_text", half_then_fail)
+    monkeypatch.setattr(Path, "write_bytes", half_then_fail)
     assert run_cli("analyze", "--graph", security_file, "--report",
                    "conductance", "--out", out) == 2
     monkeypatch.undo()
@@ -184,6 +187,45 @@ def test_failed_csv_write_keeps_previous_csv(security_file, tmp_path,
     assert out.read_bytes() == previous
     assert sorted(p.name for p in tmp_path.iterdir()) == ["report.csv",
                                                           "sec.graph"]
+
+
+def test_failed_graph_write_keeps_previous_graph(tmp_path):
+    # the child may write at most 4 KiB to a file, so writing the ~12 KB
+    # graph fails partway through (EFBIG, with SIGXFSZ ignored)
+    pytest.importorskip("resource")
+    out = tmp_path / "er.graph"
+    assert run_cli("generate", "--model", "er", "--n", 300, "--d", 4,
+                   "--seed", 1, "--out", out) == 0
+    previous = out.read_bytes()
+    code = ("import resource, signal, sys\n"
+            "from cascadelab.cli import main\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            "hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (4096, hard))\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    src = str(Path(cl.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run(
+        [sys.executable, "-c", code, "generate", "--model", "er", "--n", "300",
+         "--d", "4", "--seed", "2", "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert child.returncode == 2, child.stderr
+    assert "error" in child.stderr
+    assert out.read_bytes() == previous
+    assert [p.name for p in tmp_path.iterdir()] == ["er.graph"]
+
+
+def test_generate_through_symlink_writes_its_target(tmp_path):
+    target, link = tmp_path / "target.graph", tmp_path / "link.graph"
+    target.write_bytes(b"old\n")
+    link.symlink_to(target.name)
+    assert run_cli("generate", "--model", "er", "--n", 50, "--d", 2,
+                   "--seed", 1, "--out", link) == 0
+    assert link.is_symlink()
+    assert cl.load_graph(target) == cl.gen_er(50, 2, master_seed=1)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.graph",
+                                                          "target.graph"]
 
 
 def test_injure_sweep(security_file, tmp_path):

@@ -98,25 +98,30 @@ def test_config_file_roundtrip(tmp_path):
         "trials=7\n"
         "seed=99   # alias for master_seed\n",
         encoding="utf-8")
-    cfg = xp.config_from_values(xp.parse_config_file(path))
+    cfg = xp.read_config(path)
     assert cfg.models == ("er", "security")
     assert cfg.n_list == (100, 300)
     assert cfg.trials == 7
     assert cfg.master_seed == 99
+    # typed overrides win over the file's values
+    assert xp.read_config(path, master_seed=8, trials=2) == xp.default_config(
+        "fig2", models=("er", "security"), n_list=(100, 300), d=5, a=1.5,
+        trials=2, master_seed=8)
 
 
 def test_config_file_unknown_key(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text("experiment=fig1\nbogus=3\n", encoding="utf-8")
-    with pytest.raises(ConfigError, match="bogus"):
-        xp.config_from_values(xp.parse_config_file(path))
+    with pytest.raises(ConfigError,
+                       match=r"exp\.cfg:2: unknown config key 'bogus'"):
+        xp.read_config(path)
 
 
 def test_config_file_bad_line(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text("experiment fig1\n", encoding="utf-8")
-    with pytest.raises(ConfigError, match="key=value"):
-        xp.parse_config_file(path)
+    with pytest.raises(ConfigError, match=r"exp\.cfg:1: expected key=value"):
+        xp.read_config(path)
 
 
 def test_config_file_repeated_key(tmp_path):
@@ -124,16 +129,21 @@ def test_config_file_repeated_key(tmp_path):
     path.write_text("experiment=fig2\nmaster_seed=3\nd=5\nseed=4\n",
                     encoding="utf-8")
     with pytest.raises(ConfigError, match=r"exp\.cfg:4: 'master_seed'.*line 2"):
-        xp.parse_config_file(path)
+        xp.read_config(path)
 
 
-def test_config_values_bad_value_and_shorthand():
-    with pytest.raises(ConfigError, match="bad value for 'd'"):
-        xp.config_from_values({"experiment": "fig2", "d": "ten"})
-    with pytest.raises(ConfigError, match="bad value for 'phi_grid'"):
-        xp.config_from_values({"experiment": "fig3", "phi_grid": "0.1,x"})
-    cfg = xp.config_from_values({"experiment": "1", "n_list": "300"})
-    assert cfg == xp.default_config("fig1", n_list=(300,))
+def test_config_values_bad_value_and_shorthand(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_text("experiment=fig2\n\nd=ten\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"exp\.cfg:3: bad value for 'd'"):
+        xp.read_config(path)
+    path.write_text("# grid\nexperiment=fig3\nphi_grid=0.1,x\n",
+                    encoding="utf-8")
+    with pytest.raises(ConfigError,
+                       match=r"exp\.cfg:3: bad value for 'phi_grid'"):
+        xp.read_config(path)
+    path.write_text("experiment=1\nn_list=300\n", encoding="utf-8")
+    assert xp.read_config(path) == xp.default_config("fig1", n_list=(300,))
 
 
 def test_config_hash_tells_grids_apart_past_six_decimals(tmp_path):
@@ -154,9 +164,13 @@ def test_default_grid_canonical_text_is_stable():
     assert f"\nphi_grid={grid}\n" in text
 
 
-def test_config_requires_experiment():
+def test_config_requires_experiment(tmp_path):
     with pytest.raises(ConfigError, match="experiment"):
-        xp.config_from_values({"d": "5"})
+        xp.read_config(d=5)
+    path = tmp_path / "exp.cfg"
+    path.write_text("d=5\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="experiment"):
+        xp.read_config(path)
 
 
 # ---- attack size ----------------------------------------------------------------
@@ -432,19 +446,19 @@ def test_failed_manifest_write_keeps_previous_manifest(tmp_path, monkeypatch,
     cfg = tiny_cfg()
     xp.run_experiment(cfg, out_dir=tmp_path / "clean", jobs=jobs)
     out = tmp_path / "out"
-    real_write = Path.write_text
+    real_write = Path.write_bytes
     manifests = []
 
-    def fail_second_manifest(self, text, *args, **kwargs):
+    def fail_second_manifest(self, data):
         if self.name.startswith(".manifest.txt."):
             manifests.append((out / "manifest.txt").read_bytes()
                              if manifests else None)
             if len(manifests) == 2:  # half written, then the disk fills up
-                real_write(self, text[:len(text) // 2], *args, **kwargs)
+                real_write(self, data[:len(data) // 2])
                 raise OSError("disk full")
-        return real_write(self, text, *args, **kwargs)
+        return real_write(self, data)
 
-    monkeypatch.setattr(Path, "write_text", fail_second_manifest)
+    monkeypatch.setattr(Path, "write_bytes", fail_second_manifest)
     with pytest.raises(OSError, match="disk full"):
         xp.run_experiment(cfg, out_dir=out, jobs=jobs)
     monkeypatch.undo()

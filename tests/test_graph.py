@@ -9,7 +9,7 @@ from cascadelab import (EdgeTag, GraphFormatError, LabeledGraph, deserialize,
                         gen_security, generate, largest_connected_component,
                         serialize)
 
-from oracles import graph_from_edges
+from oracles import graph_from_edges, neighbors
 
 
 def complete_graph(k):
@@ -50,8 +50,8 @@ def test_edge_count_is_half_degree_sum():
 def test_adjacency_symmetry():
     g = gen_security(500, 4, 1.5, master_seed=3)
     for v in (0, 5, 100, 499):
-        for w in g.neighbors(v):
-            assert v in g.neighbors(int(w))
+        for w in neighbors(g, v):
+            assert v in neighbors(g, int(w))
 
 
 # ---- construction validation --------------------------------------------------
@@ -166,8 +166,9 @@ def test_lcc_deterministic():
 
 
 def test_lcc_rejects_bad_excluded_id():
-    with pytest.raises(IndexError):
-        largest_connected_component(complete_graph(3), excluded={7})
+    for bad in (7, 3, -1):
+        with pytest.raises(IndexError, match="excluded set.*out of range"):
+            largest_connected_component(complete_graph(3), excluded={bad})
 
 
 # ---- serialization -------------------------------------------------------------

@@ -79,9 +79,9 @@ def test_conductance_validation():
         conductance(g, set())
     with pytest.raises(ValueError):
         conductance(g, {0, 1, 2})
-    with pytest.raises(IndexError, match="out of range"):
+    with pytest.raises(IndexError, match="W holds a node id out of range"):
         conductance(g, {0, 3})
-    with pytest.raises(IndexError, match="out of range"):
+    with pytest.raises(IndexError, match="W holds a node id out of range"):
         conductance(g, {-1})
 
 
@@ -415,6 +415,12 @@ def test_navigate_each_leg_and_budget(u, v, budget, path):
     assert res.path == path
     assert res.hops == (-1 if path is None else len(path) - 1)
     assert res == dict_navigate(g, u, v, budget)
+
+
+@pytest.mark.parametrize("u, v", [(9, 0), (0, 9), (-1, 2)])
+def test_navigate_rejects_out_of_range_endpoint(u, v):
+    with pytest.raises(IndexError, match="navigation endpoints.*out of range"):
+        navigate(_navigation_graph(), u, v, 10)
 
 
 def test_navigate_rejects_uncolored():
