@@ -34,8 +34,10 @@ from .structure import (communities, community_conductances,
                         powerlaw_exponent)
 
 
-def _write_csv(path, header: str, rows) -> None:
+def _write_csv(path, header: str, rows) -> int:
     _write_atomic(path, ("\n".join([header, *rows]) + "\n").encode())
+    print(f"wrote {path}: {len(rows)} row(s)")
+    return 0
 
 
 def _cmd_generate(args) -> int:
@@ -98,10 +100,8 @@ def _cmd_cascade(args) -> int:
         rows.append(f"{trial},{mode},{parameter},{out.growth[0]},"
                     f"{out.infected.shape[0]},{fmt_number(out.fraction)},"
                     f"{out.rounds}")
-    _write_csv(args.out, "trial,threshold_mode,phi_or_seed,attack_size,"
-                         "infected,infected_fraction,rounds", rows)
-    print(f"wrote {args.out}: {len(rows)} trial(s)")
-    return 0
+    return _write_csv(args.out, "trial,threshold_mode,phi_or_seed,"
+                      "attack_size,infected,infected_fraction,rounds", rows)
 
 
 def _cmd_injure(args) -> int:
@@ -113,9 +113,7 @@ def _cmd_injure(args) -> int:
     injured = prefix_injury_counts(g, degree_order(g, args.k))
     rows = [f"{k},{count},{fmt_number(count / g.n)}"
             for k, count in enumerate(injured.tolist(), start=1)]
-    _write_csv(args.out, "attack_size,injured,injured_fraction", rows)
-    print(f"wrote {args.out}: attack sizes 1..{args.k}")
-    return 0
+    return _write_csv(args.out, "attack_size,injured,injured_fraction", rows)
 
 
 def _analyze_rows(g, args) -> tuple[str, list[str]]:
@@ -153,7 +151,7 @@ def _analyze_rows(g, args) -> tuple[str, list[str]]:
             f"{len(tree.vertex_colors)},{len(tree.edges)},"
             f"{int(tree.is_tree)},{tree.height},{len(tree.violations)}"]
     if report == "diameters":
-        rows = [f"{color},{'inf' if math.isinf(dia) else int(dia)}"
+        rows = [f"{color},{fmt_number(dia)}"
                 for color, dia in sorted(community_diameters(g).items())]
         return "color,diameter", rows
     # navigate, the last of the --report choices
@@ -173,10 +171,7 @@ def _cmd_analyze(args) -> int:
     if args.pairs < 1:
         raise ConfigError(f"--pairs must be at least 1, got {args.pairs}")
     g = load_graph(args.graph)
-    header, rows = _analyze_rows(g, args)
-    _write_csv(args.out, header, rows)
-    print(f"wrote {args.out}: {len(rows)} row(s)")
-    return 0
+    return _write_csv(args.out, *_analyze_rows(g, args))
 
 
 def _cmd_experiment(args) -> int:

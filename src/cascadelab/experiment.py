@@ -58,7 +58,12 @@ _FIG1_ATTACK_SCALE = 5.0  # fig1 attack sizes run k = 1..ceil(5 ln n)
 
 
 class ConfigError(ValueError):
-    """Invalid experiment configuration (CLI exit code 2)."""
+    """Invalid experiment configuration (CLI exit code 2), with the
+    ``keys`` (config fields) whose values the failed check read."""
+
+    def __init__(self, message: str, *keys: str):
+        super().__init__(message)
+        self.keys = keys
 
 
 def attack_size(n: int, scale: float = 1.0) -> int:
@@ -86,51 +91,55 @@ class ExperimentConfig:
         if self.experiment not in _EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if not self.models:
-            raise ConfigError("models must not be empty")
+            raise ConfigError("models must not be empty", "models")
         if len(set(self.models)) != len(self.models):
-            raise ConfigError("models must not repeat")
+            raise ConfigError("models must not repeat", "models")
         allowed = ("er", "pa") if self.experiment == "fig1" else _MODELS
         for model in self.models:
             if model not in allowed:
                 raise ConfigError(
                     f"model {model!r} not valid for {self.experiment} "
-                    f"(allowed: {', '.join(allowed)})")
+                    f"(allowed: {', '.join(allowed)})", "models", "experiment")
         if not self.n_list:
-            raise ConfigError("n_list must not be empty")
+            raise ConfigError("n_list must not be empty", "n_list")
         if list(self.n_list) != sorted(set(self.n_list)):
-            raise ConfigError("n_list must be strictly ascending")
+            raise ConfigError("n_list must be strictly ascending", "n_list")
         if self.d < 1:
-            raise ConfigError("d must be at least 1")
+            raise ConfigError("d must be at least 1", "d")
         if "security" in self.models:
             if self.d < 2:
-                raise ConfigError("the security model requires d >= 2")
+                raise ConfigError("the security model requires d >= 2",
+                                  "models", "d")
             if not self.a > 1:
-                raise ConfigError("homophyly exponent a must exceed 1")
+                raise ConfigError("homophyly exponent a must exceed 1",
+                                  "models", "a")
         if any(n < self.d + 1 for n in self.n_list):
-            raise ConfigError("every n must be at least d + 1")
+            raise ConfigError("every n must be at least d + 1", "n_list", "d")
         if self.experiment == "fig1":
             for n in self.n_list:
                 k_max = attack_size(n, _FIG1_ATTACK_SCALE)
                 if k_max > n:
                     raise ConfigError(f"fig1 attacks up to ceil(5 ln n) = "
-                                      f"{k_max} nodes, more than n={n}")
+                                      f"{k_max} nodes, more than n={n}",
+                                      "n_list", "experiment")
         if self.trials < 1:
-            raise ConfigError("trials must be at least 1")
+            raise ConfigError("trials must be at least 1", "trials")
         if not 0.0 < self.epsilon < 1.0:
-            raise ConfigError("epsilon must be in (0, 1)")
+            raise ConfigError("epsilon must be in (0, 1)", "epsilon")
         if not self.phi_grid:
-            raise ConfigError("phi_grid must not be empty")
+            raise ConfigError("phi_grid must not be empty", "phi_grid")
         if any(not 0.0 < p <= 1.0 for p in self.phi_grid):
-            raise ConfigError("phi_grid values must lie in (0, 1]")
+            raise ConfigError("phi_grid values must lie in (0, 1]", "phi_grid")
         if any(b <= a for a, b in zip(self.phi_grid, self.phi_grid[1:])):
-            raise ConfigError("phi_grid must be strictly ascending")
+            raise ConfigError("phi_grid must be strictly ascending", "phi_grid")
         if self.attack not in ("top", "random"):
-            raise ConfigError("attack must be 'top' or 'random'")
+            raise ConfigError("attack must be 'top' or 'random'", "attack")
         if self.attack != "top" and self.experiment != "fig2":
-            raise ConfigError(
-                f"{self.experiment} always attacks top-degree nodes")
+            raise ConfigError(f"{self.experiment} always attacks top-degree "
+                              "nodes", "attack", "experiment")
         if self.graphs_per_cell < 1:
-            raise ConfigError("graphs_per_cell must be at least 1")
+            raise ConfigError("graphs_per_cell must be at least 1",
+                              "graphs_per_cell")
         if self.d < 4:
             warnings.warn(
                 f"d={self.d} < 4: security-model cascade containment "
@@ -154,7 +163,7 @@ def config_hash(cfg: ExperimentConfig) -> str:
 def default_config(experiment: str, **overrides) -> ExperimentConfig:
     """Config with the per-experiment default models/n_list/d filled in."""
     if experiment not in _EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {experiment!r}")
+        raise ConfigError(f"unknown experiment {experiment!r}", "experiment")
     return ExperimentConfig(experiment=experiment,
                             **{**_DEFAULTS[experiment], **overrides})
 
@@ -175,8 +184,8 @@ _ALIASES = {"seed": "master_seed", "fig": "experiment"}
 
 def read_config(path=None, **overrides) -> ExperimentConfig:
     """The validated config of a flat key=value file ('#' comments, each
-    key set once, an alias counting as its target, every error naming
-    FILE:LINE), with typed overrides such as ``master_seed=8`` on top."""
+    key set once, an alias counting as its target, every error that a file
+    value causes naming FILE:LINE), with typed overrides on top."""
     known = {f.name for f in fields(ExperimentConfig)}
     values: dict = {}
     first_line: dict = {}
@@ -204,7 +213,13 @@ def read_config(path=None, **overrides) -> ExperimentConfig:
     values.update(overrides)
     if "experiment" not in values:
         raise ConfigError("config must set experiment (fig1, fig2 or fig3)")
-    return default_config(**values)
+    try:
+        return default_config(**values)
+    except ConfigError as exc:
+        if lines := [first_line[k] for k in exc.keys
+                     if k in first_line and k not in overrides]:
+            raise ConfigError(f"{path}:{max(lines)}: {exc}") from None
+        raise
 
 
 # ---- cell computation --------------------------------------------------------

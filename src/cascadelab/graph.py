@@ -430,10 +430,13 @@ def _first_error(lines: list[str], suspects: list[int]) -> tuple[int, str] | Non
 
 
 def _write_atomic(path, data: bytes) -> None:
-    """Write data to a temp name beside path, then rename it over path, so
-    an interrupted write leaves the previous file whole.  A symlinked path
-    is resolved first, so the rename replaces its target, not the link."""
+    """Write data to a temp name beside path and rename it over path, so an
+    interrupted write leaves the previous file whole.  A symlink's target is
+    replaced; a FIFO or other non-regular file is written in place."""
     path = Path(os.path.realpath(path))
+    if path.exists() and not path.is_file():
+        path.write_bytes(data)
+        return
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_bytes(data)

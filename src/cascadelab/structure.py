@@ -21,7 +21,6 @@ Navigation walks rows of the intra-color and seed CSRs.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -570,67 +569,36 @@ def _seed_adjacency(g: LabeledGraph) -> tuple[np.ndarray, np.ndarray]:
                           lambda u, v: g.is_seed[u] & g.is_seed[v])
 
 
-def _bfs_path(indptr, indices, start: int,
-              goal: int) -> tuple[list[int] | None, int]:
-    """Shortest path over CSR rows; returns (path, nodes expanded)."""
+def _to_root(parent: dict, v: int) -> list[int]:
+    """v, its parent and so on up to the root, its own parent."""
+    path = [v]
+    while parent[v] != v:
+        v = parent[v]
+        path.append(v)
+    return path
+
+
+def _bfs(indptr, indices, start: int, goal: int, both_ends: bool):
+    """The shortest start-goal path over CSR rows, or None, and the nodes
+    expanded.  A round grows one side a level, to a node the other holds."""
     if start == goal:
         return [start], 1
-    parent = {start: start}
-    queue = deque([start])
-    expanded = 0
-    while queue:
-        u = queue.popleft()
-        expanded += 1
-        for w in indices[indptr[u]:indptr[u + 1]].tolist():
-            if w not in parent:
-                parent[w] = u
-                if w == goal:
-                    path = [w]
-                    while path[-1] != start:
-                        path.append(parent[path[-1]])
-                    return path[::-1], expanded
-                queue.append(w)
-    return None, expanded
-
-
-def _bidirectional_bfs(indptr, indices, start: int,
-                       goal: int) -> tuple[list[int] | None, int]:
-    """Bidirectional BFS over CSR rows between two distinct nodes; returns
-    (shortest path, nodes expanded)."""
-    orig_start = start
-    parent_f = {start: start}
-    parent_b = {goal: goal}
-    frontier_f = [start]
-    frontier_b = [goal]
-    expanded = 0
-
-    while frontier_f and frontier_b:
-        # always expand the smaller frontier
-        if len(frontier_f) > len(frontier_b):
-            frontier_f, frontier_b = frontier_b, frontier_f
-            parent_f, parent_b = parent_b, parent_f
-            start, goal = goal, start
-        nxt = []
-        for u in frontier_f:
+    parents, frontiers = ({start: start}, {goal: goal}), [[start], [goal]]
+    side, expanded = 0, 0
+    while frontiers[0] and frontiers[1]:
+        if both_ends and len(frontiers[side]) > len(frontiers[1 - side]):
+            side = 1 - side
+        mine, other, nxt = parents[side], parents[1 - side], []
+        for u in frontiers[side]:
             expanded += 1
             for w in indices[indptr[u]:indptr[u + 1]].tolist():
-                if w in parent_b:
-                    # stitch: start ..parent_f.. u - w ..parent_b.. goal
-                    fore = [w, u] if w != u else [w]
-                    while fore[-1] != start:
-                        fore.append(parent_f[fore[-1]])
-                    fore.reverse()
-                    back = w
-                    while back != goal:
-                        back = parent_b[back]
-                        fore.append(back)
-                    if fore[0] != orig_start:
-                        fore.reverse()
-                    return fore, expanded
-                if w not in parent_f:
-                    parent_f[w] = u
+                if w in other:
+                    path = _to_root(mine, u)[::-1] + _to_root(other, w)
+                    return path[::-1] if side else path, expanded
+                if w not in mine:
+                    mine[w] = u
                     nxt.append(w)
-        frontier_f = nxt
+        frontiers[side] = nxt
     return None, expanded
 
 
@@ -638,9 +606,11 @@ def navigate(g: LabeledGraph, u: int, v: int, hop_budget: int) -> NavigationResu
     """Three-stage seed routing: climb from u to its community seed,
     cross the seed subgraph to v's community seed, then descend to v.
 
-    Endpoints in the same community route directly inside it.  Returns a
-    failed result when any stage is disconnected or the stitched path
-    exceeds hop_budget.  The path is simple and valid in g.
+    Endpoints in the same community route directly inside it.  One BFS
+    runs every leg; the seed leg grows from both ends, always the smaller
+    frontier and on a tie the side that grew last.  Returns a failed result
+    when any stage is disconnected or the stitched path exceeds hop_budget.
+    The path is simple and valid in g.
     """
     if not g.is_seed.any():
         raise ValueError("graph has no colors/seeds; navigation needs them")
@@ -650,15 +620,15 @@ def navigate(g: LabeledGraph, u: int, v: int, hop_budget: int) -> NavigationResu
     intra = intra_color_adjacency(g)
     lay = _community_layout(g)
     if g.color[u] == g.color[v]:
-        legs = [(_bfs_path, intra, u, v)]
+        legs = [(intra, u, v, False)]
     else:
         seed_u, seed_v = int(lay.seeds[lay.index[u]]), int(lay.seeds[lay.index[v]])
-        legs = [(_bfs_path, intra, u, seed_u),
-                (_bidirectional_bfs, _seed_adjacency(g), seed_u, seed_v),
-                (_bfs_path, intra, seed_v, v)]
+        legs = [(intra, u, seed_u, False),
+                (_seed_adjacency(g), seed_u, seed_v, True),
+                (intra, seed_v, v, False)]
     path, visited = [u], 0
-    for search, csr, start, goal in legs:
-        leg, expanded = search(*csr, start, goal)
+    for csr, start, goal, both_ends in legs:
+        leg, expanded = _bfs(*csr, start, goal, both_ends)
         visited += expanded
         if leg is None:
             break

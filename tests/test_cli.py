@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -228,6 +229,23 @@ def test_generate_through_symlink_writes_its_target(tmp_path):
                                                           "target.graph"]
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_generate_into_fifo_writes_through_it(tmp_path):
+    fifo = tmp_path / "out.graph"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()),
+                              daemon=True)
+    reader.start()
+    assert run_cli("generate", "--model", "er", "--n", 50, "--d", 2,
+                   "--seed", 1, "--out", fifo) == 0
+    assert fifo.is_fifo()
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert got == [cl.serialize(cl.gen_er(50, 2, master_seed=1))]
+    assert [p.name for p in tmp_path.iterdir()] == ["out.graph"]
+
+
 def test_injure_sweep(security_file, tmp_path):
     out = tmp_path / "inj.csv"
     assert run_cli("injure", "--graph", security_file, "--attack", "top",
@@ -427,11 +445,11 @@ def test_experiment_cli_config_error(tmp_path, capsys):
 
 
 def test_experiment_cli_repeated_model_exits_2(tmp_path, capsys):
-    cfg = tmp_path / "exp.cfg"
+    cfg = tmp_path / "rep.cfg"
     cfg.write_text("experiment=fig2\nmodels=er,er\nn_list=60\nd=4\ntrials=1\n")
     out = tmp_path / "run"
     assert run_cli("experiment", "--config", cfg, "--out", out) == 2
-    assert "models" in capsys.readouterr().err
+    assert "rep.cfg:2: models must not repeat" in capsys.readouterr().err
     assert not (out / "fig2.csv").exists()
 
 

@@ -146,6 +146,32 @@ def test_config_values_bad_value_and_shorthand(tmp_path):
     assert xp.read_config(path) == xp.default_config("fig1", n_list=(300,))
 
 
+@pytest.mark.parametrize("text, line", [
+    ("experiment=fig2\nn_list=5,60\nmodels=er\nd=8\n", 4),
+    ("experiment=fig2\nd=8\nmodels=er\nn_list=5,60\n", 4),
+    ("experiment=fig2\nd=200\nmodels=er\n", 2),  # the default n_list
+], ids=["d-later", "n_list-later", "n_list-default"])
+def test_config_check_of_two_keys_names_the_later_line(tmp_path, text, line):
+    path = tmp_path / "exp.cfg"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError, match=rf"exp\.cfg:{line}: every n must "
+                                          r"be at least d \+ 1$"):
+        xp.read_config(path)
+
+
+@pytest.mark.parametrize("overrides, message", [
+    (dict(trials=0), "trials must be at least 1"),  # replaces line 3
+    (dict(models=("er", "er")), "models must not repeat"),
+    (dict(d=200), r"every n must be at least d \+ 1"),  # default n_list
+], ids=["replaced-key", "new-key", "against-default"])
+def test_config_error_from_overrides_or_defaults_names_no_line(
+        tmp_path, overrides, message):
+    path = tmp_path / "exp.cfg"
+    path.write_text("experiment=fig2\nd=5\ntrials=3\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=rf"^{message}$"):
+        xp.read_config(path, **overrides)
+
+
 def test_config_hash_tells_grids_apart_past_six_decimals(tmp_path):
     cfg = xp.default_config("fig3", models=("pa",), n_list=(300,),
                             phi_grid=(0.05, 0.1, 0.2))
