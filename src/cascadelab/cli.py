@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from .cascade import (degree_order, infection_set, prefix_injury_counts,
                       random_thresholds, top_degree_nodes, uniform_thresholds)
 from .experiment import ConfigError, fmt_number, read_config, run_experiment
 from .generators import generate
-from .graph import _write_atomic, load_graph, save_graph
+from .graph import _rows, _write_atomic, load_graph, save_graph
 from .seeding import derive_trial_seed, rng_from
 from .structure import (communities, community_conductances,
                         community_diameters, degree_priority_summary,
@@ -34,17 +35,32 @@ from .structure import (communities, community_conductances,
                         powerlaw_exponent)
 
 
-def _write_csv(path, header: str, rows) -> int:
-    _write_atomic(path, ("\n".join([header, *rows]) + "\n").encode())
-    print(f"wrote {path}: {len(rows)} row(s)")
+def _wrote(path, what: str) -> int:
+    """Report a written output; on stderr when the output is this process's
+    stdout (``--out /dev/stdout``), so the report stays out of the data."""
+    try:
+        into_stdout = os.path.samestat(os.stat(path), os.fstat(1))
+    except OSError:
+        into_stdout = False
+    print(f"wrote {path}: {what}",
+          file=sys.stderr if into_stdout else sys.stdout)
     return 0
+
+
+def _write_csv(path, header: str, count: int, body: bytes) -> int:
+    _write_atomic(path, f"{header}\n".encode() + body)
+    return _wrote(path, f"{count} row(s)")
+
+
+def _encoded(rows: list[str]) -> tuple[int, bytes]:
+    """The row count and the encoded lines of rows."""
+    return len(rows), "".join(f"{row}\n" for row in rows).encode()
 
 
 def _cmd_generate(args) -> int:
     g = generate(args.model, args.n, args.d, args.a, master_seed=args.seed)
     save_graph(g, args.out)
-    print(f"wrote {args.out}: {g!r}")
-    return 0
+    return _wrote(args.out, repr(g))
 
 
 def _parse_attack(g, attack: str, k: int):
@@ -101,7 +117,8 @@ def _cmd_cascade(args) -> int:
                     f"{out.infected.shape[0]},{fmt_number(out.fraction)},"
                     f"{out.rounds}")
     return _write_csv(args.out, "trial,threshold_mode,phi_or_seed,"
-                      "attack_size,infected,infected_fraction,rounds", rows)
+                      "attack_size,infected,infected_fraction,rounds",
+                      *_encoded(rows))
 
 
 def _cmd_injure(args) -> int:
@@ -113,7 +130,8 @@ def _cmd_injure(args) -> int:
     injured = prefix_injury_counts(g, degree_order(g, args.k))
     rows = [f"{k},{count},{fmt_number(count / g.n)}"
             for k, count in enumerate(injured.tolist(), start=1)]
-    return _write_csv(args.out, "attack_size,injured,injured_fraction", rows)
+    return _write_csv(args.out, "attack_size,injured,injured_fraction",
+                      *_encoded(rows))
 
 
 def _analyze_rows(g, args) -> tuple[str, list[str]]:
@@ -126,15 +144,6 @@ def _analyze_rows(g, args) -> tuple[str, list[str]]:
                 f"{fmt_number(r.conductance)}"
                 for color, r in sorted(community_conductances(g).items())]
         return "color,size,volume,cut,conductance", rows
-    if report == "degree-priority":
-        summary = degree_priority_summary(g)
-        columns = [np.arange(g.n), g.color, g.is_seed, g.degrees,
-                   summary.length, summary.first_degree,
-                   summary.second_degree, summary.own_color_first(g)]
-        rows = list(map("{},{},{},{},{},{},{},{}".format,
-                        *(c.astype(np.int64).tolist() for c in columns)))
-        return ("node,color,is_seed,degree,length,first_degree,"
-                "second_degree,own_color_first"), rows
     if report == "powerlaw":
         fit = powerlaw_exponent(g.degrees, args.d_min)
         return "n_samples,d_min,exponent,ccdf_r2", [
@@ -170,8 +179,21 @@ def _analyze_rows(g, args) -> tuple[str, list[str]]:
 def _cmd_analyze(args) -> int:
     if args.pairs < 1:
         raise ConfigError(f"--pairs must be at least 1, got {args.pairs}")
+    if args.hop_budget < 0:
+        raise ConfigError(
+            f"--hop-budget must be at least 0, got {args.hop_budget}")
     g = load_graph(args.graph)
-    return _write_csv(args.out, *_analyze_rows(g, args))
+    if args.report == "degree-priority":  # one row per node, by the array writer
+        s = degree_priority_summary(g)
+        body = b"".join(_rows(
+            g.n, np.arange(g.n), b",", g.color, b",", g.is_seed, b",",
+            g.degrees, b",", s.length, b",", s.first_degree, b",",
+            s.second_degree, b",", s.own_color_first(g), b"\n"))
+        return _write_csv(args.out, "node,color,is_seed,degree,length,"
+                          "first_degree,second_degree,own_color_first",
+                          g.n, body)
+    header, rows = _analyze_rows(g, args)
+    return _write_csv(args.out, header, *_encoded(rows))
 
 
 def _cmd_experiment(args) -> int:

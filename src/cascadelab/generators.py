@@ -22,7 +22,8 @@ with numpy's values: each draw of step t is a 32-bit Lemire draw below its
 d(2t - d - 1) endpoints (2m <= 2**32), so PA's whole stream is one flat
 array of 32-bit halves, each raw word's low half first.  A block keeps the
 steps before the first with a rejected draw or a repeated target; that one
-reads the array one half at a time.
+reads the array one half at a time, as every step does while redraws keep
+the block size below ``_PA_MIN_BLOCK``.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .graph import EdgeTag, LabeledGraph
 from .seeding import _MASK32, _WORDS_PER_FETCH, _Replay, rng_from
 
 _ER_CHUNK = 1 << 14  # skips per draw; larger chunks raised peak RSS, not speed
+_PA_MIN_BLOCK = 4  # below it, a block's numpy calls cost more than its steps
 
 
 def attachment_probability(i: int, a: float) -> float:
@@ -148,23 +150,27 @@ def gen_pa(n: int, d: int, master_seed: int = 0) -> LabeledGraph:
     h, at = np.empty(0, dtype=np.uint32), 0  # the 32-bit draws fetched, the next one
     t, size = d + 1, 64
     while t < n:
-        b = min(size, n - t)
-        if at + b * d > len(h):
-            h, at = _halves(bits, h[at:], b * d), 0
-        t += (done := _pa_block(h[at:at + b * d], ends, t, d, b))
-        at += done * d
-        size = 2 * size if done == b else max(1, size // 2)
-        if done < b:  # step t redraws: Lemire's test, then repeats dropped
-            start, picked = d * (2 * t - d - 1), []
+        b, done = min(size, n - t), 0
+        if size >= _PA_MIN_BLOCK:
+            if at + b * d > len(h):
+                h, at = _halves(bits, h[at:], b * d), 0
+            t += (done := _pa_block(h[at:at + b * d], ends, t, d, b))
+            at += done * d
+        grow = done == b
+        if not grow:  # step t one draw at a time: Lemire's test, repeats dropped
+            start, picked, draws = d * (2 * t - d - 1), [], 0
             threshold = (1 << 32) % start
             while len(picked) < d:
                 if at == len(h):
                     h, at = _halves(bits, h[at:], 1), 0
-                m, at = int(h[at]) * start, at + 1
+                m, at, draws = int(h[at]) * start, at + 1, draws + 1
                 if m & _MASK32 >= threshold and (u := int(ends[m >> 32])) not in picked:
                     picked.append(u)
-            ends[start:start + 2 * d:2] = picked  # _pa_block wrote its new node
+            ends[start:start + 2 * d:2] = picked
+            ends[start + 1:start + 2 * d:2] = t
             t += 1
+            grow = draws == d  # a step that would have passed as a block of one
+        size = 2 * size if grow else max(1, size // 2)
     return _plain_graph(n, *_edges(ends))
 
 

@@ -21,22 +21,27 @@ Provenance is one of INITIAL, PA_GLOBAL, SEED_LINK, HOMOPHYLY, PLAIN.
 The format is canonical: node lines must appear in id order and edge lines
 in ascending (u, v) order, so serialization round-trips bit-exactly.
 
-Both directions work on whole columns.  :func:`serialize` formats rows
-from ``tolist()`` chunks.  :func:`deserialize` confirms the header counts
-by the line count, checks each section against the canonical grammar with
-one regex, parses every integer in one ``np.fromstring`` call, and checks
-ids, ``u < v < n`` and the edge order with array operations.  Only the
-lines that these checks flag, and rows with a field that may be past
-int64, go to one per-line checker; it writes every format error, naming
-the first bad line.  An integer field must be spelled as the writer spells
-it (ASCII digits, no sign, no leading zero, nothing trailing such as a
-``\r``); the one leniency left is a missing final newline.
+Both directions work on whole columns.  :func:`serialize` builds each
+chunk of rows as one byte matrix: right-aligned digit tables (node ids and
+edge endpoints share one), broadcast separators and a tag-name table, with
+leading zeros held as 0 bytes that one compress drops.
+
+:func:`deserialize` confirms the header counts by the line count, checks
+each section against the canonical grammar with one regex, parses every
+integer in one ``np.fromstring`` call, and checks ids, ``u < v < n`` and
+the edge order with array operations.  Only the lines that these checks
+flag, and rows with a field that may be past int64, go to one per-line
+checker; it writes every format error, naming the first bad line.  An
+integer field must be spelled as the writer spells it (ASCII digits, no
+sign, no leading zero, nothing trailing such as a ``\r``); the one
+leniency left is a missing final newline.
 """
 
 from __future__ import annotations
 
 import os
 import re
+import stat
 from enum import IntEnum
 from pathlib import Path
 
@@ -266,24 +271,63 @@ def _lcc_of(g: LabeledGraph, keep: np.ndarray) -> np.ndarray:
 # ---- serialization ---------------------------------------------------------
 
 
-_CHUNK = 1 << 16  # rows per str.join, which bounds the temporary lists
-_TAG_NAME_ARRAY = np.array([tag.name for tag in EdgeTag], dtype=object)
+_CHUNK = 1 << 16  # rows per assembled block, which bounds the temporaries
+# tag names as table rows, left-aligned and padded with 0 bytes
+_TAG_TABLE = np.array([tag.name.encode() for tag in EdgeTag]).view(
+    np.uint8).reshape(len(EdgeTag), -1)
 
 
-def _rows(template: str, *columns: np.ndarray):
-    """Encoded ``template.format`` rows over equal-length columns, by chunk."""
-    for a in range(0, columns[0].shape[0], _CHUNK):
-        chunk = [c[a:a + _CHUNK].tolist() for c in columns]
-        yield "".join(map(template.format, *chunk)).encode("utf-8")
+def _digits(x: np.ndarray) -> np.ndarray:
+    """The decimal digits of non-negative integers x as a right-aligned
+    (len(x), w) ASCII table, w wide enough for the largest; a leading zero
+    is a 0 byte, and zero itself keeps one "0"."""
+    if x.size and x.min() < 0:
+        raise ValueError("only non-negative integers can be written")
+    q = x.astype(np.uint64)
+    w = len(str(int(q.max(initial=0))))
+    table = np.empty((q.shape[0], w), dtype=np.uint8)
+    for j in range(w - 1, -1, -1):
+        rest = q // 10
+        digit = (q - rest * 10).astype(np.uint8) + 48
+        if j < w - 1:
+            digit *= q != 0  # nothing of the value is left: a leading zero
+        table[:, j] = digit
+        q = rest
+    return table
+
+
+def _rows(count: int, *fields):
+    """The bytes of ``count`` rows as uint8 arrays, _CHUNK rows each.
+
+    A field is a bytes literal, the same in every row; an integer column,
+    written in decimal; or a pair (table, index) of a uint8 table and an
+    integer column, writing row index[i] of the table.  Each chunk is one
+    (rows, width) byte matrix whose 0 bytes are dropped by one compress.
+    """
+    for a in range(0, count, _CHUNK):
+        b = min(a + _CHUNK, count)
+        blocks = []
+        for f in fields:
+            if isinstance(f, bytes):
+                lit = np.frombuffer(f, dtype=np.uint8)
+                blocks.append(np.broadcast_to(lit, (b - a, lit.shape[0])))
+            elif isinstance(f, tuple):
+                blocks.append(np.take(f[0], f[1][a:b], axis=0))
+            else:
+                blocks.append(_digits(f[a:b]))
+        block = np.concatenate(blocks, axis=1)
+        yield block[block != 0]
 
 
 def serialize(g: LabeledGraph) -> bytes:
     """Serialize to the canonical v1 text format (UTF-8 bytes, LF endings)."""
     head = f"{FORMAT_MAGIC} {FORMAT_VERSION} {g.n} {g.m}\n".encode("utf-8")
-    nodes = _rows("N {} {} {} {}\n", np.arange(g.n), g.color,
-                  g.is_seed.astype(np.int64), g.birth_time)
-    edges = _rows("E {} {} {}\n", g.edge_u, g.edge_v,
-                  _TAG_NAME_ARRAY[g.edge_tag])
+    node = np.arange(g.n)
+    ids = _digits(node)  # shared by the node ids and the edge endpoints
+    nodes = _rows(g.n, b"N ", (ids, node), b" ", g.color, b" ",
+                  g.is_seed, b" ", g.birth_time, b"\n")
+    edges = _rows(g.m, b"E ", (ids, g.edge_u), b" ", (ids, g.edge_v), b" ",
+                  (_TAG_TABLE, g.edge_tag), b"\n")
     return b"".join([head, *nodes, *edges])
 
 
@@ -432,11 +476,17 @@ def _first_error(lines: list[str], suspects: list[int]) -> tuple[int, str] | Non
 def _write_atomic(path, data: bytes) -> None:
     """Write data to a temp name beside path and rename it over path, so an
     interrupted write leaves the previous file whole.  A symlink's target is
-    replaced; a FIFO or other non-regular file is written in place."""
-    path = Path(os.path.realpath(path))
-    if path.exists() and not path.is_file():
-        path.write_bytes(data)
+    replaced; a FIFO, a tty or another non-regular file (``/dev/stdout``
+    as a pipe, say) is written in place."""
+    try:
+        regular = stat.S_ISREG(os.stat(path).st_mode)
+    except OSError:  # a new path; a bad one fails below with its own error
+        regular = True
+    if not regular:
+        with open(path, "wb") as fh:
+            fh.write(data)
         return
+    path = Path(os.path.realpath(path))
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_bytes(data)

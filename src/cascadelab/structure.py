@@ -609,9 +609,12 @@ def navigate(g: LabeledGraph, u: int, v: int, hop_budget: int) -> NavigationResu
     Endpoints in the same community route directly inside it.  One BFS
     runs every leg; the seed leg grows from both ends, always the smaller
     frontier and on a tie the side that grew last.  Returns a failed result
-    when any stage is disconnected or the stitched path exceeds hop_budget.
+    when any stage is disconnected or the stitched path exceeds hop_budget;
+    a negative hop_budget raises ValueError.
     The path is simple and valid in g.
     """
+    if hop_budget < 0:
+        raise ValueError(f"hop budget must be at least 0, got {hop_budget}")
     if not g.is_seed.any():
         raise ValueError("graph has no colors/seeds; navigation needs them")
     _node_ids((u, v), g.n, "navigation endpoints")

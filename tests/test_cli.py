@@ -5,6 +5,7 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cascadelab as cl
@@ -217,6 +218,22 @@ def test_failed_graph_write_keeps_previous_graph(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["er.graph"]
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_generate_to_piped_stdout_writes_the_graph():
+    """--out /dev/stdout with stdout a pipe: the path resolves to a pipe,
+    which is written in place, and the report goes to stderr."""
+    src = str(Path(cl.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run(
+        [sys.executable, "-m", "cascadelab.cli", "generate", "--model", "er",
+         "--n", "50", "--d", "2", "--seed", "1", "--out", "/dev/stdout"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, timeout=60)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == cl.serialize(cl.gen_er(50, 2, master_seed=1))
+    assert b"wrote /dev/stdout" in child.stderr
+
+
 def test_generate_through_symlink_writes_its_target(tmp_path):
     target, link = tmp_path / "target.graph", tmp_path / "link.graph"
     target.write_bytes(b"old\n")
@@ -278,21 +295,53 @@ def test_analyze_reports(security_file, tmp_path, report, header):
     assert len(lines) >= 2
 
 
-def test_degree_priority_rows_match_per_node_format(security_file, tmp_path):
-    out = tmp_path / "dp.csv"
-    assert run_cli("analyze", "--graph", security_file, "--report",
-                   "degree-priority", "--out", out) == 0
-    g = cl.load_graph(security_file)
+def per_node_degree_priority_rows(g):
+    """The degree-priority CSV rows of g, formatted one node at a time."""
     summary = degree_priority_summary(g)
     own = summary.own_color_first(g)
     deg = g.degrees
-    expected = [
+    return [
         f"{v},{g.color[v]},{int(g.is_seed[v])},{deg[v]},"
         f"{summary.length[v]},{summary.first_degree[v]},"
         f"{summary.second_degree[v]},{int(own[v])}"
         for v in range(g.n)
     ]
-    assert out.read_text().split("\n")[1:-1] == expected
+
+
+def test_degree_priority_rows_match_per_node_format(security_file, tmp_path):
+    out = tmp_path / "dp.csv"
+    assert run_cli("analyze", "--graph", security_file, "--report",
+                   "degree-priority", "--out", out) == 0
+    g = cl.load_graph(security_file)
+    assert out.read_text().split("\n")[1:-1] == per_node_degree_priority_rows(g)
+
+
+def test_degree_priority_rows_past_one_chunk(tmp_path):
+    """More nodes than one writer chunk, with colors of 1 to 19 digits,
+    zeros and isolated nodes among them."""
+    n = cl.graph._CHUNK + 3
+    er = cl.gen_er(n, 3, master_seed=2)
+    rng = np.random.default_rng(2)
+    color = rng.integers(0, 40, n)
+    color[::997] = 2**63 - 1 - rng.integers(0, 40, color[::997].shape[0])
+    is_seed = np.zeros(n, dtype=bool)
+    is_seed[np.unique(color, return_index=True)[1]] = True
+    g = cl.LabeledGraph(n, color, is_seed, er.birth_time, er.edge_u,
+                        er.edge_v, er.edge_tag)
+    assert (g.degrees == 0).any()
+    cl.save_graph(g, tmp_path / "g.graph")
+    out = tmp_path / "dp.csv"
+    assert run_cli("analyze", "--graph", tmp_path / "g.graph", "--report",
+                   "degree-priority", "--out", out) == 0
+    assert out.read_text().split("\n")[1:-1] == per_node_degree_priority_rows(g)
+
+
+def test_analyze_negative_hop_budget_checked_before_graph(tmp_path, capsys):
+    out = tmp_path / "nav.csv"
+    assert run_cli("analyze", "--graph", tmp_path / "missing.graph", "--report",
+                   "navigate", "--hop-budget", -1, "--out", out) == 2
+    assert "--hop-budget must be at least 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # SHA-256 of `analyze --report R --seed S` on a security graph (n=2000,

@@ -114,6 +114,34 @@ def test_round_trip_matches_per_line_format(g):
     assert per_line_deserialize(data) == g
 
 
+@pytest.mark.parametrize("extra", [0, 1, graph._CHUNK + 1])
+def test_rows_across_chunk_boundaries_match_per_line_format(extra):
+    """n = m = _CHUNK + extra, so rows sit on both sides of every chunk
+    boundary, with fields of 1 to 19 digits, zeros among them."""
+    size = graph._CHUNK + extra
+    rng = np.random.default_rng(size)
+
+    def column():
+        x = 10 ** rng.integers(0, 19, size) - rng.integers(0, 2, size)
+        x[rng.integers(0, size, 3)] = 2**63 - 1
+        return x
+
+    path = [(i, i + 1, t) for i, t in enumerate(rng.integers(0, 5, size - 1))]
+    g = graph_from_edges(size, [*path, (0, 2, EdgeTag.PLAIN)], color=column(),
+                         is_seed=rng.integers(0, 2, size).astype(bool),
+                         birth_time=column())
+    assert g.m == size and (g.color == 0).any()
+    assert serialize(g) == per_line_serialize(g)
+
+
+def test_writer_refuses_negative_fields():
+    g = graph_from_edges(2, [(0, 1)])
+    bad = graph.LabeledGraph(2, [0, -1], g.is_seed, g.birth_time, g.edge_u,
+                             g.edge_v, g.edge_tag, validate=False)
+    with pytest.raises(ValueError, match="non-negative"):
+        serialize(bad)
+
+
 @IO_SETTINGS
 @given(graphs)
 def test_valid_file_checks_only_int64_max_lines(g):

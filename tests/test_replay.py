@@ -331,18 +331,29 @@ def test_gen_pa_block_edges(n, d, seed):
 
 
 def test_gen_pa_flags_first_and_last_steps_of_blocks(monkeypatch):
-    stops = set()
+    stops, small, blocked, flagged = set(), [], 0, 0
 
     def record(h, ends, t, d, b):
+        nonlocal blocked, flagged
         done = _pa_block(h, ends, t, d, b)
-        stops.add(("first" if done == 0 else "last" if done == b - 1
-                   else "inside" if done < b else "none") if b > 1 else "one")
+        stops.add("first" if done == 0 else "last" if done == b - 1
+                  else "inside" if done < b else "none")
+        if b < generators._PA_MIN_BLOCK:
+            small.append(t + b)
+        blocked, flagged = blocked + done, flagged + (done < b)
         return done
 
     monkeypatch.setattr(generators, "_pa_block", record)
     for seed in range(3):
         assert serialize(gen_pa(3_000, 4, seed)) == serialize(loop_gen_pa(3_000, 4, seed))
-    assert stops >= {"first", "last", "inside", "none", "one"}
+    assert stops >= {"first", "last", "inside", "none"}
+    # below _PA_MIN_BLOCK steps, only the last block of a graph is a block;
+    # the other steps outside every block ran one draw at a time, and the
+    # block size grew back after them, so blocks hold most steps
+    steps = 3 * (3_000 - 5)
+    assert set(small) <= {3_000}
+    assert steps - blocked > flagged
+    assert 2 * blocked > steps
 
 
 def test_gen_pa_rejects_more_than_2_to_32_endpoints():

@@ -423,6 +423,12 @@ def test_navigate_rejects_out_of_range_endpoint(u, v):
         navigate(_navigation_graph(), u, v, 10)
 
 
+@pytest.mark.parametrize("u, v", [(1, 2), (2, 4), (3, 3)])
+def test_navigate_rejects_negative_hop_budget(u, v):
+    with pytest.raises(ValueError, match="hop budget must be at least 0, got -1"):
+        navigate(_navigation_graph(), u, v, -1)
+
+
 def test_navigate_rejects_uncolored():
     g = cl.gen_pa(50, 3, master_seed=0)
     with pytest.raises(ValueError):
