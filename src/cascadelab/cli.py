@@ -63,9 +63,16 @@ def _cmd_generate(args) -> int:
     return _wrote(args.out, repr(g))
 
 
+def _top_k(g, k: int) -> int:
+    """``--k`` of a top-degree attack on g; k >= 1 is checked before g is read."""
+    if k > g.n:
+        raise ConfigError(f"--k must be at most n = {g.n}, got {k}")
+    return k
+
+
 def _parse_attack(g, attack: str, k: int):
     if attack == "top":
-        return top_degree_nodes(g, k)
+        return top_degree_nodes(g, _top_k(g, k))
     if attack.startswith("ids:"):
         path = attack[len("ids:"):]
         text = Path(path).read_text(encoding="utf-8")
@@ -101,6 +108,8 @@ def _cmd_cascade(args) -> int:
             f"thresholds must be 'uniform:PHI' or 'random', got {choice!r}")
     if args.trials < 1:
         raise ConfigError(f"--trials must be at least 1, got {args.trials}")
+    if args.attack == "top" and args.k < 1:
+        raise ConfigError(f"--k must be at least 1, got {args.k}")
     g = load_graph(args.graph)
     attack = _parse_attack(g, args.attack, args.k)
     if phi is not None:
@@ -127,7 +136,7 @@ def _cmd_injure(args) -> int:
     if args.k < 1:
         raise ConfigError(f"--k must be at least 1, got {args.k}")
     g = load_graph(args.graph)
-    injured = prefix_injury_counts(g, degree_order(g, args.k))
+    injured = prefix_injury_counts(g, degree_order(g, _top_k(g, args.k)))
     rows = [f"{k},{count},{fmt_number(count / g.n)}"
             for k, count in enumerate(injured.tolist(), start=1)]
     return _write_csv(args.out, "attack_size,injured,injured_fraction",

@@ -12,10 +12,14 @@ endpoint ``k & 1`` of edge ``k >> 1`` in creation order and a node appears
 once per incident edge.  The PA and security generators keep that buffer
 as their edge list, with no second copy, and the security model keeps one
 more buffer per color class, holding the same endpoints restricted to the
-class (a node's multiplicity there equals its global degree).  The security
-model draws from :class:`cascadelab.seeding._Replay`, which gives exactly
-numpy's values without a numpy call per draw; ER draws its Batagelj–Brandes
-skips in chunks.
+class (a node's multiplicity there equals its global degree).  ER draws its
+Batagelj–Brandes skips in chunks.
+
+The security model computes numpy's values inline from raw 64-bit words
+fetched in bulk.  A coin is ``random()``, a whole word: ``(word >> 11) *
+2**-53``.  Every other draw is ``integers(0, high)``, Lemire's method on a
+32-bit half: a word gives its low half first, and its high half waits for the
+next 32-bit draw while coins pass it by.  ``_choice`` is numpy's ``choice``.
 
 PA runs blocks of steps at once (Batagelj & Brandes, PRE 71, 036113, 2005)
 with numpy's values: each draw of step t is a 32-bit Lemire draw below its
@@ -34,10 +38,12 @@ from array import array
 import numpy as np
 
 from .graph import EdgeTag, LabeledGraph
-from .seeding import _MASK32, _WORDS_PER_FETCH, _Replay, rng_from
+from .seeding import rng_from
 
 _ER_CHUNK = 1 << 14  # skips per draw; larger chunks raised peak RSS, not speed
 _PA_MIN_BLOCK = 4  # below it, a block's numpy calls cost more than its steps
+_WORDS_PER_FETCH = 1 << 14  # raw words per random_raw call
+_MASK32 = (1 << 32) - 1
 
 
 def attachment_probability(i: int, a: float) -> float:
@@ -69,16 +75,6 @@ def _edges(ends: array) -> tuple[np.ndarray, np.ndarray]:
     """The (u, v) columns of an endpoint buffer."""
     edges = np.frombuffer(ends, dtype=np.int64).reshape(-1, 2)
     return edges[:, 0], edges[:, 1]
-
-
-def _draw_distinct(integers, pool: array, k: int) -> list[int]:
-    """k distinct entries of pool: uniform positions, repeats drawn again."""
-    size, picked = len(pool), []
-    while len(picked) < k:
-        u = pool[integers(size)]
-        if u not in picked:
-            picked.append(u)
-    return picked
 
 
 def _plain_graph(n: int, eu: np.ndarray, ev: np.ndarray) -> LabeledGraph:
@@ -212,7 +208,7 @@ def gen_security(n: int, d: int, a: float, master_seed: int = 0) -> LabeledGraph
     proportionally to their global degree (HOMOPHYLY).
 
     Returns a graph whose seeds/colors/birth times encode the construction;
-    node id equals creation step.
+    node id equals creation step.  The draws are numpy's (module notes).
     """
     if d < 2:
         raise ValueError("security model requires d >= 2")
@@ -223,10 +219,7 @@ def gen_security(n: int, d: int, a: float, master_seed: int = 0) -> LabeledGraph
                          f"{d * (2 * n - d - 1)}")
     if not a > 1:
         raise ValueError("homophyly exponent a must exceed 1")
-    draw = _Replay(rng_from(master_seed, "security", n, d, float(a).hex()))
-    random, integers = draw.random, draw.integers
-    pa_global, seed_link, homophyly = map(int, (EdgeTag.PA_GLOBAL, EdgeTag.SEED_LINK,
-                                                EdgeTag.HOMOPHYLY))
+    bits = rng_from(master_seed, "security", n, d, float(a).hex()).bit_generator
 
     # initial graph: K_{d+1}, all seeds, distinct colors.  Color c is founded
     # by seeds[c], so a seed's rank among the seeds is its color.
@@ -234,43 +227,116 @@ def gen_security(n: int, d: int, a: float, master_seed: int = 0) -> LabeledGraph
     seeds = array("q", range(d + 1))
     members = [array("q", (i,)) for i in range(d + 1)]  # by color, birth order
     ends = _initial_ends(d)
-    tags = array("B", [int(EdgeTag.INITIAL)]) * (d * (d + 1) // 2)
     class_ends = [array("q", (i,)) * d for i in range(d + 1)]
+    words, at, half = [], 0, -1  # the raw words fetched, the next one, a pending half
 
     for i in range(d + 1, n):
-        if random() < attachment_probability(i, a):
+        # the coin takes a whole word, and a pending half stays pending
+        if at == len(words):
+            words, at = bits.random_raw(_WORDS_PER_FETCH).tolist(), 0
+        seed = (words[at] >> 11) * (1.0 / (1 << 53)) < attachment_probability(i, a)
+        at += 1
+        # the step's first draw is its PA target or its color; a homophyly step
+        # in a class of more than d nodes then draws d distinct class endpoints
+        high, first, picked = len(ends) if seed else len(seeds), -1, []
+        while True:
+            if half < 0:
+                if at == len(words):
+                    words, at = bits.random_raw(_WORDS_PER_FETCH).tolist(), 0
+                x = words[at]
+                at += 1
+                half = x >> 32
+                x &= _MASK32
+            else:
+                x, half = half, -1
+            m = x * high  # Lemire's draw below high; the threshold only when it may reject
+            if m & _MASK32 < high and m & _MASK32 < (1 << 32) % high:
+                continue
+            if first < 0:
+                first = m >> 32
+                if seed or len(members[first]) <= d:
+                    break
+                pool = class_ends[first]
+                high = len(pool)
+            elif (u := pool[m >> 32]) not in picked:
+                picked.append(u)
+                if len(picked) == d:
+                    break
+        if seed:
             # new seed with a fresh color; exclude the PA target if a seed
-            target = ends[integers(len(ends))]
+            target = ends[first]
             rank = color[target] if seeds[color[target]] == target else len(seeds)
             # K_{d+1} gives d+1 seeds, so at least d are eligible
             eligible = len(seeds) - (rank < len(seeds))
-            links = [seeds[j + (j >= rank)] for j in draw.choice(eligible, d - 1)]
-            for k, s in enumerate([target, *links]):
+            picks, words, at, half = _choice(bits, words, at, half, eligible, d - 1)
+            picked = [target, *(seeds[j + (j >= rank)] for j in picks)]
+            for s in picked:
                 class_ends[color[s]].append(s)
-                ends.append(i)
-                ends.append(s)
-                tags.append(seed_link if k else pa_global)
             color.append(len(seeds))
             members.append(array("q", (i,)))
             class_ends.append(array("q", (i,)) * d)
             seeds.append(i)
         else:
-            c = integers(len(members))
-            group, pool = members[c], class_ends[c]
-            color.append(c)
-            targets = group if len(group) <= d else _draw_distinct(integers, pool, d)
-            for u in targets:
-                pool.append(i)
-                pool.append(u)
-                ends.append(i)
-                ends.append(u)
-                tags.append(homophyly)
-            group.append(i)
+            picked = picked or members[first].tolist()
+            color.append(first)
+            members[first].append(i)
+        pairs = [i] * (2 * len(picked))  # the edges (i, u) as endpoints
+        pairs[1::2] = picked
+        ends.fromlist(pairs)
+        if not seed:
+            class_ends[first].fromlist(pairs)
     is_seed = np.zeros(n, dtype=bool)
     is_seed[np.frombuffer(seeds, dtype=np.int64)] = True
+    eu, ev = _edges(ends)
+    # past K_{d+1}, an edge's first endpoint is its step's node, so those
+    # endpoints ascend, and a seed step's first edge is its PA_GLOBAL one
+    k0 = d * (d + 1) // 2
+    tags = np.full(len(eu), int(EdgeTag.HOMOPHYLY), dtype=np.uint8)
+    tags[:k0] = EdgeTag.INITIAL
+    tags[k0:][is_seed[eu[k0:]]] = EdgeTag.SEED_LINK
+    tags[k0 + np.searchsorted(eu[k0:], seeds[d + 1:])] = EdgeTag.PA_GLOBAL
     return LabeledGraph(n, np.array(color, dtype=np.int64), is_seed,
-                        np.arange(n, dtype=np.int64), *_edges(ends),
-                        np.array(tags, dtype=np.uint8))
+                        np.arange(n, dtype=np.int64), eu, ev, tags)
+
+
+def _choice(bits, words: list, at: int, half: int, pop: int, size: int
+            ) -> tuple[list, list, int, int]:
+    """numpy's ``choice(pop, size, replace=False)``, 1 <= size < pop, from the
+    stream at (words, at, half), and the stream's new position.  Its draws are
+    ``integers(0, high)``: Floyd's algorithm, then a shuffle of the picks; for
+    pop > 10000 and size > pop // 50 a shuffle of range(pop)'s tail."""
+    tail = pop > 10000 and size > pop // 50
+    highs = range(pop, pop - size, -1) if tail else [*range(pop - size + 1, pop + 1),
+                                                      *range(size, 1, -1)]
+    values = []
+    for high in highs:
+        while True:
+            if half < 0:
+                if at == len(words):
+                    words, at = bits.random_raw(_WORDS_PER_FETCH).tolist(), 0
+                x = words[at]
+                at += 1
+                half = x >> 32
+                x &= _MASK32
+            else:
+                x, half = half, -1
+            m = x * high
+            if m & _MASK32 >= high or m & _MASK32 >= (1 << 32) % high:
+                break
+        values.append(m >> 32)
+    if tail:
+        moved: dict[int, int] = {}
+        for high, v in zip(highs, values):
+            moved[high - 1], moved[v] = moved.get(v, v), moved.get(high - 1, high - 1)
+        return [moved.get(k, k) for k in range(pop - size, pop)], words, at, half
+    picks, seen = [], set()
+    for high, v in zip(highs, values[:size]):
+        v = high - 1 if v in seen else v
+        seen.add(v)
+        picks.append(v)
+    for j, v in zip(range(size - 1, 0, -1), values[size:]):
+        picks[j], picks[v] = picks[v], picks[j]
+    return picks, words, at, half
 
 
 _GENERATORS = {"er": gen_er, "pa": gen_pa, "security": gen_security}

@@ -24,7 +24,11 @@ the encoding the kernel used before it compared fractions), and
 navigation over dict-of-lists adjacency, and the generators that called
 numpy once per draw (public names carry a prefix naming the method).
 ``degree_profile`` is the per-node reference for
-``degree_priority_summary``, moved here from the library.
+``degree_priority_summary``, moved here from the library.  So are
+``_Replay`` (numpy's ``random``, ``integers`` and ``choice`` computed from
+raw words), ``_draw_distinct`` and ``replay_gen_security``, the security
+loop that drew through them one call per draw before ``gen_security`` made
+its draws inline.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from __future__ import annotations
 import math
 from array import array
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +47,7 @@ from scipy.sparse import csgraph
 from cascadelab.cascade import (CommunityStrength, ThresholdAssignment,
                                 _gather_neighbors, infection_set,
                                 uniform_thresholds)
-from cascadelab.generators import attachment_probability
+from cascadelab.generators import _edges, _initial_ends, attachment_probability
 from cascadelab.graph import (FORMAT_MAGIC, FORMAT_VERSION, EdgeTag,
                               GraphFormatError, LabeledGraph, _node_ids,
                               largest_connected_component)
@@ -901,3 +906,140 @@ def loop_gen_security(n: int, d: int, a: float, master_seed: int = 0) -> Labeled
         np.frombuffer(ev, dtype=np.int64),
         np.frombuffer(et, dtype=np.int8).astype(np.uint8),
     )
+
+
+# ---- the replayed stream that gen_security drew through ----------------------
+
+_MASK32 = (1 << 32) - 1
+_WORDS_PER_FETCH = 1 << 14
+
+
+def _raw_words(bit_generator) -> Iterator[int]:
+    while True:
+        yield from bit_generator.random_raw(_WORDS_PER_FETCH).tolist()
+
+
+class _Replay:
+    """The draws of numpy ``Generator(PCG64)`` ``rng``, replayed from its raw
+    64-bit words, value for value, provided ``rng`` draws nothing itself:
+
+    * ``random()`` is ``(word >> 11) * 2**-53``;
+    * ``integers(0, high)``, for high up to 2**32, draws nothing for
+      ``high == 1`` and otherwise runs Lemire's multiply-and-reject on
+      32-bit halves.  A split word gives its low half first; the high half
+      waits for the next 32-bit draw, while ``random()`` passes it by;
+    * ``choice(pop, size, replace=False)`` is Floyd's algorithm, then a
+      shuffle of the picks; for pop > 10000 and size > pop // 50 it is a
+      shuffle of the tail of ``range(pop)`` instead.
+    """
+
+    __slots__ = ("_next64", "_half")
+
+    def __init__(self, rng: np.random.Generator):
+        self._next64 = _raw_words(rng.bit_generator).__next__
+        self._half = -1  # pending high half of a split word, or -1
+
+    def random(self) -> float:
+        return (self._next64() >> 11) * (1.0 / (1 << 53))
+
+    def _next32(self) -> int:
+        half = self._half
+        if half >= 0:
+            self._half = -1
+            return half
+        word = self._next64()
+        self._half = word >> 32
+        return word & _MASK32
+
+    def integers(self, high: int) -> int:
+        """Like ``rng.integers(0, high)`` for high <= 2**32."""
+        if high == 1:
+            return 0
+        m = self._next32() * high  # at 2**32 this takes one half as it is
+        if m & _MASK32 < high:
+            threshold = (1 << 32) % high
+            while m & _MASK32 < threshold:
+                m = self._next32() * high
+        return m >> 32
+
+    def choice(self, pop: int, size: int) -> list[int]:
+        """Like ``rng.choice(pop, size, replace=False).tolist()``."""
+        if pop > 10000 and size > pop // 50:
+            moved: dict[int, int] = {}
+            for i in range(pop - 1, max(pop - size, 1) - 1, -1):
+                j = self.integers(i + 1)
+                moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
+            return [moved.get(k, k) for k in range(pop - size, pop)]
+        picks: list[int] = []
+        seen: set[int] = set()
+        for j in range(pop - size, pop):
+            val = self.integers(j + 1)
+            if val in seen:
+                val = j
+            seen.add(val)
+            picks.append(val)
+        for i in range(size - 1, 0, -1):
+            j = self.integers(i + 1)
+            picks[i], picks[j] = picks[j], picks[i]
+        return picks
+
+
+def _draw_distinct(integers, pool: array, k: int) -> list[int]:
+    """k distinct entries of pool: uniform positions, repeats drawn again."""
+    size, picked = len(pool), []
+    while len(picked) < k:
+        u = pool[integers(size)]
+        if u not in picked:
+            picked.append(u)
+    return picked
+
+
+def replay_gen_security(n: int, d: int, a: float, master_seed: int = 0,
+                        draw: _Replay | None = None) -> LabeledGraph:
+    """``gen_security`` as it drew through ``_Replay``, one call per draw, from
+    ``draw`` if given (else the model's own stream)."""
+    if draw is None:
+        draw = _Replay(rng_from(master_seed, "security", n, d, float(a).hex()))
+    random, integers = draw.random, draw.integers
+    pa_global, seed_link, homophyly = map(int, (EdgeTag.PA_GLOBAL, EdgeTag.SEED_LINK,
+                                                EdgeTag.HOMOPHYLY))
+    color = array("q", range(d + 1))
+    seeds = array("q", range(d + 1))
+    members = [array("q", (i,)) for i in range(d + 1)]  # by color, birth order
+    ends = _initial_ends(d)
+    tags = array("B", [int(EdgeTag.INITIAL)]) * (d * (d + 1) // 2)
+    class_ends = [array("q", (i,)) * d for i in range(d + 1)]
+
+    for i in range(d + 1, n):
+        if random() < attachment_probability(i, a):
+            # new seed with a fresh color; exclude the PA target if a seed
+            target = ends[integers(len(ends))]
+            rank = color[target] if seeds[color[target]] == target else len(seeds)
+            eligible = len(seeds) - (rank < len(seeds))
+            links = [seeds[j + (j >= rank)] for j in draw.choice(eligible, d - 1)]
+            for k, s in enumerate([target, *links]):
+                class_ends[color[s]].append(s)
+                ends.append(i)
+                ends.append(s)
+                tags.append(seed_link if k else pa_global)
+            color.append(len(seeds))
+            members.append(array("q", (i,)))
+            class_ends.append(array("q", (i,)) * d)
+            seeds.append(i)
+        else:
+            c = integers(len(members))
+            group, pool = members[c], class_ends[c]
+            color.append(c)
+            targets = group if len(group) <= d else _draw_distinct(integers, pool, d)
+            for u in targets:
+                pool.append(i)
+                pool.append(u)
+                ends.append(i)
+                ends.append(u)
+                tags.append(homophyly)
+            group.append(i)
+    is_seed = np.zeros(n, dtype=bool)
+    is_seed[np.frombuffer(seeds, dtype=np.int64)] = True
+    return LabeledGraph(n, np.array(color, dtype=np.int64), is_seed,
+                        np.arange(n, dtype=np.int64), *_edges(ends),
+                        np.array(tags, dtype=np.uint8))

@@ -158,6 +158,27 @@ def test_injure_k_below_one_exits_2(security_file, tmp_path, capsys, k):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("k", [0, -2])
+def test_cascade_top_k_below_one_checked_before_graph(tmp_path, capsys, k):
+    # the graph file does not exist, so only a check made before reading it
+    # can name --k
+    out = tmp_path / "c.csv"
+    assert run_cli("cascade", "--graph", tmp_path / "missing.graph", "--attack", "top",
+                   "--k", k, "--thresholds", "uniform:0.5", "--out", out) == 2
+    assert f"--k must be at least 1, got {k}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["cascade", "--thresholds", "uniform:0.5"], ["injure"]],
+                         ids=["cascade", "injure"])
+def test_top_k_above_n_exits_2(security_file, tmp_path, capsys, command):
+    out = tmp_path / "x.csv"
+    assert run_cli(*command, "--graph", security_file, "--k", 801, "--out", out) == 2
+    assert "--k must be at most n = 800, got 801" in capsys.readouterr().err
+    assert not out.exists()
+    assert run_cli(*command, "--graph", security_file, "--k", 800, "--out", out) == 0
+
+
 @pytest.mark.parametrize("report", ["navigate", "distances"])
 @pytest.mark.parametrize("pairs", [0, -3])
 def test_analyze_pairs_below_one_checked_before_graph(tmp_path, capsys,

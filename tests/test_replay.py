@@ -1,13 +1,15 @@
 """The replayed RNG stream and the generators that draw from it.
 
-``seeding._Replay`` must give exactly numpy ``Generator(PCG64)``'s values
+``oracles._Replay`` must give exactly numpy ``Generator(PCG64)``'s values
 for ``random()``, ``integers(0, high)`` (high <= 2**32) and ``choice(pop,
 size, replace=False)`` in any interleaving, ``generators._halves`` must give
-its 32-bit draws in order, and the generators built on them must write the
-same bytes as the per-draw loops they replaced (``oracles.loop_gen_*``).
+its 32-bit draws in order and ``generators._choice`` numpy's ``choice``, and
+the generators built on them must write the same bytes as the per-draw
+loops they replaced (``oracles.loop_gen_*``, ``oracles.replay_gen_security``).
 """
 
 from array import array
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,11 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cascadelab import gen_er, gen_pa, gen_security, generators, serialize
-from cascadelab.generators import (_draw_distinct, _halves, _initial_ends, _pa_block,
-                                   _triangular_pairs)
-from cascadelab.seeding import _Replay
+from cascadelab.generators import (_choice, _halves, _initial_ends, _pa_block,
+                                   _triangular_pairs, attachment_probability)
 
-from oracles import loop_gen_er, loop_gen_pa, loop_gen_security
+from oracles import (_MASK32, _draw_distinct, _Replay, loop_gen_er, loop_gen_pa,
+                     loop_gen_security, replay_gen_security)
 
 # 2**31 + 1 rejects almost half of all 32-bit draws, 2**32 - 1 is the last
 # Lemire bound on halves, and 2**32 takes a half as is
@@ -97,6 +99,27 @@ def test_replay_choice_branches(pop, size):
     draw = _Replay(np.random.Generator(np.random.PCG64(pop + size)))
     assert draw.choice(pop, size) == rng.choice(pop, size, replace=False).tolist()
     assert draw.integers(3) == rng.integers(0, 3)
+
+
+@pytest.mark.parametrize("pop,size", [(10_000, 201), (10_001, 200), (10_001, 201),
+                                      (20_000, 400), (20_000, 19_999), (12, 11), (2, 1),
+                                      (3_000, 9)])
+@pytest.mark.parametrize("pending", [False, True])
+def test_choice_is_numpys(pop, size, pending):
+    # both branches, after a 32-bit draw that left its word's high half
+    # pending or after none; the next 32-bit draw continues numpy's stream
+    rng = np.random.Generator(np.random.PCG64(pop + size))
+    bits = np.random.PCG64(pop + size)
+    words, at, half = [], 0, -1
+    if pending:
+        words, at = [int(bits.random_raw())], 1
+        half = words[0] >> 32
+        assert rng.integers(0, 2**32) == words[0] & _MASK32
+    picks, words, at, half = _choice(bits, words, at, half, pop, size)
+    assert picks == rng.choice(pop, size, replace=False).tolist()
+    after = half if half >= 0 else (words[at] if at < len(words) else
+                                    int(bits.random_raw())) & _MASK32
+    assert after == rng.integers(0, 2**32)
 
 
 @st.composite
@@ -371,3 +394,83 @@ def test_gen_security_rejects_more_than_2_to_32_endpoints():
         gen_security(2**31 + 2, 2, 1.5)
     with pytest.raises(ValueError, match=r"gen_security needs 2m <= 2\*\*32"):
         gen_security(10**15, 10, 1.5)
+
+
+# ---- gen_security's inline draws ---------------------------------------------------
+
+
+class _Scripted(_Replay):
+    """A ``_Replay`` of ``replay_gen_security`` on PCG64 words that zeroes the
+    first half of the first draw of each kind at every third step, so that
+    draw rejects unless its bound is a power of two.  ``words`` holds the
+    words as taken, zeroed halves included; ``rejected`` counts rejected
+    halves by kind (color, pa, homophyly, choice); ``pending`` lists (step,
+    kind) for every step whose coin passed a pending half."""
+
+    def __init__(self, seed, d, a):
+        super().__init__(np.random.Generator(np.random.PCG64(seed)))
+        source, self.words = self._next64, []
+        self._next64 = lambda: self.words.append(source()) or self.words[-1]
+        # split: the index in words of the word whose high half is pending
+        self.a, self.step, self.kind, self.split = a, d, None, -1
+        self.zero_next, self.zeroed, self.taken = False, set(), 0
+        self.rejected, self.pending = Counter(), []
+
+    def random(self):
+        self.step += 1
+        u = super().random()
+        self.kind = "pa" if u < attachment_probability(self.step, self.a) else "color"
+        if self._half >= 0:
+            self.pending.append((self.step, self.kind))
+        return u
+
+    def _next32(self):
+        self.taken += 1
+        pending = self._half >= 0
+        x = super()._next32()
+        if not pending:
+            self.split = len(self.words) - 1
+        if self.zero_next:
+            self.zero_next, x = False, 0
+            self.words[self.split] &= _MASK32 << 32 * (not pending)
+        return x
+
+    def integers(self, high):
+        kind = self.kind or "homophyly"
+        self.kind = None if kind in ("pa", "color") else self.kind
+        self.zero_next = self.step % 3 == 0 and (kind, self.step) not in self.zeroed
+        self.zeroed.add((kind, self.step))
+        before = self.taken
+        value = super().integers(high)
+        self.rejected[kind] += self.taken - before - 1
+        return value
+
+    def choice(self, pop, size):
+        self.kind = "choice"
+        picks = super().choice(pop, size)
+        self.kind = None
+        return picks
+
+
+@pytest.mark.parametrize("fetch", [1 << 14, 1])
+def test_gen_security_on_a_crafted_stream(monkeypatch, fetch):
+    # zero halves make the color, PA_GLOBAL, homophyly and choice draws of every
+    # third step reject; one word per fetch refills the buffer at every word,
+    # also at the coin of a homophyly step whose color takes a pending half
+    n, d, a = 600, 5, 1.5
+    draw = _Scripted(3, d, a)
+    expected = replay_gen_security(n, d, a, draw=draw)
+    assert set(draw.rejected) == {"color", "pa", "homophyly", "choice"}
+    assert min(draw.rejected.values()) >= 1
+    assert any(kind == "color" for _, kind in draw.pending)
+    halves = [h for w in draw.words for h in (w & _MASK32, w >> 32)]
+    monkeypatch.setattr(generators, "_WORDS_PER_FETCH", fetch)
+    monkeypatch.setattr(generators, "rng_from", lambda *_: given_halves(halves))
+    assert serialize(gen_security(n, d, a)) == serialize(expected)
+
+
+@pytest.mark.parametrize("n,d,a,seed", [(3, 2, 1.5, 1), (4, 3, 1.01, 2), (300, 2, 1.5, 3),
+                                        (2_000, 10, 1.2, 4), (1_500, 40, 1.05, 5)])
+def test_gen_security_matches_replayed_loop(n, d, a, seed):
+    assert serialize(gen_security(n, d, a, seed)) == \
+        serialize(replay_gen_security(n, d, a, seed))
