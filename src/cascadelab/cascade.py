@@ -36,8 +36,8 @@ from enum import Enum
 
 import numpy as np
 
-from .graph import (LabeledGraph, _component_labels, _node_ids,
-                    largest_connected_component)
+from .graph import (LabeledGraph, _component_labels, _gather_neighbors,
+                    _node_ids, largest_connected_component)
 from .seeding import rng_from
 from .structure import Community, _community_layout, intra_color_adjacency
 
@@ -103,15 +103,6 @@ def _phi(g: LabeledGraph, theta: ThresholdAssignment) -> np.ndarray:
     if theta.phi.shape[0] != g.n:
         raise ValueError("threshold assignment does not match graph size")
     return theta.phi
-
-
-def _gather_neighbors(indptr, indices, frontier) -> np.ndarray:
-    """All neighbors of the frontier nodes, concatenated (with repeats)."""
-    starts = indptr[frontier]
-    lens = indptr[frontier + 1] - starts
-    cum = np.cumsum(lens)
-    shift = np.repeat(starts - (cum - lens), lens)
-    return indices[np.arange(shift.size, dtype=np.int64) + shift]
 
 
 def _propagate(indptr, indices, deg, phi, infected, cnt, frontier) -> list[int]:

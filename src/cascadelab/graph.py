@@ -214,6 +214,15 @@ def _node_ids(ids, n: int, what: str, *, as_set: bool = False) -> np.ndarray:
     return arr
 
 
+def _gather_neighbors(indptr, indices, frontier) -> np.ndarray:
+    """All neighbors of the frontier nodes, concatenated (with repeats)."""
+    starts = indptr[frontier]
+    lens = indptr[frontier + 1] - starts
+    cum = np.cumsum(lens)
+    shift = np.repeat(starts - (cum - lens), lens)
+    return indices[np.arange(shift.size, dtype=np.int64) + shift]
+
+
 def largest_connected_component(g: LabeledGraph, excluded=()) -> np.ndarray:
     """Node set of the largest connected component of g minus `excluded`.
 

@@ -13,9 +13,11 @@ edges only) and the seed CSR (seed-seed edges only), whose rows stay
 ascending.
 
 Distances and community diameters run one bit-parallel BFS
-(``_bfs_levels``): up to 64 sources share a uint64 word per node, and
-each level is one pass over the CSR.  Community diameters run every
-member of every community as a source at once, over the intra-color CSR.
+(``_bfs_levels``): up to 64 sources share a uint64 word per node.  At
+each level a word whose frontier holds few CSR entries pushes along the
+frontier's own rows; any other word pulls, in one pass over the whole
+CSR.  Community diameters run every member of every community as a
+source at once, over the intra-color CSR.
 Navigation walks rows of the intra-color and seed CSRs.
 """
 
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (EdgeTag, LabeledGraph, _node_ids,
+from .graph import (EdgeTag, LabeledGraph, _gather_neighbors, _node_ids,
                     largest_connected_component)
 from .seeding import rng_from
 
@@ -288,24 +290,34 @@ def _bfs_levels(indptr, indices, seen):
 
     ``seen`` is a (words, n) uint64 array: bit b of ``seen[w, v]`` says
     that BFS lane 64 * w + b has reached node v; set each lane's source
-    bit before the call.  Every level ORs the newly reached bits of all
-    neighbors into each node, in one pass over the CSR per word.
-    ``seen`` is updated in place.  Yields (level, nodes, new) for every
-    level that reaches something: the nodes with a new bit, ascending,
-    and the (words, n) array of the bits first set at that level.
+    bit before the call.  Each level ORs every frontier node's bits into
+    its neighbors, word by word: a word whose frontier rows hold under
+    ``_PUSH_SHARE`` of the CSR entries pushes along those rows, any other
+    word pulls, in one pass over the whole CSR.  ``seen`` is updated in
+    place.  Yields (level, nodes, new) for every level that reaches
+    something: the nodes with a new bit, ascending, and the (words, n)
+    array of the bits first set at that level.
     """
+    deg = np.diff(indptr)
     # reduceat reads one element for an empty segment (and fails on a
     # trailing one), so rows without neighbors are left out
-    rows = np.flatnonzero(np.diff(indptr))
+    rows = np.flatnonzero(deg)
     starts = indptr[rows]
+    push_below = _PUSH_SHARE * indices.size
     frontier = seen.copy()
     level = 0
     while rows.size:
         level += 1
         reach = np.zeros_like(seen)
         for word in range(seen.shape[0]):
-            reach[word, rows] = np.bitwise_or.reduceat(
-                frontier[word, indices], starts)
+            f = np.flatnonzero(frontier[word])
+            if deg[f].sum() < push_below:
+                np.bitwise_or.at(reach[word],
+                                 _gather_neighbors(indptr, indices, f),
+                                 np.repeat(frontier[word, f], deg[f]))
+            else:
+                reach[word, rows] = np.bitwise_or.reduceat(
+                    frontier[word][indices], starts)
         frontier = reach & ~seen
         hit = np.flatnonzero(frontier.any(axis=0))
         if hit.size == 0:
@@ -334,6 +346,8 @@ def sample_lcc_pairs(g: LabeledGraph, sample_pairs: int, seed: int = 0,
     """
     if sample_pairs < 1:
         raise ValueError("sample_pairs must be at least 1")
+    if max_sources < 1:
+        raise ValueError(f"max_sources must be at least 1, got {max_sources}")
     lcc = largest_connected_component(g)
     if lcc.size < 2:
         raise ValueError("largest component has fewer than 2 nodes")
@@ -355,13 +369,20 @@ def sample_lcc_pairs(g: LabeledGraph, sample_pairs: int, seed: int = 0,
 
 
 _SOURCES_PER_PASS = 256  # BFS lanes per kernel pass: 4 words per node
+_PUSH_SHARE = 0.25  # BFS frontier rows' share of the CSR below which to push
 
 
 def pair_distances(g: LabeledGraph, pair_u: np.ndarray,
                    pair_v: np.ndarray) -> np.ndarray:
-    """BFS distance for each (u, v) pair; inf when unreachable."""
-    pair_u = np.asarray(pair_u, dtype=np.int64)
-    pair_v = np.asarray(pair_v, dtype=np.int64)
+    """BFS distance for each (u, v) pair; inf when unreachable.
+
+    Raises IndexError for a node id outside [0, n) and ValueError when
+    the two columns differ in length."""
+    pair_u = _node_ids(pair_u, g.n, "pair_u")
+    pair_v = _node_ids(pair_v, g.n, "pair_v")
+    if pair_u.shape != pair_v.shape:
+        raise ValueError(f"pair_u has {pair_u.size} ids but pair_v has "
+                         f"{pair_v.size}")
     sources, inverse = np.unique(pair_u, return_inverse=True)
     out = np.where(pair_u == pair_v, 0.0, np.inf)
     indptr, indices = g.adjacency()

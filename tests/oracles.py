@@ -16,7 +16,8 @@ one ``infection_set`` per grid value that the descending sweep of
 are the per-line writer and parser that the bulk
 ``serialize``/``deserialize`` replaced, kept verbatim.  So are
 the structure oracles: the ``np.split`` build of ``communities``,
-Dijkstra distances and community diameters, the per-community
+Dijkstra distances and community diameters, ``pull_bfs_levels`` (the
+bit-parallel BFS before it pushed small frontiers), the per-community
 ``_classify`` loop of ``count_vulnerable`` (with its own copy of the
 propagation loop restricted to a member mask, comparing each count with
 an integer need from ``_need_counts``: the least k with k/deg >= phi,
@@ -45,11 +46,11 @@ from scipy import stats
 from scipy.sparse import csgraph
 
 from cascadelab.cascade import (CommunityStrength, ThresholdAssignment,
-                                _gather_neighbors, infection_set,
-                                uniform_thresholds)
+                                infection_set, uniform_thresholds)
 from cascadelab.generators import _edges, _initial_ends, attachment_probability
 from cascadelab.graph import (FORMAT_MAGIC, FORMAT_VERSION, EdgeTag,
-                              GraphFormatError, LabeledGraph, _node_ids,
+                              GraphFormatError, LabeledGraph,
+                              _gather_neighbors, _node_ids,
                               largest_connected_component)
 from cascadelab.seeding import rng_from
 from cascadelab.structure import (Community, DistanceStats,
@@ -447,6 +448,37 @@ def dijkstra_community_diameters(g: LabeledGraph) -> dict[int, float]:
         worst = dist.max()
         out[com.color] = float("inf") if np.isinf(worst) else float(worst)
     return out
+
+
+def pull_bfs_levels(indptr, indices, seen):
+    """Bit-parallel BFS over a symmetric CSR, one level per step.
+
+    ``seen`` is a (words, n) uint64 array: bit b of ``seen[w, v]`` says
+    that BFS lane 64 * w + b has reached node v; set each lane's source
+    bit before the call.  Every level ORs the newly reached bits of all
+    neighbors into each node, in one pass over the CSR per word.
+    ``seen`` is updated in place.  Yields (level, nodes, new) for every
+    level that reaches something: the nodes with a new bit, ascending,
+    and the (words, n) array of the bits first set at that level.
+    """
+    # reduceat reads one element for an empty segment (and fails on a
+    # trailing one), so rows without neighbors are left out
+    rows = np.flatnonzero(np.diff(indptr))
+    starts = indptr[rows]
+    frontier = seen.copy()
+    level = 0
+    while rows.size:
+        level += 1
+        reach = np.zeros_like(seen)
+        for word in range(seen.shape[0]):
+            reach[word, rows] = np.bitwise_or.reduceat(
+                frontier[word, indices], starts)
+        frontier = reach & ~seen
+        hit = np.flatnonzero(frontier.any(axis=0))
+        if hit.size == 0:
+            return
+        seen |= frontier
+        yield level, hit, frontier
 
 
 def _seed_subgraph(g: LabeledGraph) -> dict[int, list[int]]:

@@ -8,7 +8,8 @@ from cascadelab import (LabeledGraph, communities,
                         community_conductances, community_diameters,
                         conductance, distance_stats,
                         infection_priority_tree, navigate, powerlaw_exponent)
-from cascadelab.structure import degree_priority_summary
+from cascadelab.structure import (degree_priority_summary, pair_distances,
+                                  sample_lcc_pairs)
 
 from frozen_constants import (COND_C, COND_BETA, DIAM_C, DIST_C2, HEIGHT_C3,
                               SIZE_C1)
@@ -212,6 +213,27 @@ def test_distance_stats_validation():
     g = graph_from_edges(2, [(0, 1)])
     with pytest.raises(ValueError):
         distance_stats(g, 0)
+
+
+@pytest.mark.parametrize("pair_u, pair_v, what", [
+    ([-1], [0], "pair_u"), ([0], [4], "pair_v"), ([4, 0], [1, 2], "pair_u")])
+def test_pair_distances_rejects_out_of_range_ids(pair_u, pair_v, what):
+    g = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(IndexError, match=f"{what} holds a node id out of range"):
+        pair_distances(g, pair_u, pair_v)
+
+
+def test_pair_distances_rejects_unequal_columns():
+    g = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(ValueError, match="pair_u has 1 ids but pair_v has 2"):
+        pair_distances(g, [0], [1, 2])
+
+
+@pytest.mark.parametrize("max_sources", [0, -3])
+def test_sample_lcc_pairs_rejects_no_sources(max_sources):
+    g = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(ValueError, match="max_sources must be at least 1"):
+        sample_lcc_pairs(g, 2, max_sources=max_sources)
 
 
 def test_average_distance_bound(security_big):

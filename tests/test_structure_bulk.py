@@ -1,5 +1,10 @@
 """Whole-graph structure reports, checked against the code they replaced.
 
+The push/pull BFS kernel must yield the same levels, nodes and bits as
+``pull_bfs_levels``, the kernel that pulled over the whole CSR at every
+level, with the switch forced to push, forced to pull and at its default;
+on security graphs of 2e4 nodes, where the default switch meets both
+directions, ``distance_stats`` and ``community_diameters`` must not move.
 The community index behind ``communities``, the bit-parallel BFS behind
 ``pair_distances``, ``distance_stats`` and ``community_diameters``, the
 joint cascade of ``count_vulnerable`` and the CSR-row navigation must
@@ -11,6 +16,8 @@ color, the security generator, and hand-built graphs at the 64-lane word
 edges.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,12 +27,14 @@ import cascadelab as cl
 from cascadelab import (community_diameters, count_vulnerable,
                         distance_stats, navigate, random_thresholds,
                         uniform_thresholds)
+from cascadelab import structure
 from cascadelab.structure import pair_distances
 
 from oracles import (classify_loop_count_vulnerable, dict_navigate,
                      graph_from_edges,
                      dijkstra_community_diameters, dijkstra_distance_stats,
-                     dijkstra_pair_distances, split_communities)
+                     dijkstra_pair_distances, pull_bfs_levels,
+                     split_communities)
 
 BULK_SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -289,6 +298,87 @@ def test_isolated_nodes(where):
         dijkstra_pair_distances(g, nodes, nodes[::-1]))
     assert (outcome(distance_stats, g, 200, 3)
             == outcome(dijkstra_distance_stats, g, 200, 3))
+
+
+# ---- push/pull BFS against the pull-only oracle --------------------------------
+
+# 0 pulls every level, 2 pushes every level, None keeps the default switch
+SWITCHES = pytest.mark.parametrize("share", [0.0, 2.0, None],
+                                   ids=["pull", "push", "default"])
+
+
+def lane_seen(n, sources):
+    """(words, n) BFS bits with lane i set at node sources[i]; lanes may
+    share a node."""
+    sources = np.asarray(sources, dtype=np.int64)
+    lanes = np.arange(sources.size)
+    seen = np.zeros(((sources.size - 1) // 64 + 1, n), dtype=np.uint64)
+    np.bitwise_or.at(seen, (lanes // 64, sources),
+                     np.uint64(1) << (lanes % 64).astype(np.uint64))
+    return seen
+
+
+def assert_levels_match(csr, seen, share):
+    theirs_seen = seen.copy()
+    theirs = [(level, hit.tolist(), new.copy())
+              for level, hit, new in pull_bfs_levels(*csr, theirs_seen)]
+    with mock.patch.object(structure, "_PUSH_SHARE",
+                           structure._PUSH_SHARE if share is None else share):
+        ours = [(level, hit.tolist(), new.copy())
+                for level, hit, new in structure._bfs_levels(*csr, seen)]
+    assert [row[:2] for row in ours] == [row[:2] for row in theirs]
+    for (level, _, new), (_, _, old) in zip(ours, theirs):
+        np.testing.assert_array_equal(new, old, err_msg=f"level {level}")
+    np.testing.assert_array_equal(seen, theirs_seen)
+
+
+@SWITCHES
+@BULK_SETTINGS
+@given(st.data())
+def test_bfs_levels_match_pull_oracle(share, data):
+    g = data.draw(st.one_of(graphs, seeded_colorings()).filter(lambda g: g.n))
+    csr = (structure.intra_color_adjacency(g) if data.draw(st.booleans())
+           else g.adjacency())
+    lanes = data.draw(st.sampled_from([1, 63, 64, 65, 256])
+                      | st.integers(1, 300))
+    sources = data.draw(st.lists(st.integers(0, g.n - 1), min_size=lanes,
+                                 max_size=lanes))
+    assert_levels_match(csr, lane_seen(g.n, sources), share)
+
+
+def two_paths_and_isolated():
+    # two paths, 0-1-2-3 and 4-5-6-7-8-9, plus the isolated nodes 10 and 11
+    return graph_from_edges(12, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6),
+                                 (6, 7), (7, 8), (8, 9)])
+
+
+@SWITCHES
+@pytest.mark.parametrize("g, sources", [
+    (graph_from_edges(1, []), [0]),
+    (graph_from_edges(5, []), [0, 4, 4] + [2] * 62),
+    (two_paths_and_isolated(), [10]),
+    (two_paths_and_isolated(), [0] * 63),
+    # word 1 (lane 64) starts at a degree-0 node, so it empties at level 1
+    (two_paths_and_isolated(), [4] * 64 + [11]),
+    # word 0 runs out after 3 levels on the short path, word 1 after 5
+    (two_paths_and_isolated(), [0] * 64 + [4]),
+    (two_paths_and_isolated(), [3, 10, 9, 11, 0] * 51 + [6]),
+    (cl.generate("security", 400, 4, 1.5, master_seed=3),
+     np.random.default_rng(3).integers(0, 400, size=256)),
+], ids=["one-node", "edgeless", "isolated-source", "63-lanes",
+        "word-empties-first", "words-end-apart", "256-lanes", "security"])
+def test_bfs_levels_fixed_cases(share, g, sources):
+    assert_levels_match(g.adjacency(), lane_seen(g.n, sources), share)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_mid_size_reports_match_pull_oracle(seed, monkeypatch):
+    """At n = 2e4 the frontiers have realistic shapes, so the default switch
+    both pushes and pulls."""
+    g = cl.gen_security(20_000, 5, 1.5, master_seed=seed)
+    ours = distance_stats(g, 1000, seed), community_diameters(g)
+    monkeypatch.setattr(structure, "_bfs_levels", pull_bfs_levels)
+    assert ours == (distance_stats(g, 1000, seed), community_diameters(g))
 
 
 @pytest.mark.parametrize("sources", [1, 63, 64, 65, 128, 129, 256, 257, 300])
