@@ -112,16 +112,15 @@ def _cmd_cascade(args) -> int:
         raise ConfigError(f"--k must be at least 1, got {args.k}")
     g = load_graph(args.graph)
     attack = _parse_attack(g, args.attack, args.k)
-    if phi is not None:
-        theta = uniform_thresholds(g, phi)
+    if phi is not None:  # every trial is the same cascade: run it once
+        out = infection_set(g, attack, uniform_thresholds(g, phi))
         mode, parameter = "uniform", fmt_number(phi)
     rows = []
     for trial in range(args.trials):
         if phi is None:
             seed = derive_trial_seed(args.seed, "cascade", "graph", g.n, trial)
-            theta = random_thresholds(g, seed)
+            out = infection_set(g, attack, random_thresholds(g, seed))
             mode, parameter = "random", str(seed)
-        out = infection_set(g, attack, theta)
         rows.append(f"{trial},{mode},{parameter},{out.growth[0]},"
                     f"{out.infected.shape[0]},{fmt_number(out.fraction)},"
                     f"{out.rounds}")

@@ -77,6 +77,14 @@ def _edges(ends: array) -> tuple[np.ndarray, np.ndarray]:
     return edges[:, 0], edges[:, 1]
 
 
+def _integer(name: str, value, least: int) -> int:
+    """value as an int of at least ``least``; the ValueError names it."""
+    if not hasattr(value, "__index__") or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, "
+                         f"got {value!r}")
+    return int(value)
+
+
 def _plain_graph(n: int, eu: np.ndarray, ev: np.ndarray) -> LabeledGraph:
     """Single color 0, no seeds, every edge PLAIN."""
     return LabeledGraph(n, np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool),
@@ -90,8 +98,7 @@ def gen_er(n: int, d: int, master_seed: int = 0) -> LabeledGraph:
     Single color 0, no seeds, edges tagged PLAIN.  Raises ValueError when
     d >= n (p would exceed 1).
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n, d = _integer("n", n, 1), _integer("d", d, 0)
     if n > 1 and d >= n:
         raise ValueError(f"d={d} with n={n} gives edge probability above 1")
     p = d / (n - 1) if n > 1 else 1.0
@@ -134,10 +141,8 @@ def gen_pa(n: int, d: int, master_seed: int = 0) -> LabeledGraph:
     probability proportional to their degree in the previous graph.  Single
     color 0, no seeds, edges tagged PLAIN.  Blocks of steps give the stepwise draws (module notes).
     """
-    if d < 1:
-        raise ValueError("d must be at least 1")
-    if n < d + 1:
-        raise ValueError("n must be at least d + 1")
+    d = _integer("d", d, 1)
+    n = _integer("n", n, d + 1)
     if d * (2 * n - d - 1) > 1 << 32:
         raise ValueError(f"gen_pa needs 2m <= 2**32; n={n}, d={d} gives {d * (2 * n - d - 1)}")
     bits = rng_from(master_seed, "pa", n, d).bit_generator
@@ -210,10 +215,8 @@ def gen_security(n: int, d: int, a: float, master_seed: int = 0) -> LabeledGraph
     Returns a graph whose seeds/colors/birth times encode the construction;
     node id equals creation step.  The draws are numpy's (module notes).
     """
-    if d < 2:
-        raise ValueError("security model requires d >= 2")
-    if n < d + 1:
-        raise ValueError("n must be at least d + 1")
+    d = _integer("d", d, 2)
+    n = _integer("n", n, d + 1)
     if d * (2 * n - d - 1) > 1 << 32:  # each step adds at most d edges
         raise ValueError(f"gen_security needs 2m <= 2**32; n={n}, d={d} gives "
                          f"{d * (2 * n - d - 1)}")

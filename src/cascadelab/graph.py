@@ -26,15 +26,15 @@ chunk of rows as one byte matrix: right-aligned digit tables (node ids and
 edge endpoints share one), broadcast separators and a tag-name table, with
 leading zeros held as 0 bytes that one compress drops.
 
-:func:`deserialize` confirms the header counts by the line count, checks
-each section against the canonical grammar with one regex, parses every
-integer in one ``np.fromstring`` call, and checks ids, ``u < v < n`` and
-the edge order with array operations.  Only the lines that these checks
-flag, and rows with a field that may be past int64, go to one per-line
-checker; it writes every format error, naming the first bad line.  An
-integer field must be spelled as the writer spells it (ASCII digits, no
-sign, no leading zero, nothing trailing such as a ``\r``); the one
-leniency left is a missing final newline.
+:func:`deserialize` has no grammar of its own: the writer defines the
+format.  It reads every digit run in one ``np.fromstring`` call (any other
+byte reads as a blank) and each tag from two of its letters, checks
+``u < v < n`` and the edge order with array operations, and writes the
+columns back chunk by chunk against the input.  A file is canonical exactly
+when every byte matches; a sign, a leading zero, a ``\r``, a wrong id, tag
+or seed flag and a field past int64 (read as 2**63 - 1) each change one.
+Only the first bad line goes to the per-line checker, which writes every
+format error.  The one leniency is a missing final newline.
 """
 
 from __future__ import annotations
@@ -328,44 +328,40 @@ def _rows(count: int, *fields):
         yield block[block != 0]
 
 
+def _lines(g: LabeledGraph):
+    """The node lines, then the edge lines, of g as _rows chunks."""
+    node = np.arange(g.n)
+    ids = _digits(node)  # shared by the node ids and the edge endpoints
+    yield from _rows(g.n, b"N ", (ids, node), b" ", g.color, b" ",
+                     g.is_seed, b" ", g.birth_time, b"\n")
+    yield from _rows(g.m, b"E ", (ids, g.edge_u), b" ", (ids, g.edge_v), b" ",
+                     (_TAG_TABLE, g.edge_tag), b"\n")
+
+
 def serialize(g: LabeledGraph) -> bytes:
     """Serialize to the canonical v1 text format (UTF-8 bytes, LF endings)."""
     head = f"{FORMAT_MAGIC} {FORMAT_VERSION} {g.n} {g.m}\n".encode("utf-8")
-    node = np.arange(g.n)
-    ids = _digits(node)  # shared by the node ids and the edge endpoints
-    nodes = _rows(g.n, b"N ", (ids, node), b" ", g.color, b" ",
-                  g.is_seed, b" ", g.birth_time, b"\n")
-    edges = _rows(g.m, b"E ", (ids, g.edge_u), b" ", (ids, g.edge_v), b" ",
-                  (_TAG_TABLE, g.edge_tag), b"\n")
-    return b"".join([head, *nodes, *edges])
+    return b"".join([head, *_lines(g)])
 
 
-# Canonical lines only: \d is ASCII-only in a bytes pattern, and the
-# possessive *+ keeps no per-line backtracking state (a plain * costs memory
-# in proportion to the file).  A 19-digit field may be past int64, where
-# np.fromstring saturates it at 2**63 - 1.
-_UINT = rb"(?:0|[1-9]\d{0,18})"
 _HEADER = re.compile(re.escape(f"{FORMAT_MAGIC} {FORMAT_VERSION} ".encode())
-                     + rb"(%s) (%s)\n" % (_UINT, _UINT))
-_NODE_LINES = re.compile(rb"(?:N %s %s [01] %s\n)*+" % (_UINT, _UINT, _UINT))
-_EDGE_LINES = re.compile(
-    rb"(?:E %s %s (?:%s)\n)*+"
-    % (_UINT, _UINT, "|".join(tag.name for tag in EdgeTag).encode()))
-_LETTERS_TO_BLANKS = bytes.maketrans(b"ABCDEFGHIJKLMNOPQRSTUVWXYZ_", b" " * 27)
-# a tag name is identified by its last and fourth-to-last letters
-_TAG_BY_LETTERS = np.zeros((256, 256), dtype=np.uint8)
+                     + rb"(0|[1-9][0-9]{0,18}) (0|[1-9][0-9]{0,18})\n")
+# every byte but a digit or a newline reads as a blank, so np.fromstring
+# meets only digit runs, whatever numpy version; the write-back checks the rest
+_DIGITS_ONLY = bytes(c if c in b"0123456789\n" else ord(" ") for c in range(256))
+_TAG_BY_LETTERS = np.zeros((256, 256), dtype=np.uint8)  # last, 4th-to-last
 for _tag in EdgeTag:
     _TAG_BY_LETTERS[ord(_tag.name[-1]), ord(_tag.name[-4])] = _tag
-assert len({(t.name[-1], t.name[-4]) for t in EdgeTag}) == len(EdgeTag)
-_INT64_MAX = int(np.iinfo(np.int64).max)
 _CANONICAL_INT = re.compile(r"0|[1-9][0-9]*")
 
 
 def deserialize(data: bytes) -> LabeledGraph:
     """Parse the v1 format; errors name the offending line.
 
-    The file is checked and parsed in bulk.  Only the lines that a bulk
-    check flags go to :func:`_check_lines`, which names the first bad one.
+    The body is read leniently in bulk, checked for what writing it back
+    cannot show (edge order, ``u < v < n``), and written back through the
+    writer chunk by chunk against the input: a full match proves the file
+    canonical.  Only the first bad line goes to :func:`_check_lines`.
     """
     if data and not data.endswith(b"\n"):
         data += b"\n"
@@ -373,78 +369,80 @@ def deserialize(data: bytes) -> LabeledGraph:
     ends = np.flatnonzero(buf == ord("\n"))  # ends[i] closes line i + 1
     head = _HEADER.match(data)
     if head is None or len(ends) != 1 + int(head[1]) + int(head[2]):
-        _check_lines(data, [])  # raises: the header or the line count is bad
+        _check_lines(data, ends)  # raises: the header or the line count is bad
     # the line count confirms n and m; only from here on may they size arrays
-    n = int(head[1])
-    edges_at = int(ends[n]) + 1
-    stop = _NODE_LINES.match(data, head.end(), edges_at).end()
-    if stop == edges_at:
-        stop = _EDGE_LINES.match(data, edges_at).end()
-    # each line before stop is well formed and holds 4 or 2 integers
-    values = np.fromstring(data[head.end():stop].translate(_LETTERS_TO_BLANKS),
+    n, m = int(head[1]), int(head[2])
+    values = np.fromstring(data[head.end():].translate(_DIGITS_ONLY),
                            dtype=np.int64, sep=" ")
+    if values.size != 4 * n + 2 * m:  # a miscounted line will not write back
+        values = np.resize(values, 4 * n + 2 * m)
     node = values[:4 * n].reshape(-1, 4)
-    u, v = values[4 * n:].reshape(-1, 2).T
-    bad_node = ((node[:, 0] != np.arange(node.shape[0]))
-                | (node[:, 1] == _INT64_MAX) | (node[:, 3] == _INT64_MAX))
-    bad_edge = (u >= v) | (v >= n)
-    du = np.diff(u)
-    bad_edge[1:] |= (du < 0) | ((du == 0) & (np.diff(v) <= 0))
-    suspects = [*(2 + np.flatnonzero(bad_node)).tolist(),
-                *(2 + n + np.flatnonzero(bad_edge)).tolist()]
-    if stop < len(data):
-        suspects.append(1 + data.count(b"\n", 0, stop))
-    if suspects:
-        _check_lines(data, suspects)  # returns if they only hold 2**63 - 1
+    u, v = values[4 * n:].reshape(-1, 2).T.copy()
+    flagged = (u >= v) | (v >= n)  # a sign reads as a blank, so no field is < 0
+    flagged[1:] |= np.diff(u * n + v) <= 0  # exact up to the first v >= n
+    e = int(flagged.argmax()) if flagged.any() else m
+    bad = 2 + n + e  # the first bad line, past the last while none is known
     tag = _TAG_BY_LETTERS[buf[ends[1 + n:] - 1], buf[ends[1 + n:] - 4]]
-    return LabeledGraph(n, node[:, 1], node[:, 2] == 1, node[:, 3], u, v, tag)
+    # the rows before the flagged one must write back unchanged
+    g = LabeledGraph(n, node[:, 1], node[:, 2] == 1, node[:, 3], u[:e], v[:e],
+                     tag[:e])
+    at = head.end()
+    for chunk in _lines(g):
+        given = buf[at:at + chunk.size]
+        differ = np.flatnonzero(chunk[:given.size] != given)
+        if differ.size:
+            bad = 1 + int(np.searchsorted(ends, at + differ[0]))
+            break
+        at += chunk.size
+    if bad <= 1 + n + m:
+        _check_lines(data, ends, bad)
+    return g
 
 
-def _check_lines(data: bytes, suspects: list[int]) -> None:
-    """Raise the format error of the first bad line among the header, the
-    line count and the suspect line numbers (ascending); return if all of
-    them are good."""
+def _check_lines(data: bytes, ends: np.ndarray, flagged=None) -> None:
+    """Raise the format error of the first bad one of the header, the line
+    count and the flagged line, decoding only the lines it reads."""
     try:
-        text = data.decode("utf-8")
+        data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise GraphFormatError(f"not valid UTF-8: {exc}") from None
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    error = _first_error(lines, suspects)
-    if error is not None:
-        raise GraphFormatError("line %d: %s" % error)
+    error = _first_error(
+        lambda i: data[ends[i - 2] + 1 if i > 1 else 0:ends[i - 1]].decode(),
+        len(ends), flagged)
+    raise GraphFormatError("line %d: %s" % error)
 
 
-def _first_error(lines: list[str], suspects: list[int]) -> tuple[int, str] | None:
-    """(line number, message) of the first bad line that _check_lines reads."""
-    if not lines:
+def _first_error(line, count: int, flagged) -> tuple[int, str] | None:
+    """(line number, message) of the first bad line among the header, the
+    line count and the flagged line, whose predecessors must be good;
+    ``line(i)`` is the text of line i of ``count``."""
+    if not count:
         return 1, "empty file, expected header"
-    head = lines[0].split(" ")
+    head = line(1).split(" ")
     if len(head) != 4 or head[0] != FORMAT_MAGIC or head[1] != FORMAT_VERSION:
-        return 1, f"malformed header {lines[0]!r}"
+        return 1, f"malformed header {line(1)!r}"
     try:
         n, m = int(head[2]), int(head[3])
     except ValueError:
-        return 1, f"malformed header counts {lines[0]!r}"
+        return 1, f"malformed header counts {line(1)!r}"
     if n < 0 or m < 0:
         return 1, "negative node or edge count"
-    if len(lines) != 1 + n + m:
-        return len(lines), (f"expected {1 + n + m} lines for n={n}, m={m}, "
-                            f"found {len(lines)}")
-    for lineno in (1, *suspects):
-        line = lines[lineno - 1]
-        parts = line.split(" ")
+    if count != 1 + n + m:
+        return count, (f"expected {1 + n + m} lines for n={n}, m={m}, "
+                       f"found {count}")
+    for lineno in (1, flagged) if flagged else (1,):
+        text = line(lineno)
+        parts = text.split(" ")
         fields = parts[1:]
         if lineno == 1:
             fields = parts[2:]
         elif lineno <= 1 + n:
             if len(parts) != 5 or parts[0] != "N":
-                return lineno, f"malformed node line {line!r}"
+                return lineno, f"malformed node line {text!r}"
             try:
                 nid, col, seed, bt = map(int, fields)
             except ValueError:
-                return lineno, f"non-integer field in node line {line!r}"
+                return lineno, f"non-integer field in node line {text!r}"
             if nid != lineno - 2:
                 return lineno, (f"node lines must be sorted by id; "
                                 f"expected {lineno - 2}, got {nid}")
@@ -452,15 +450,15 @@ def _first_error(lines: list[str], suspects: list[int]) -> tuple[int, str] | Non
                 return lineno, "is_seed must be 0 or 1"
             if col < 0 or bt < 0:
                 return lineno, "color and birth_time must be non-negative"
-            if col > _INT64_MAX or bt > _INT64_MAX:
+            if max(col, bt) >= 2**63:
                 return lineno, "color and birth_time must fit in int64"
         else:
             if len(parts) != 4 or parts[0] != "E":
-                return lineno, f"malformed edge line {line!r}"
+                return lineno, f"malformed edge line {text!r}"
             try:
                 u, v = int(parts[1]), int(parts[2])
             except ValueError:
-                return lineno, f"non-integer endpoint in {line!r}"
+                return lineno, f"non-integer endpoint in {text!r}"
             if parts[3] not in EdgeTag.__members__:
                 return lineno, f"unknown provenance {parts[3]!r}"
             if not (0 <= u < n) or not (0 <= v < n):
@@ -469,7 +467,7 @@ def _first_error(lines: list[str], suspects: list[int]) -> tuple[int, str] | Non
                 return lineno, f"edge endpoints must satisfy u < v, got ({u}, {v})"
             prev = (-1, -1)
             if lineno > n + 2:  # an edge line, good or it would be named
-                before = lines[lineno - 2].split(" ")
+                before = line(lineno - 1).split(" ")
                 prev = (int(before[1]), int(before[2]))
             if (u, v) == prev:
                 return lineno, f"duplicate edge ({u}, {v})"
@@ -478,7 +476,7 @@ def _first_error(lines: list[str], suspects: list[int]) -> tuple[int, str] | Non
                                 f"at ({u}, {v})")
             fields = parts[1:3]
         if not all(map(_CANONICAL_INT.fullmatch, fields)):
-            return lineno, f"non-canonical integer field in {line!r}"
+            return lineno, f"non-canonical integer field in {text!r}"
     return None
 
 
@@ -509,5 +507,4 @@ def save_graph(g: LabeledGraph, path) -> None:
 
 
 def load_graph(path) -> LabeledGraph:
-    with open(path, "rb") as fh:
-        return deserialize(fh.read())
+    return deserialize(Path(path).read_bytes())

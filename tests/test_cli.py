@@ -149,6 +149,37 @@ def test_cascade_builds_uniform_thresholds_once(security_file, tmp_path,
     assert calls == [0.5]
 
 
+def test_cascade_uniform_runs_one_cascade_for_all_trials(security_file,
+                                                        tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return cl.infection_set(*args)
+
+    monkeypatch.setattr("cascadelab.cli.infection_set", counted)
+    out = tmp_path / "c.csv"
+    assert run_cli("cascade", "--graph", security_file, "--k", 5,
+                   "--thresholds", "uniform:0.3", "--trials", 3,
+                   "--out", out) == 0
+    assert len(calls) == 1
+    rows = out.read_text().splitlines()[1:]
+    assert [row.split(",", 1)[0] for row in rows] == ["0", "1", "2"]
+    assert len({row.split(",", 1)[1] for row in rows}) == 1
+    assert run_cli("cascade", "--graph", security_file, "--k", 5,
+                   "--thresholds", "random", "--trials", 3,
+                   "--out", out) == 0
+    assert len(calls) == 4
+
+
+def test_generate_er_negative_d_exits_2(tmp_path, capsys):
+    out = tmp_path / "er.graph"
+    assert run_cli("generate", "--model", "er", "--n", 10, "--d", -1,
+                   "--out", out) == 2
+    assert "d must be an integer of at least 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("k", [0, -2])
 def test_injure_k_below_one_exits_2(security_file, tmp_path, capsys, k):
     out = tmp_path / "inj.csv"

@@ -19,6 +19,30 @@ def test_generator_parameter_validation():
         gen_security(10, 2, 1.0)     # a must exceed 1
 
 
+@pytest.mark.parametrize("make,name", [
+    (lambda: gen_er(10, 0.5), "d"),
+    (lambda: gen_er(10.0, 3), "n"),
+    (lambda: gen_pa(50, 2.5), "d"),
+    (lambda: gen_security(50, 3.5, 1.5), "d"),
+    (lambda: gen_security(50.0, 4, 1.5), "n"),
+])
+def test_generators_refuse_non_integer_n_and_d(make, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        make()
+
+
+def test_er_refuses_negative_d():
+    with pytest.raises(ValueError,
+                       match="^d must be an integer of at least 0, got -3"):
+        gen_er(10, -3)
+    assert gen_er(10, 0).m == 0
+
+
+def test_generators_take_numpy_integers():
+    assert gen_er(np.int64(50), np.int64(3)) == gen_er(50, 3)
+    assert gen_pa(np.int64(50), np.int32(3)) == gen_pa(50, 3)
+
+
 def test_attachment_probability():
     assert attachment_probability(2, 1.5) == 1.0   # ln 2 < 1 -> capped
     ps = [attachment_probability(i, 1.5) for i in range(3, 200)]
