@@ -7,11 +7,14 @@ set is the least fixed point and does not depend on update order; the
 implementation propagates round-synchronously with vectorized frontier
 expansion, O(m) work per cascade.
 
-The engine tests the rule as written, ``cnt / deg >= phi`` in IEEE double
-arithmetic, so it agrees bit-for-bit with a naive rescan that compares
-fractions.  A degree-0 node is in no neighbor list, so it never qualifies.
+Two steps run every cascade, and after set-up only they change its state.
+The infect step, ``_infect``, marks nodes infected and counts them into
+their neighbors.  The qualify loop, ``_propagate``, infects through it the
+healthy candidates that meet ``cnt / deg >= phi`` in IEEE doubles (so it
+agrees bit-for-bit with a naive rescan comparing fractions), then tests
+their neighbors.  Every candidate has ``cnt > 0``, so deg >= 1: no phi
+above 0 is met without an infected neighbor.
 
-One resumable kernel, ``_propagate``, advances every cascade here.
 Top-degree attack sets are nested prefixes of one degree order, so
 ``prefix_infection_counts`` resumes each attack size from the previous
 fixed point: with F(S) the final set from S and S a subset of S', the
@@ -36,8 +39,8 @@ from enum import Enum
 
 import numpy as np
 
-from .graph import (LabeledGraph, _component_labels, _gather_neighbors,
-                    _node_ids, largest_connected_component)
+from .graph import (LabeledGraph, _component_labels, _distinct,
+                    _gather_neighbors, _node_ids, largest_connected_component)
 from .seeding import rng_from
 from .structure import Community, _community_layout, intra_color_adjacency
 
@@ -105,28 +108,29 @@ def _phi(g: LabeledGraph, theta: ThresholdAssignment) -> np.ndarray:
     return theta.phi
 
 
-def _propagate(indptr, indices, deg, phi, infected, cnt, frontier) -> list[int]:
-    """Advance a cascade in place until no node qualifies.
+def _infect(indptr, indices, infected, cnt, nodes) -> np.ndarray:
+    """The infect step: mark ``nodes`` (healthy, no repeats) infected and
+    count each into its neighbors; returns those neighbors, with repeats."""
+    infected[nodes] = True
+    nbrs = _gather_neighbors(indptr, indices, nodes)
+    np.add.at(cnt, nbrs, 1)
+    return nbrs
 
-    An uninfected node c qualifies once ``cnt[c] / deg[c] >= phi[c]``;
-    only nodes in some neighbor list are tested, so deg[c] >= 1.
 
-    ``infected`` (bool) and ``cnt`` (infected-neighbor counts) are the
-    caller's state; ``frontier`` holds the nodes infected since ``cnt``
-    last counted them.  Returns the number of nodes newly infected in
-    each round.
+def _propagate(indptr, indices, deg, phi, infected, cnt, cand) -> list[int]:
+    """The qualify loop: infect the healthy candidates ``cand`` with
+    ``cnt / deg >= phi``, then test their neighbors, until none qualifies.
+    Every candidate must have ``cnt > 0``, so deg >= 1.  ``infected`` and
+    ``cnt`` are the caller's state.  Returns the count infected per round.
     """
     growth = []
-    while frontier.size:
-        nbrs = _gather_neighbors(indptr, indices, frontier)
-        np.add.at(cnt, nbrs, 1)
-        hit = nbrs[(~infected[nbrs]) & (cnt[nbrs] / deg[nbrs] >= phi[nbrs])]
+    while True:
+        hit = cand[(~infected[cand]) & (cnt[cand] / deg[cand] >= phi[cand])]
         if hit.size == 0:
-            break
-        frontier = np.unique(hit)
-        infected[frontier] = True
+            return growth
+        frontier = hit if hit.size == 1 else _distinct(hit)
         growth.append(int(frontier.size))
-    return growth
+        cand = _infect(indptr, indices, infected, cnt, frontier)
 
 
 def infection_set(g: LabeledGraph, s, theta: ThresholdAssignment) -> CascadeOutcome:
@@ -136,12 +140,12 @@ def infection_set(g: LabeledGraph, s, theta: ThresholdAssignment) -> CascadeOutc
     because the dynamics are monotone.
     """
     attack = _node_ids(s, g.n, "attack set", as_set=True)
-    infected = np.zeros(g.n, dtype=bool)
-    infected[attack] = True
     indptr, indices = g.adjacency()
+    infected = np.zeros(g.n, dtype=bool)
+    cnt = np.zeros(g.n, dtype=np.int64)
+    nbrs = _infect(indptr, indices, infected, cnt, attack)
     growth = [int(attack.size)] + _propagate(
-        indptr, indices, g.degrees, _phi(g, theta), infected,
-        np.zeros(g.n, dtype=np.int64), attack)
+        indptr, indices, g.degrees, _phi(g, theta), infected, cnt, nbrs)
     return CascadeOutcome(
         infected=np.flatnonzero(infected).astype(np.int64),
         rounds=len(growth) - 1,
@@ -167,11 +171,10 @@ def prefix_infection_counts(g: LabeledGraph, order,
     counts = np.empty(order.size, dtype=np.int64)
     total = 0
     for i in range(order.size):
-        v = order[i]
-        if not infected[v]:
-            infected[v] = True
+        if not infected[order[i]]:
+            nbrs = _infect(indptr, indices, infected, cnt, order[i:i + 1])
             total += 1 + sum(_propagate(indptr, indices, deg, phi, infected,
-                                        cnt, order[i:i + 1]))
+                                        cnt, nbrs))
         counts[i] = total
     return counts
 
@@ -254,8 +257,8 @@ def security_threshold(g: LabeledGraph, s, grid, epsilon: float):
 
     One descending sweep, about one cascade in all: the infected set only
     grows as phi falls, so each lower grid value resumes the cascade from
-    the fixed point above it, seeded with the healthy nodes whose infected
-    fraction now reaches phi.  The first value past the budget ends the
+    the fixed point above it, with every healthy node that has an infected
+    neighbor as a candidate.  The first value past the budget ends the
     sweep.
     """
     grid = [float(x) for x in grid]
@@ -271,19 +274,15 @@ def security_threshold(g: LabeledGraph, s, grid, epsilon: float):
     budget = epsilon * g.n
     indptr, indices = g.adjacency()
     infected = np.zeros(g.n, dtype=bool)
-    infected[attack] = True
-    cnt = np.bincount(_gather_neighbors(indptr, indices, attack),
-                      minlength=g.n)
+    cnt = np.zeros(g.n, dtype=np.int64)
+    _infect(indptr, indices, infected, cnt, attack)
     total = attack.size
     answer = None
-    deg = np.maximum(g.degrees, 1)  # a degree-0 node reads 0 / 1 < phi
     for phi in reversed(grid):
-        frontier = np.flatnonzero(~infected & (cnt / deg >= phi))
-        infected[frontier] = True
         # a zero-stride view gives the kernel phi per node without an array
-        total += frontier.size + sum(_propagate(
-            indptr, indices, deg, np.broadcast_to(phi, g.n), infected, cnt,
-            frontier))
+        total += sum(_propagate(
+            indptr, indices, g.degrees, np.broadcast_to(phi, g.n), infected,
+            cnt, np.flatnonzero(~infected & (cnt > 0))))
         if total > budget:
             break
         answer = phi
@@ -305,12 +304,10 @@ def _contained(g: LabeledGraph, theta: ThresholdAssignment,
     Returns the infected mask."""
     phi = _phi(g, theta)
     indptr, indices = intra_color_adjacency(g)
-    deg = np.maximum(g.degrees, 1)  # a degree-0 node reads 0 / 1 < phi
     cnt = g.degrees - np.diff(indptr)
-    frontier = nodes[cnt[nodes] / deg[nodes] >= phi[nodes]]
     infected = np.zeros(g.n, dtype=bool)
-    infected[frontier] = True
-    _propagate(indptr, indices, deg, phi, infected, cnt, frontier)
+    _propagate(indptr, indices, g.degrees, phi, infected, cnt,
+               nodes[cnt[nodes] > 0])
     return infected
 
 

@@ -102,6 +102,12 @@ class ExperimentConfig:
                     f"(allowed: {', '.join(allowed)})", "models", "experiment")
         if not self.n_list:
             raise ConfigError("n_list must not be empty", "n_list")
+        # integers as the generators take them: any value with __index__
+        for key in ("n_list", "d", "trials", "graphs_per_cell", "master_seed"):
+            value = getattr(self, key)
+            for x in value if key == "n_list" else (value,):
+                if not hasattr(x, "__index__"):
+                    raise ConfigError(f"{key} takes integers, got {x!r}", key)
         if list(self.n_list) != sorted(set(self.n_list)):
             raise ConfigError("n_list must be strictly ascending", "n_list")
         if self.d < 1:

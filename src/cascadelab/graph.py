@@ -194,8 +194,8 @@ class LabeledGraph:
             and np.array_equal(self.edge_tag, other.edge_tag)
         )
 
-    def __hash__(self):  # identity hash; graphs are mutable-free but large
-        return id(self)
+    def __hash__(self):  # O(1), and equal graphs have equal n and m
+        return hash((self.n, self.m))
 
     def __repr__(self) -> str:
         kinds = np.bincount(self.edge_tag, minlength=len(EdgeTag))
@@ -206,16 +206,30 @@ class LabeledGraph:
 
 def _node_ids(ids, n: int, what: str, *, as_set: bool = False) -> np.ndarray:
     """ids as an int64 array (sorted, without repeats, when as_set), each
-    checked to lie in [0, n); the IndexError names what the ids are."""
-    arr = np.asarray(sorted({int(x) for x in ids}) if as_set else ids,
-                     dtype=np.int64)
+    checked to be an integer (TypeError) in [0, n) (IndexError); both
+    errors name what the ids are."""
+    if np.iterable(ids) and not isinstance(ids, np.ndarray):
+        ids = list(ids)  # a set or a generator as well as a sequence
+    arr = np.asarray(ids)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise TypeError(f"{what} holds a non-integer node id")
+    arr = _distinct(arr) if as_set else arr
     if arr.size and (arr.min() < 0 or arr.max() >= n):
         raise IndexError(f"{what} holds a node id out of range [0, {n})")
-    return arr
+    return arr.astype(np.int64, copy=False)
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct values of a, ascending: np.unique by a sort, since
+    numpy 2's hash table takes 10-20x as long on 100+ int64 values."""
+    a = np.sort(a, axis=None)
+    return np.concatenate((a[:1], a[1:][a[1:] != a[:-1]]))
 
 
 def _gather_neighbors(indptr, indices, frontier) -> np.ndarray:
     """All neighbors of the frontier nodes, concatenated (with repeats)."""
+    if frontier.size == 1:  # one row: a view, without the index arithmetic
+        return indices[indptr[frontier[0]]:indptr[frontier[0] + 1]]
     starts = indptr[frontier]
     lens = indptr[frontier + 1] - starts
     cum = np.cumsum(lens)

@@ -1,4 +1,5 @@
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from cascadelab import (CommunityStrength, ThresholdAssignment,
                         infection_set, injury_set, random_thresholds,
                         security_threshold, top_degree_nodes,
                         uniform_thresholds)
+from cascadelab.cascade import prefix_infection_counts
 
 from oracles import (async_infection, graph_from_edges, neighbors,
                      random_attack, random_small_graph, rescan_infection)
@@ -103,6 +105,25 @@ def test_star_half_threshold_infects_all():
     assert out.growth == (1, 4)
 
 
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+def test_cascade_ends_though_infected_nodes_still_qualify():
+    # once the leaves fall, the attacked hub and the leaves all meet phi;
+    # a loop that tested infected nodes again would reinfect them forever,
+    # so an alarm turns that hang into a failure
+    def expire(signum, frame):
+        raise TimeoutError("the cascade did not end within 10 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(10)
+    try:
+        g = star_graph(4)
+        out = infection_set(g, {0}, uniform_thresholds(g, 0.5))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert out.growth == (1, 4)
+
+
 def test_path_high_threshold_blocks():
     g = path_graph(3)
     out = infection_set(g, {0}, uniform_thresholds(g, 0.6))
@@ -184,6 +205,19 @@ def test_monotone_in_thresholds():
         inf_lo = set(infection_set(g, s, uniform_thresholds(g, lo)).infected.tolist())
         inf_hi = set(infection_set(g, s, uniform_thresholds(g, hi)).infected.tolist())
         assert inf_hi <= inf_lo
+
+
+def test_non_integer_attack_is_refused_not_truncated():
+    g = star_graph(3)
+    theta = uniform_thresholds(g, 0.5)
+    with pytest.raises(TypeError, match="attack set holds a non-integer"):
+        infection_set(g, [1.5, 2.9], theta)
+    with pytest.raises(TypeError, match="attack set holds a non-integer"):
+        injury_set(g, np.array([0.0]))
+    with pytest.raises(TypeError, match="attack set holds a non-integer"):
+        security_threshold(g, [True], [0.5], 0.1)
+    with pytest.raises(TypeError, match="attack order holds a non-integer"):
+        prefix_infection_counts(g, [0, 1.5], theta)
 
 
 def test_attack_out_of_range():

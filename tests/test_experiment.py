@@ -3,6 +3,7 @@ import math
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cascadelab as cl
@@ -69,11 +70,24 @@ def test_validation_errors():
     (dict(phi_grid=(0.5, 1.5)), r"phi_grid values must lie in \(0, 1\]"),
     (dict(phi_grid=(float("nan"),)), r"phi_grid values must lie in \(0, 1\]"),
     (dict(graphs_per_cell=0), "graphs_per_cell must be at least 1"),
+    (dict(d=4.5), "d takes integers, got 4.5"),
+    (dict(trials=1.5), "trials takes integers, got 1.5"),
+    (dict(graphs_per_cell=2.0), "graphs_per_cell takes integers, got 2.0"),
+    (dict(master_seed=1.5), "master_seed takes integers, got 1.5"),
+    (dict(n_list=(60, 120.0)), "n_list takes integers, got 120.0"),
 ], ids=["experiment", "models", "n_list", "d", "security-d", "grid-empty",
-        "grid-zero", "grid-above-one", "grid-nan", "graphs"])
+        "grid-zero", "grid-above-one", "grid-nan", "graphs", "d-float",
+        "trials-float", "graphs-float", "seed-float", "n_list-float"])
 def test_config_rejections(over, message):
     with pytest.raises(ConfigError, match=message):
         tiny_cfg(**over)
+
+
+def test_config_takes_numpy_integers():
+    cfg = tiny_cfg(n_list=(np.int64(60), np.int32(120)), d=np.int64(4),
+                   trials=np.int16(3), master_seed=np.uint8(5),
+                   graphs_per_cell=np.int64(1))
+    assert cfg.canonical_text() == tiny_cfg().canonical_text()
 
 
 def test_repeated_model_rejected():

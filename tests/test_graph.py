@@ -171,6 +171,44 @@ def test_lcc_rejects_bad_excluded_id():
             largest_connected_component(complete_graph(3), excluded={bad})
 
 
+def test_equal_graphs_hash_equal():
+    a = generate("er", 30, 3, master_seed=2)
+    b = generate("er", 30, 3, master_seed=2)
+    other = generate("er", 30, 3, master_seed=3)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1 and len({a, b, other}) == 2
+    table = {a: "first"}
+    table[b] = "second"
+    assert table == {a: "second"} and table[b] == "second"
+
+
+@pytest.mark.parametrize("ids", [
+    [1.5, 2.9], (0.0,), np.array([0.9]), np.array([True, False]), [True],
+    ["1"]], ids=["floats", "integral-float", "float-array", "bool-array",
+                 "bool", "string"])
+def test_node_ids_refuse_non_integers(ids):
+    g = star_graph(3)
+    with pytest.raises(TypeError, match="excluded set holds a non-integer"):
+        largest_connected_component(g, excluded=ids)
+
+
+@pytest.mark.parametrize("ids", [
+    [1, 2], (2, 1), {1, 2}, range(1, 3), np.array([2, 1], dtype=np.int32),
+    np.array([1, 2], dtype=np.uint8), (np.int64(1), np.int16(2)),
+    (x for x in (1, 2, 2))], ids=["list", "tuple", "set", "range", "int32",
+                                  "uint8", "numpy-scalars", "generator"])
+def test_node_ids_take_integer_inputs(ids):
+    g = graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    assert largest_connected_component(g, excluded=ids).tolist() == [3, 4]
+
+
+@pytest.mark.parametrize("ids", [[], (), set(), range(0), np.array([]),
+                                 np.array([], dtype=np.int64)])
+def test_node_ids_take_empty_inputs(ids):
+    lcc = largest_connected_component(cycle_graph(4), excluded=ids)
+    assert lcc.tolist() == [0, 1, 2, 3]
+
+
 # ---- serialization -------------------------------------------------------------
 
 def test_roundtrip_empty_graph():

@@ -223,6 +223,21 @@ def test_pair_distances_rejects_out_of_range_ids(pair_u, pair_v, what):
         pair_distances(g, pair_u, pair_v)
 
 
+@pytest.mark.parametrize("pair_u, pair_v, what", [
+    ([0.9], [3], "pair_u"), ([0], [2.0], "pair_v"),
+    ([0, 1], [1, 2.5], "pair_v")])
+def test_pair_distances_refuses_non_integer_ids(pair_u, pair_v, what):
+    g = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(TypeError, match=f"{what} holds a non-integer node id"):
+        pair_distances(g, pair_u, pair_v)
+
+
+def test_navigate_refuses_non_integer_endpoint():
+    with pytest.raises(TypeError,
+                       match="navigation endpoints holds a non-integer"):
+        navigate(_navigation_graph(), 0.5, 2, 10)
+
+
 def test_pair_distances_rejects_unequal_columns():
     g = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
     with pytest.raises(ValueError, match="pair_u has 1 ids but pair_v has 2"):
