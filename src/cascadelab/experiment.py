@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -88,6 +89,8 @@ class ExperimentConfig:
     graphs_per_cell: int = 1
 
     def __post_init__(self):
+        for key in ("models", "n_list", "phi_grid"):  # given as lists, hashed as tuples
+            object.__setattr__(self, key, tuple(getattr(self, key)))
         if self.experiment not in _EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if not self.models:
@@ -108,6 +111,11 @@ class ExperimentConfig:
             for x in value if key == "n_list" else (value,):
                 if not hasattr(x, "__index__"):
                     raise ConfigError(f"{key} takes integers, got {x!r}", key)
+        for key in ("a", "epsilon", "phi_grid"):
+            value = getattr(self, key)
+            for x in value if key == "phi_grid" else (value,):
+                if not isinstance(x, numbers.Real):
+                    raise ConfigError(f"{key} takes numbers, got {x!r}", key)
         if list(self.n_list) != sorted(set(self.n_list)):
             raise ConfigError("n_list must be strictly ascending", "n_list")
         if self.d < 1:
@@ -356,9 +364,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None,
                 skipped.append(cid)
 
     todo = [cid for cid in cells if cid not in rows]
-    parallel = jobs > 1 and len(todo) > 1
+    workers = min(jobs, len(todo))  # the pool starts all its workers at the first submit
+    parallel = workers > 1
     # rows come from a pool future or a call in place, in todo order
-    with (ProcessPoolExecutor(max_workers=jobs) if parallel
+    with (ProcessPoolExecutor(max_workers=workers) if parallel
           else nullcontext()) as pool:
         futures = {cid: pool.submit(_compute_cell, cfg, *cells[cid])
                    for cid in todo} if parallel else {}

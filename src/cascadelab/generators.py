@@ -19,7 +19,8 @@ The security model computes numpy's values inline from raw 64-bit words
 fetched in bulk.  A coin is ``random()``, a whole word: ``(word >> 11) *
 2**-53``.  Every other draw is ``integers(0, high)``, Lemire's method on a
 32-bit half: a word gives its low half first, and its high half waits for the
-next 32-bit draw while coins pass it by.  ``_choice`` is numpy's ``choice``.
+next 32-bit draw while coins pass it by.  One site makes them all; for
+``choice`` it draws below ``_choice_highs``, and ``_choice`` makes the picks.
 
 PA runs blocks of steps at once (Batagelj & Brandes, PRE 71, 036113, 2005)
 with numpy's values: each draw of step t is a 32-bit Lemire draw below its
@@ -57,12 +58,8 @@ def attachment_probability(i: int, a: float) -> float:
 
 def expected_seed_count(n: int, d: int, a: float) -> float:
     """Direct summation of (d+1) + sum_{i=d+1}^{n-1} p_i."""
-    i = np.arange(d + 1, n, dtype=np.float64)
-    with np.errstate(divide="ignore"):
-        p = 1.0 / np.log(i) ** a
-    p = np.minimum(p, 1.0)
-    p[np.log(i) <= 1.0] = 1.0
-    return float(d + 1 + p.sum())
+    ln_i = np.log(np.arange(d + 1, n, dtype=np.float64))
+    return float(d + 1 + np.minimum(1.0, 1.0 / np.maximum(ln_i, 1.0) ** a).sum())
 
 
 def _initial_ends(d: int) -> array:
@@ -239,8 +236,8 @@ def gen_security(n: int, d: int, a: float, master_seed: int = 0) -> LabeledGraph
             words, at = bits.random_raw(_WORDS_PER_FETCH).tolist(), 0
         seed = (words[at] >> 11) * (1.0 / (1 << 53)) < attachment_probability(i, a)
         at += 1
-        # the step's first draw is its PA target or its color; a homophyly step
-        # in a class of more than d nodes then draws d distinct class endpoints
+        # the first draw is the step's color or PA target; then a homophyly step in a
+        # class of over d nodes draws d distinct endpoints, a seed step a choice of seeds
         high, first, picked = len(ends) if seed else len(seeds), -1, []
         while True:
             if half < 0:
@@ -255,24 +252,30 @@ def gen_security(n: int, d: int, a: float, master_seed: int = 0) -> LabeledGraph
             m = x * high  # Lemire's draw below high; the threshold only when it may reject
             if m & _MASK32 < high and m & _MASK32 < (1 << 32) % high:
                 continue
-            if first < 0:
-                first = m >> 32
-                if seed or len(members[first]) <= d:
-                    break
-                pool = class_ends[first]
-                high = len(pool)
+            if first < 0:  # all of a seed step's draws, a homophyly step's first
+                if not seed:
+                    first = m >> 32
+                    if len(members[first]) <= d:
+                        break
+                    pool = class_ends[first]
+                    high = len(pool)
+                elif picked:  # after the target, the choice's draws
+                    picked.append(m >> 32)
+                    if not highs:
+                        break
+                    high = highs.pop()
+                else:  # the PA target; a seed target is left out, and K_{d+1} leaves >= d eligible
+                    target = ends[m >> 32]
+                    rank = color[target] if seeds[color[target]] == target else len(seeds)
+                    eligible = len(seeds) - (rank < len(seeds))
+                    highs = _choice_highs(eligible, d - 1)[::-1]  # pop() gives the next bound
+                    high, picked = highs.pop(), [target]
             elif (u := pool[m >> 32]) not in picked:
                 picked.append(u)
                 if len(picked) == d:
                     break
         if seed:
-            # new seed with a fresh color; exclude the PA target if a seed
-            target = ends[first]
-            rank = color[target] if seeds[color[target]] == target else len(seeds)
-            # K_{d+1} gives d+1 seeds, so at least d are eligible
-            eligible = len(seeds) - (rank < len(seeds))
-            picks, words, at, half = _choice(bits, words, at, half, eligible, d - 1)
-            picked = [target, *(seeds[j + (j >= rank)] for j in picks)]
+            picked[1:] = [seeds[j + (j >= rank)] for j in _choice(eligible, d - 1, picked[1:])]
             for s in picked:
                 class_ends[color[s]].append(s)
             color.append(len(seeds))
@@ -302,44 +305,31 @@ def gen_security(n: int, d: int, a: float, master_seed: int = 0) -> LabeledGraph
                         np.arange(n, dtype=np.int64), eu, ev, tags)
 
 
-def _choice(bits, words: list, at: int, half: int, pop: int, size: int
-            ) -> tuple[list, list, int, int]:
-    """numpy's ``choice(pop, size, replace=False)``, 1 <= size < pop, from the
-    stream at (words, at, half), and the stream's new position.  Its draws are
-    ``integers(0, high)``: Floyd's algorithm, then a shuffle of the picks; for
-    pop > 10000 and size > pop // 50 a shuffle of range(pop)'s tail."""
-    tail = pop > 10000 and size > pop // 50
-    highs = range(pop, pop - size, -1) if tail else [*range(pop - size + 1, pop + 1),
-                                                      *range(size, 1, -1)]
-    values = []
-    for high in highs:
-        while True:
-            if half < 0:
-                if at == len(words):
-                    words, at = bits.random_raw(_WORDS_PER_FETCH).tolist(), 0
-                x = words[at]
-                at += 1
-                half = x >> 32
-                x &= _MASK32
-            else:
-                x, half = half, -1
-            m = x * high
-            if m & _MASK32 >= high or m & _MASK32 >= (1 << 32) % high:
-                break
-        values.append(m >> 32)
-    if tail:
+def _choice_highs(pop: int, size: int) -> list[int]:
+    """Bounds of numpy's draws for ``choice(pop, size, replace=False)``, 1 <= size
+    < pop: a shuffle of range(pop)'s tail if pop > 10000 and size > pop // 50,
+    else Floyd's algorithm, then a shuffle of its picks."""
+    if pop > 10000 and size > pop // 50:
+        return [*range(pop, pop - size, -1)]
+    return [*range(pop - size + 1, pop + 1), *range(size, 1, -1)]
+
+
+def _choice(pop: int, size: int, values: list) -> list:
+    """numpy's ``choice(pop, size, replace=False)`` from its draws below
+    ``_choice_highs(pop, size)``: size for the tail shuffle, else 2 size - 1."""
+    if len(values) == size:  # the tail shuffle; at size 1 Floyd's one pick is the same
         moved: dict[int, int] = {}
-        for high, v in zip(highs, values):
+        for high, v in zip(range(pop, pop - size, -1), values):
             moved[high - 1], moved[v] = moved.get(v, v), moved.get(high - 1, high - 1)
-        return [moved.get(k, k) for k in range(pop - size, pop)], words, at, half
+        return [moved.get(k, k) for k in range(pop - size, pop)]
     picks, seen = [], set()
-    for high, v in zip(highs, values[:size]):
+    for high, v in zip(range(pop - size + 1, pop + 1), values):
         v = high - 1 if v in seen else v
         seen.add(v)
         picks.append(v)
     for j, v in zip(range(size - 1, 0, -1), values[size:]):
         picks[j], picks[v] = picks[v], picks[j]
-    return picks, words, at, half
+    return picks
 
 
 _GENERATORS = {"er": gen_er, "pa": gen_pa, "security": gen_security}

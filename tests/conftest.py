@@ -2,16 +2,22 @@
 
 SUITE_SEED is the one master seed behind every statistical test in the
 suite; expensive graphs are cached per session so several test modules
-can share them.
+can share them.  Where the platform has SIGALRM, a watchdog fails any test
+that runs past WATCHDOG_S, so a hang (a cascade that never ends, say) fails
+as a named test instead of stalling the suite.
 """
 
 from __future__ import annotations
+
+import multiprocessing
+import signal
 
 import pytest
 
 import cascadelab as cl
 
 SUITE_SEED = 1
+WATCHDOG_S = 300  # ten times the slowest test's ~30 s
 
 _GRAPH_CACHE: dict = {}
 
@@ -42,6 +48,36 @@ def security_big():
 def security_mid():
     """A shared n=1e4 security-model graph (d=10, a=1.5)."""
     return cached_graph("security", 10_000, 10, 1.5)
+
+
+class Hang(BaseException):
+    """The watchdog's error: not an Exception, so code that collects errors
+    (``run_experiment``'s cells, say) cannot swallow it and hang again."""
+
+
+@pytest.fixture(autouse=True)
+def watchdog(request):
+    """Raise Hang in a test still running after WATCHDOG_S.  A test may set
+    an alarm of its own; it then ends the watchdog's alarm too, and the
+    handler before the test is restored after it."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        # a pool's workers get no alarm; ending them stops the pool's shutdown
+        # from waiting on their hung cells
+        for child in multiprocessing.active_children():
+            child.terminate()
+        raise Hang(f"{request.node.nodeid} ran past {WATCHDOG_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(WATCHDOG_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # ---- acceptance reporting ----------------------------------------------------

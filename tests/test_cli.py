@@ -180,6 +180,18 @@ def test_generate_er_negative_d_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, message", [
+    (["cascade", "--attack", "sideways", "--thresholds", "uniform:0.5"],
+     "attack must be 'top' or 'ids:FILE', got 'sideways'"),
+    (["injure", "--attack", "ids:F", "--k", 5], "injure supports only --attack top")],
+    ids=["cascade", "injure"])
+def test_unknown_attack_exits_2(security_file, tmp_path, capsys, command, message):
+    out = tmp_path / "x.csv"
+    assert run_cli(*command, "--graph", security_file, "--out", out) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("k", [0, -2])
 def test_injure_k_below_one_exits_2(security_file, tmp_path, capsys, k):
     out = tmp_path / "inj.csv"

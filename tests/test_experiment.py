@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,12 @@ def test_defaults_match_figures():
     c3 = xp.default_config("fig3")
     assert c3.n_list[-1] == 100_000 and c3.d == 5
     assert c3.phi_grid[0] == 0.01 and c3.phi_grid[-1] == 0.50
+
+
+def test_default_config_refuses_unknown_experiment():
+    with pytest.raises(ConfigError, match="unknown experiment 'fig4'") as info:
+        xp.default_config("fig4")
+    assert info.value.keys == ("experiment",)
 
 
 def test_fig1_rejects_security_model():
@@ -75,9 +82,13 @@ def test_validation_errors():
     (dict(graphs_per_cell=2.0), "graphs_per_cell takes integers, got 2.0"),
     (dict(master_seed=1.5), "master_seed takes integers, got 1.5"),
     (dict(n_list=(60, 120.0)), "n_list takes integers, got 120.0"),
+    (dict(models=("security",), a="1.5"), "a takes numbers, got '1.5'"),
+    (dict(epsilon="0.1"), "epsilon takes numbers, got '0.1'"),
+    (dict(phi_grid=(0.1, "0.2")), "phi_grid takes numbers, got '0.2'"),
 ], ids=["experiment", "models", "n_list", "d", "security-d", "grid-empty",
         "grid-zero", "grid-above-one", "grid-nan", "graphs", "d-float",
-        "trials-float", "graphs-float", "seed-float", "n_list-float"])
+        "trials-float", "graphs-float", "seed-float", "n_list-float", "a-str",
+        "epsilon-str", "grid-str"])
 def test_config_rejections(over, message):
     with pytest.raises(ConfigError, match=message):
         tiny_cfg(**over)
@@ -88,6 +99,16 @@ def test_config_takes_numpy_integers():
                    trials=np.int16(3), master_seed=np.uint8(5),
                    graphs_per_cell=np.int64(1))
     assert cfg.canonical_text() == tiny_cfg().canonical_text()
+
+
+def test_list_and_tuple_configs_hash_equal():
+    listed = xp.default_config("fig2", models=["er", "pa"], n_list=[100, 300],
+                               phi_grid=[0.1, 0.2])
+    tupled = xp.default_config("fig2", models=("er", "pa"), n_list=(100, 300),
+                               phi_grid=(0.1, 0.2))
+    assert listed.models == ("er", "pa") and listed == tupled
+    assert xp.config_hash(listed) == xp.config_hash(tupled)
+    assert hash(listed) == hash(tupled)
 
 
 def test_repeated_model_rejected():
@@ -473,6 +494,46 @@ def test_parallel_matches_serial(tmp_path):
     assert serial.csv_text == parallel.csv_text
     assert ((tmp_path / "a" / "manifest.txt").read_bytes()
             == (tmp_path / "b" / "manifest.txt").read_bytes())
+
+
+class _InPlacePool:
+    """A ``ProcessPoolExecutor`` stand-in that runs each submit in place and
+    records the ``max_workers`` it was built with; it starts no process."""
+
+    def __init__(self, max_workers, built):
+        built.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+# a pool forks all max_workers processes at its first submit, so it is
+# built with no more workers than cells left to compute, and not for one
+@pytest.mark.parametrize("jobs, models, done, workers", [
+    (500, ("er",), 0, [2]), (3, ("er", "pa"), 0, [3]), (500, ("er", "pa"), 2, [2]),
+    (500, ("er", "pa"), 3, []), (1, ("er", "pa"), 0, [])])
+def test_jobs_start_only_the_workers_the_cells_use(tmp_path, monkeypatch, jobs,
+                                                   models, done, workers):
+    cfg = tiny_cfg(models=models)
+    out = tmp_path / "out"
+    serial = xp.run_experiment(cfg, out_dir=out)
+    cells = [xp.cell_id(cfg, m, n) for m in models for n in cfg.n_list]
+    for cid in cells[done:]:  # the rerun resumes the first `done` cells
+        (out / "cells" / f"{cid}.csv").unlink()
+    built = []
+    monkeypatch.setattr(xp, "ProcessPoolExecutor",
+                        lambda max_workers: _InPlacePool(max_workers, built))
+    result = xp.run_experiment(cfg, out_dir=out, jobs=jobs)
+    assert built == workers
+    assert len(result.skipped) == done and result.csv_text == serial.csv_text
 
 
 def _files(root):

@@ -305,6 +305,7 @@ def four_edge_file():
                  id="leading-zero-then-refused-text"),
     # no digit in the body: np.fromstring reads blanks alone as one 0
     pytest.param(b"cascadelab-graph v1 1 0\nN a b c d\n", id="no-digits"),
+    pytest.param(b"cascadelab-graph v1 -1 0\n", id="negative-header-count"),
 ])
 def test_hand_written_file_parses_like_oracle(data):
     assert_parses_like_oracle(data)

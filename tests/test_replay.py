@@ -3,9 +3,10 @@
 ``oracles._Replay`` must give exactly numpy ``Generator(PCG64)``'s values
 for ``random()``, ``integers(0, high)`` (high <= 2**32) and ``choice(pop,
 size, replace=False)`` in any interleaving, ``generators._halves`` must give
-its 32-bit draws in order and ``generators._choice`` numpy's ``choice``, and
-the generators built on them must write the same bytes as the per-draw
-loops they replaced (``oracles.loop_gen_*``, ``oracles.replay_gen_security``).
+its 32-bit draws in order, ``generators._choice`` numpy's ``choice`` from the
+draws below ``generators._choice_highs``'s bounds, and the generators built
+on them must write the same bytes as the per-draw loops they replaced
+(``oracles.loop_gen_*``, ``oracles.replay_gen_security``).
 """
 
 from array import array
@@ -18,8 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cascadelab import gen_er, gen_pa, gen_security, generators, serialize
-from cascadelab.generators import (_choice, _halves, _initial_ends, _pa_block,
-                                   _triangular_pairs, attachment_probability)
+from cascadelab.generators import (_choice, _choice_highs, _halves, _initial_ends,
+                                   _pa_block, _triangular_pairs, attachment_probability)
 
 from oracles import (_MASK32, _draw_distinct, _Replay, loop_gen_er, loop_gen_pa,
                      loop_gen_security, replay_gen_security)
@@ -107,19 +108,15 @@ def test_replay_choice_branches(pop, size):
 @pytest.mark.parametrize("pending", [False, True])
 def test_choice_is_numpys(pop, size, pending):
     # both branches, after a 32-bit draw that left its word's high half
-    # pending or after none; the next 32-bit draw continues numpy's stream
+    # pending or after none: numpy's own draws below _choice_highs's bounds
+    # give numpy's choice and leave the stream where choice leaves it
     rng = np.random.Generator(np.random.PCG64(pop + size))
-    bits = np.random.PCG64(pop + size)
-    words, at, half = [], 0, -1
+    draw = np.random.Generator(np.random.PCG64(pop + size))
     if pending:
-        words, at = [int(bits.random_raw())], 1
-        half = words[0] >> 32
-        assert rng.integers(0, 2**32) == words[0] & _MASK32
-    picks, words, at, half = _choice(bits, words, at, half, pop, size)
-    assert picks == rng.choice(pop, size, replace=False).tolist()
-    after = half if half >= 0 else (words[at] if at < len(words) else
-                                    int(bits.random_raw())) & _MASK32
-    assert after == rng.integers(0, 2**32)
+        assert draw.integers(0, 2**32) == rng.integers(0, 2**32)
+    values = [int(draw.integers(0, high)) for high in _choice_highs(pop, size)]
+    assert _choice(pop, size, values) == rng.choice(pop, size, replace=False).tolist()
+    assert draw.integers(0, 2**32) == rng.integers(0, 2**32)
 
 
 @st.composite

@@ -84,6 +84,8 @@ def test_conductance_validation():
         conductance(g, {0, 3})
     with pytest.raises(IndexError, match="W holds a node id out of range"):
         conductance(g, {-1})
+    with pytest.raises(ValueError, match="zero volume"):  # an isolated node
+        conductance(graph_from_edges(3, [(0, 1)]), {2})
 
 
 def test_community_conductances_match_pointwise():
@@ -176,6 +178,11 @@ def test_powerlaw_rejects_constant_sample():
 def test_powerlaw_rejects_small_tail():
     with pytest.raises(ValueError, match="at least 100"):
         powerlaw_exponent(np.arange(50) + 10, 10)
+
+
+def test_powerlaw_rejects_d_min_below_one():
+    with pytest.raises(ValueError, match="d_min must be at least 1"):
+        powerlaw_exponent(np.arange(200) + 1, 0)
 
 
 def test_powerlaw_pa_exponent_single_run():
@@ -366,6 +373,16 @@ def test_ptree_community_with_two_parents():
 def test_ptree_rejects_plain_graph():
     g = cl.gen_er(20, 3, master_seed=0)
     with pytest.raises(ValueError, match="provenance"):
+        infection_priority_tree(g)
+
+
+@pytest.mark.parametrize("seeds, tag, message", [
+    ([0, 0, 0], cl.EdgeTag.INITIAL, "no seeds"),
+    ([1, 1, 0], cl.EdgeTag.PA_GLOBAL, "no INITIAL edges")])
+def test_ptree_rejects_graph_without_provenance(seeds, tag, message):
+    g = graph_from_edges(3, [(0, 1, tag), (1, 2, cl.EdgeTag.HOMOPHYLY)],
+                         color=[0, 1, 1], is_seed=seeds)
+    with pytest.raises(ValueError, match=f"{message}; provenance is missing"):
         infection_priority_tree(g)
 
 
