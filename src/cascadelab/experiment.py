@@ -23,7 +23,7 @@ import math
 import numbers
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -90,7 +90,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for key in ("models", "n_list", "phi_grid"):  # given as lists, hashed as tuples
-            object.__setattr__(self, key, tuple(getattr(self, key)))
+            value = getattr(self, key)
+            if isinstance(value, str) or not np.iterable(value):
+                raise ConfigError(f"{key} takes a list, got {value!r}", key)
+            object.__setattr__(self, key, tuple(value))
         if self.experiment not in _EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if not self.models:
@@ -337,13 +340,33 @@ def _read_manifest(out_dir: Path, cfg: ExperimentConfig) -> set[str]:
             for line in lines[3:] if line.startswith("cell ")}
 
 
+@contextmanager
+def _pool(workers: int):
+    """A process pool for the cells.  Left by an error raised in the parent
+    (a failed write, say), it cancels the queued cells and ends its running
+    workers instead of waiting for them; the executor has no public handle
+    on its workers before Python 3.14."""
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        try:
+            yield pool
+        except BaseException:
+            running = list(pool._processes.values())
+            pool.shutdown(wait=False, cancel_futures=True)
+            for worker in running:
+                worker.terminate()
+                worker.join()
+            raise
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir=None,
                    jobs: int = 1) -> ExperimentResult:
     """Run every (model, n) cell of cfg, resuming from out_dir if possible.
 
     Returns the assembled CSV (header + rows in config order).  With
     out_dir set, writes ``<experiment>.csv``, ``manifest.txt`` and the
-    per-cell fragments.  Cell failures are collected, not raised.
+    per-cell fragments.  Cell failures are collected, not raised; an error
+    raised in the parent (a failed write, say) cancels the queued cells and
+    ends the running workers before it propagates.
     """
     cells = {cell_id(cfg, model, n): (model, n)
              for model in cfg.models for n in cfg.n_list}
@@ -367,8 +390,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None,
     workers = min(jobs, len(todo))  # the pool starts all its workers at the first submit
     parallel = workers > 1
     # rows come from a pool future or a call in place, in todo order
-    with (ProcessPoolExecutor(max_workers=workers) if parallel
-          else nullcontext()) as pool:
+    with _pool(workers) if parallel else nullcontext() as pool:
         futures = {cid: pool.submit(_compute_cell, cfg, *cells[cid])
                    for cid in todo} if parallel else {}
         for cid in todo:

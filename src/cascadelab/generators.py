@@ -291,6 +291,7 @@ def gen_security(n: int, d: int, a: float, master_seed: int = 0) -> LabeledGraph
         ends.fromlist(pairs)
         if not seed:
             class_ends[first].fromlist(pairs)
+    del members, class_ends, words  # freed before the graph is built
     is_seed = np.zeros(n, dtype=bool)
     is_seed[np.frombuffer(seeds, dtype=np.int64)] = True
     eu, ev = _edges(ends)
@@ -301,8 +302,12 @@ def gen_security(n: int, d: int, a: float, master_seed: int = 0) -> LabeledGraph
     tags[:k0] = EdgeTag.INITIAL
     tags[k0:][is_seed[eu[k0:]]] = EdgeTag.SEED_LINK
     tags[k0 + np.searchsorted(eu[k0:], seeds[d + 1:])] = EdgeTag.PA_GLOBAL
+    # contiguous columns, the older endpoint first, so u < v throughout
+    older, newer = ev.copy(), eu.copy()
+    older[:k0], newer[:k0] = eu[:k0], ev[:k0]  # K_{d+1} is written (i, j), i < j
+    del eu, ev, ends
     return LabeledGraph(n, np.array(color, dtype=np.int64), is_seed,
-                        np.arange(n, dtype=np.int64), eu, ev, tags)
+                        np.arange(n, dtype=np.int64), older, newer, tags)
 
 
 def _choice_highs(pop: int, size: int) -> list[int]:

@@ -21,24 +21,31 @@ Provenance is one of INITIAL, PA_GLOBAL, SEED_LINK, HOMOPHYLY, PLAIN.
 The format is canonical: node lines must appear in id order and edge lines
 in ascending (u, v) order, so serialization round-trips bit-exactly.
 
-Both directions work on whole columns.  :func:`serialize` builds each
-chunk of rows as one byte matrix: right-aligned digit tables (node ids and
-edge endpoints share one), broadcast separators and a tag-name table, with
-leading zeros held as 0 bytes that one compress drops.
+Both directions work on column slices of bounded size, so neither holds
+more than the graph's arrays and a few MB beside the bytes it reads.  The
+writer builds each chunk of _CHUNK rows as one byte matrix: right-aligned
+digit tables (node ids and edge endpoints share one), broadcast separators
+and a tag-name table, with leading zeros held as 0 bytes that one compress
+drops.  :func:`save_graph` streams those chunks to the file; only
+:func:`serialize` joins them.
 
 :func:`deserialize` has no grammar of its own: the writer defines the
-format.  It reads every digit run in one ``np.fromstring`` call (any other
-byte reads as a blank) and each tag from two of its letters, checks
-``u < v < n`` and the edge order with array operations, and writes the
-columns back chunk by chunk against the input.  A file is canonical exactly
-when every byte matches; a sign, a leading zero, a ``\r``, a wrong id, tag
-or seed flag and a field past int64 (read as 2**63 - 1) each change one.
-Only the first bad line goes to the per-line checker, which writes every
-format error.  The one leniency is a missing final newline.
+format.  It reads the body in pieces of about _PIECE bytes, cut after a
+newline, straight into preallocated node and edge columns.  In each piece
+it reads every digit run with one ``np.fromstring`` call (any other byte
+reads as a blank) and each tag from two of its letters, checks ``u < v <
+n`` and the edge order with array operations (the last edge key carries to
+the next piece), and writes the piece's rows back against its input before
+it reads the next piece.  A file is canonical exactly when every byte
+matches; a sign, a leading zero, a ``\r``, a wrong id, tag or seed flag and
+a field past int64 (read as 2**63 - 1) each change one.  The first bad line
+stops the read and goes to the per-line checker, which writes every format
+error.  The one leniency is a missing final newline.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import re
 import stat
@@ -92,8 +99,7 @@ class LabeledGraph:
         if swap.any():
             u, v = np.where(swap, v, u), np.where(swap, u, v)
         # canonical edge order (u, v) ascending: distinct keys u*n + v (n <= 3e9) sort one way
-        du = np.diff(u)
-        if ((du < 0) | ((du == 0) & (np.diff(v) < 0))).any():
+        if ((u[1:] < u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] < v[:-1]))).any():
             order = np.argsort(u * self.n + v)
             u, v, tag = u[order], v[order], tag[order]
         self.edge_u = u
@@ -119,7 +125,8 @@ class LabeledGraph:
                 raise ValueError("edge endpoint out of range")
             if (self.edge_u == self.edge_v).any():
                 raise ValueError("self-loops are not allowed")
-            dup = (np.diff(self.edge_u) == 0) & (np.diff(self.edge_v) == 0)
+            u, v = self.edge_u, self.edge_v
+            dup = (u[1:] == u[:-1]) & (v[1:] == v[:-1])
             if dup.any():
                 i = int(np.flatnonzero(dup)[0])
                 raise ValueError(
@@ -264,20 +271,23 @@ def _component_labels(g: LabeledGraph, keep: np.ndarray) -> np.ndarray:
     component is its smallest id.
     """
     labels = np.arange(g.n, dtype=np.int64)
-    both = keep[g.edge_u] & keep[g.edge_v]
-    u, v = g.edge_u[both], g.edge_v[both]
+    u, v = g.edge_u, g.edge_v
+    both = keep[u] & keep[v]
+    if not both.all():
+        u, v = u[both], v[both]
+    np.minimum.at(labels, v, u)  # the first round: labels are still ids, u < v
     while True:
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
         lu, lv = labels[u], labels[v]
         apart = lu != lv
         if not apart.any():
             return labels
         u, v, lu, lv = u[apart], v[apart], lu[apart], lv[apart]
         np.minimum.at(labels, np.maximum(lu, lv), np.minimum(lu, lv))
-        while True:
-            jumped = labels[labels]
-            if np.array_equal(jumped, labels):
-                break
-            labels = jumped
 
 
 def _lcc_of(g: LabeledGraph, keep: np.ndarray) -> np.ndarray:
@@ -295,6 +305,7 @@ def _lcc_of(g: LabeledGraph, keep: np.ndarray) -> np.ndarray:
 
 
 _CHUNK = 1 << 16  # rows per assembled block, which bounds the temporaries
+_PIECE = 1 << 20  # body bytes per parsed piece, cut at the next newline
 # tag names as table rows, left-aligned and padded with 0 bytes
 _TAG_TABLE = np.array([tag.name.encode() for tag in EdgeTag]).view(
     np.uint8).reshape(len(EdgeTag), -1)
@@ -342,20 +353,31 @@ def _rows(count: int, *fields):
         yield block[block != 0]
 
 
+def _node_rows(ids, first: int, color, is_seed, birth_time):
+    """The lines of nodes first, first + 1, ... as _rows chunks; ids is the
+    digit table of every node id, shared with the edge endpoints."""
+    node = np.arange(first, first + len(color))
+    return _rows(len(color), b"N ", (ids, node), b" ", color, b" ", is_seed,
+                 b" ", birth_time, b"\n")
+
+
+def _edge_rows(ids, u, v, tag):
+    """The lines of edges (u, v, tag) as _rows chunks."""
+    return _rows(len(u), b"E ", (ids, u), b" ", (ids, v), b" ",
+                 (_TAG_TABLE, tag), b"\n")
+
+
 def _lines(g: LabeledGraph):
-    """The node lines, then the edge lines, of g as _rows chunks."""
-    node = np.arange(g.n)
-    ids = _digits(node)  # shared by the node ids and the edge endpoints
-    yield from _rows(g.n, b"N ", (ids, node), b" ", g.color, b" ",
-                     g.is_seed, b" ", g.birth_time, b"\n")
-    yield from _rows(g.m, b"E ", (ids, g.edge_u), b" ", (ids, g.edge_v), b" ",
-                     (_TAG_TABLE, g.edge_tag), b"\n")
+    """The header, the node lines and the edge lines of g, as chunks."""
+    yield f"{FORMAT_MAGIC} {FORMAT_VERSION} {g.n} {g.m}\n".encode("utf-8")
+    ids = _digits(np.arange(g.n))
+    yield from _node_rows(ids, 0, g.color, g.is_seed, g.birth_time)
+    yield from _edge_rows(ids, g.edge_u, g.edge_v, g.edge_tag)
 
 
 def serialize(g: LabeledGraph) -> bytes:
     """Serialize to the canonical v1 text format (UTF-8 bytes, LF endings)."""
-    head = f"{FORMAT_MAGIC} {FORMAT_VERSION} {g.n} {g.m}\n".encode("utf-8")
-    return b"".join([head, *_lines(g)])
+    return b"".join(_lines(g))
 
 
 _HEADER = re.compile(re.escape(f"{FORMAT_MAGIC} {FORMAT_VERSION} ".encode())
@@ -372,58 +394,87 @@ _CANONICAL_INT = re.compile(r"0|[1-9][0-9]*")
 def deserialize(data: bytes) -> LabeledGraph:
     """Parse the v1 format; errors name the offending line.
 
-    The body is read leniently in bulk, checked for what writing it back
-    cannot show (edge order, ``u < v < n``), and written back through the
-    writer chunk by chunk against the input: a full match proves the file
-    canonical.  Only the first bad line goes to :func:`_check_lines`.
+    Each piece of the body is parsed leniently into preallocated columns,
+    checked for what writing it back cannot show (edge order, ``u < v <
+    n``), and written back against its input before the next is read: a
+    full match of every piece proves the file canonical.  Only the first
+    bad line goes to :func:`_check_lines`.
     """
     if data and not data.endswith(b"\n"):
         data += b"\n"
-    buf = np.frombuffer(data, dtype=np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))  # ends[i] closes line i + 1
     head = _HEADER.match(data)
-    if head is None or len(ends) != 1 + int(head[1]) + int(head[2]):
-        _check_lines(data, ends)  # raises: the header or the line count is bad
-    # the line count confirms n and m; only from here on may they size arrays
-    n, m = int(head[1]), int(head[2])
-    values = np.fromstring(data[head.end():].translate(_DIGITS_ONLY),
-                           dtype=np.int64, sep=" ")
-    if values.size != 4 * n + 2 * m:  # a miscounted line will not write back
-        values = np.resize(values, 4 * n + 2 * m)
-    node = values[:4 * n].reshape(-1, 4)
-    u, v = values[4 * n:].reshape(-1, 2).T.copy()
-    flagged = (u >= v) | (v >= n)  # a sign reads as a blank, so no field is < 0
-    flagged[1:] |= np.diff(u * n + v) <= 0  # exact up to the first v >= n
-    e = int(flagged.argmax()) if flagged.any() else m
-    bad = 2 + n + e  # the first bad line, past the last while none is known
-    tag = _TAG_BY_LETTERS[buf[ends[1 + n:] - 1], buf[ends[1 + n:] - 4]]
-    # the rows before the flagged one must write back unchanged
-    g = LabeledGraph(n, node[:, 1], node[:, 2] == 1, node[:, 3], u[:e], v[:e],
-                     tag[:e])
-    at = head.end()
-    for chunk in _lines(g):
-        given = buf[at:at + chunk.size]
-        differ = np.flatnonzero(chunk[:given.size] != given)
-        if differ.size:
-            bad = 1 + int(np.searchsorted(ends, at + differ[0]))
-            break
-        at += chunk.size
-    if bad <= 1 + n + m:
-        _check_lines(data, ends, bad)
-    return g
+    n, m = (int(head[1]), int(head[2])) if head else (0, 0)
+    if head is None or n + m > len(data) - head.end():
+        _check_lines(data)  # raises: the header is bad, or too few lines follow
+    # each line holds a newline, so n and m may size arrays from here on
+    color, birth_time = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    is_seed = np.empty(n, dtype=bool)
+    u, v = np.empty(m, dtype=np.int64), np.empty(m, dtype=np.int64)
+    tag = np.empty(m, dtype=np.uint8)
+    ids = _digits(np.arange(n))
+    at, row, last = head.end(), 0, -1  # the piece's first byte and row; the last edge key
+    while at < len(data):
+        stop = data.find(b"\n", at + _PIECE - 1) + 1 or len(data)
+        piece = np.frombuffer(data, dtype=np.uint8, count=stop - at, offset=at)
+        ends = np.flatnonzero(piece == ord("\n"))  # ends[j] closes the piece's row j
+        if row + len(ends) > n + m:
+            _check_lines(data)  # raises: too many lines
+        i0, i1 = min(row, n), min(row + len(ends), n)  # its node rows, then
+        e0, e1 = row - i0, row + len(ends) - i1  # its edge rows
+        nodes = i1 - i0
+        values = np.fromstring(data[at:stop].translate(_DIGITS_ONLY),
+                               dtype=np.int64, sep=" ")
+        if values.size != 4 * nodes + 2 * (e1 - e0):  # a miscounted line will not write back
+            values = np.resize(values, 4 * nodes + 2 * (e1 - e0))
+        node = values[:4 * nodes].reshape(-1, 4)
+        color[i0:i1], birth_time[i0:i1] = node[:, 1], node[:, 3]
+        is_seed[i0:i1] = node[:, 2] == 1
+        pu, pv = u[e0:e1], v[e0:e1]
+        pu[:], pv[:] = values[4 * nodes:].reshape(-1, 2).T
+        tag[e0:e1] = _TAG_BY_LETTERS[piece[ends[nodes:] - 1], piece[ends[nodes:] - 4]]
+        key = pu * n + pv  # exact up to the first v >= n
+        # a sign reads as a blank, so no field is < 0
+        flagged = (pu >= pv) | (pv >= n) | (np.diff(key, prepend=last) <= 0)
+        f = int(flagged.argmax()) if flagged.any() else e1 - e0
+        last = key[-1] if e1 > e0 else last
+        bad = nodes + f  # the piece's first bad row, past its last while none is known
+        # the rows before the flagged one must write back unchanged
+        given = 0
+        for chunk in itertools.chain(
+                _node_rows(ids, i0, color[i0:i1], is_seed[i0:i1],
+                           birth_time[i0:i1]),
+                _edge_rows(ids, pu[:f], pv[:f], tag[e0:e0 + f])):
+            rest = piece[given:given + chunk.size]
+            differ = np.flatnonzero(chunk[:rest.size] != rest)
+            if differ.size:
+                bad = int(np.searchsorted(ends, given + differ[0]))
+                break
+            given += chunk.size
+        if bad < len(ends):
+            _check_lines(data, 2 + row + bad,
+                         at + int(ends[bad - 1]) + 1 if bad else at)
+        at, row = stop, row + len(ends)
+    if row < n + m:
+        _check_lines(data)  # raises: too few lines
+    return LabeledGraph(n, color, is_seed, birth_time, u, v, tag)
 
 
-def _check_lines(data: bytes, ends: np.ndarray, flagged=None) -> None:
+def _check_lines(data: bytes, flagged=None, start=0) -> None:
     """Raise the format error of the first bad one of the header, the line
-    count and the flagged line, decoding only the lines it reads."""
+    count and the flagged line, which starts at byte ``start``, decoding
+    only the lines it reads."""
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise GraphFormatError(f"not valid UTF-8: {exc}") from None
-    error = _first_error(
-        lambda i: data[ends[i - 2] + 1 if i > 1 else 0:ends[i - 1]].decode(),
-        len(ends), flagged)
-    raise GraphFormatError("line %d: %s" % error)
+
+    def line(i):  # the header, the flagged line or its predecessor
+        a = 0 if i == 1 else start if i == flagged else \
+            data.rfind(b"\n", 0, start - 1) + 1
+        return data[a:data.find(b"\n", a)].decode()  # data ends with one
+
+    raise GraphFormatError(
+        "line %d: %s" % _first_error(line, data.count(b"\n"), flagged))
 
 
 def _first_error(line, count: int, flagged) -> tuple[int, str] | None:
@@ -494,30 +545,34 @@ def _first_error(line, count: int, flagged) -> tuple[int, str] | None:
     return None
 
 
-def _write_atomic(path, data: bytes) -> None:
-    """Write data to a temp name beside path and rename it over path, so an
-    interrupted write leaves the previous file whole.  A symlink's target is
+def _write_atomic(path, data) -> None:
+    """Write data, bytes or an iterable of byte chunks, through one handle
+    to a temp name beside path and rename it over path, so an interrupted
+    or failed write leaves the previous file whole.  A symlink's target is
     replaced; a FIFO, a tty or another non-regular file (``/dev/stdout``
     as a pipe, say) is written in place."""
+    chunks = (data,) if isinstance(data, bytes) else data
     try:
         regular = stat.S_ISREG(os.stat(path).st_mode)
     except OSError:  # a new path; a bad one fails below with its own error
         regular = True
     if not regular:
         with open(path, "wb") as fh:
-            fh.write(data)
+            fh.writelines(chunks)
         return
     path = Path(os.path.realpath(path))
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_bytes(data)
+        with tmp.open("wb") as fh:
+            fh.writelines(chunks)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
 
 
 def save_graph(g: LabeledGraph, path) -> None:
-    _write_atomic(path, serialize(g))
+    """Write g to path in the v1 format, chunk by chunk (see _write_atomic)."""
+    _write_atomic(path, _lines(g))
 
 
 def load_graph(path) -> LabeledGraph:

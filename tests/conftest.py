@@ -9,8 +9,10 @@ as a named test instead of stalling the suite.
 
 from __future__ import annotations
 
+import io
 import multiprocessing
 import signal
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +50,29 @@ def security_big():
 def security_mid():
     """A shared n=1e4 security-model graph (d=10, a=1.5)."""
     return cached_graph("security", 10_000, 10, 1.5)
+
+
+class DiskFull(io.FileIO):
+    """A file opened for writing whose first write puts half of its bytes
+    on disk, then raises OSError("disk full"), as a filling disk does."""
+
+    def write(self, data):
+        data = memoryview(data).cast("B")
+        super().write(data[:len(data) // 2])
+        raise OSError("disk full")
+
+
+def fill_disk(monkeypatch, when):
+    """Make every write opened by Path.open(path, "wb") fail as DiskFull
+    where ``when(path)`` holds; every other open is the real one."""
+    real_open = Path.open
+
+    def open_(self, mode="r", *args, **kwargs):
+        if mode == "wb" and when(self):
+            return DiskFull(self, mode)
+        return real_open(self, mode, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", open_)
 
 
 class Hang(BaseException):

@@ -12,6 +12,8 @@ import cascadelab as cl
 from cascadelab.cli import main
 from cascadelab.structure import degree_priority_summary
 
+from conftest import fill_disk
+
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
@@ -239,13 +241,7 @@ def test_failed_csv_write_keeps_previous_csv(security_file, tmp_path,
     assert run_cli("analyze", "--graph", security_file, "--report",
                    "communities", "--out", out) == 0
     previous = out.read_bytes()
-    real_write = Path.write_bytes
-
-    def half_then_fail(self, data):
-        real_write(self, data[:len(data) // 2])
-        raise OSError("disk full")
-
-    monkeypatch.setattr(Path, "write_bytes", half_then_fail)
+    fill_disk(monkeypatch, lambda path: path.name.startswith(".report.csv."))
     assert run_cli("analyze", "--graph", security_file, "--report",
                    "conductance", "--out", out) == 2
     monkeypatch.undo()

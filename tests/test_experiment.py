@@ -1,8 +1,10 @@
 import hashlib
 import math
+import multiprocessing
 import os
+import signal
+import time
 from concurrent.futures import Future
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from cascadelab.cascade import degree_order
 from cascadelab.cli import main
 from cascadelab.seeding import derive_seed
 
-from conftest import figure_csv
+from conftest import Hang, figure_csv, fill_disk
 
 
 def tiny_cfg(**over):
@@ -92,6 +94,17 @@ def test_validation_errors():
 def test_config_rejections(over, message):
     with pytest.raises(ConfigError, match=message):
         tiny_cfg(**over)
+
+
+@pytest.mark.parametrize("key, value", [("n_list", 100), ("phi_grid", 0.5),
+                                        ("models", "er")])
+def test_config_list_given_one_value_names_its_key(key, value):
+    """A number where a list belongs, or a string that would split into
+    letters, is a ConfigError about that key, not a TypeError."""
+    with pytest.raises(ConfigError,
+                       match=f"^{key} takes a list, got {value!r}$") as info:
+        xp.default_config("fig2", **{key: value})
+    assert info.value.keys == (key,)
 
 
 def test_config_takes_numpy_integers():
@@ -547,19 +560,16 @@ def test_failed_manifest_write_keeps_previous_manifest(tmp_path, monkeypatch,
     cfg = tiny_cfg()
     xp.run_experiment(cfg, out_dir=tmp_path / "clean", jobs=jobs)
     out = tmp_path / "out"
-    real_write = Path.write_bytes
     manifests = []
 
-    def fail_second_manifest(self, data):
-        if self.name.startswith(".manifest.txt."):
-            manifests.append((out / "manifest.txt").read_bytes()
-                             if manifests else None)
-            if len(manifests) == 2:  # half written, then the disk fills up
-                real_write(self, data[:len(data) // 2])
-                raise OSError("disk full")
-        return real_write(self, data)
+    def second_manifest(path):
+        if not path.name.startswith(".manifest.txt."):
+            return False
+        manifests.append((out / "manifest.txt").read_bytes()
+                         if manifests else None)
+        return len(manifests) == 2  # half written, then the disk fills up
 
-    monkeypatch.setattr(Path, "write_bytes", fail_second_manifest)
+    fill_disk(monkeypatch, second_manifest)
     with pytest.raises(OSError, match="disk full"):
         xp.run_experiment(cfg, out_dir=out, jobs=jobs)
     monkeypatch.undo()
@@ -616,6 +626,38 @@ def test_worker_crash_reported_as_broken_pool(tmp_path, monkeypatch):
                     "trials=3\nmaster_seed=5\n", encoding="utf-8")
     assert main(["experiment", "--config", str(path), "--jobs", "2",
                  "--out", str(tmp_path / "out")]) == 3
+
+
+def _hang_in_er_120(cfg, model, n):
+    # module level, so a pool can pickle it by name when it is patched in
+    if model == "er" and n == 120:
+        time.sleep(3600)
+    return _REAL_COMPUTE_CELL(cfg, model, n)
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+def test_error_in_parent_stops_the_pool(tmp_path, monkeypatch):
+    """With jobs=2, a fragment write that fails in the parent is raised at
+    once: the queued cells are cancelled and the worker still running a
+    cell is ended, where leaving the pool used to wait for every cell."""
+    monkeypatch.setattr(xp, "_compute_cell", _hang_in_er_120)
+    fill_disk(monkeypatch, lambda path: path.name.startswith(".fig2_er_n60."))
+
+    def expire(signum, frame):
+        for child in multiprocessing.active_children():
+            child.terminate()
+        raise Hang("run_experiment waited for its workers")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    try:
+        with pytest.raises(OSError, match="disk full"):
+            xp.run_experiment(tiny_cfg(), out_dir=tmp_path, jobs=2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert multiprocessing.active_children() == []
+    assert not [p for p in tmp_path.rglob("*") if p.is_file()]
 
 
 def test_trial_seed_layout_matches_spec_signature():

@@ -5,6 +5,7 @@ import pytest
 
 from cascadelab import (EdgeTag, attachment_probability, expected_seed_count,
                         gen_er, gen_pa, gen_security, generate, serialize)
+from cascadelab import generators
 
 
 # ---- parameter validation ------------------------------------------------------
@@ -175,6 +176,25 @@ def test_security_structural_invariants():
             assert (colors[g.edge_u[idx]] == colors[v]).all()
     # total PA_GLOBAL count equals the number of non-initial seeds
     assert (tags == int(EdgeTag.PA_GLOBAL)).sum() == pa_total == n_seeds - (d + 1)
+
+
+def test_security_columns_reach_the_graph_older_endpoint_first(monkeypatch):
+    """gen_security hands LabeledGraph contiguous columns with u < v on
+    every edge, so the constructor swaps no endpoint; the graph is the
+    same."""
+    handed = []
+    real = generators.LabeledGraph
+
+    def spy(n, color, is_seed, birth_time, edge_u, edge_v, edge_tag):
+        handed.append((edge_u, edge_v))
+        return real(n, color, is_seed, birth_time, edge_u, edge_v, edge_tag)
+
+    expected = gen_security(3_000, 5, 1.5, master_seed=4)
+    monkeypatch.setattr(generators, "LabeledGraph", spy)
+    assert gen_security(3_000, 5, 1.5, master_seed=4) == expected
+    (u, v), = handed
+    assert u.flags.c_contiguous and v.flags.c_contiguous
+    assert (u < v).all()
 
 
 def test_security_seed_count_tracks_expectation():

@@ -11,12 +11,16 @@ Every input must give the same bytes, the same graph, or the same error
   finds nothing else wrong up to that line, the reader raises
   ``GraphFormatError`` naming that line as non-canonical.
 
-Every file is parsed in bulk and written back through the writer.  A valid
-file never reaches the per-line checker ``_check_lines``; a bad one hands it
-only its first bad line, so no error scans the whole file line by line.
+Every file is parsed in pieces and written back through the writer.  A
+valid file never reaches the per-line checker ``_check_lines``; a bad one
+hands it only its first bad line, so no error scans the whole file line by
+line.  The oracle comparisons run again with a piece per line, so every
+line sits on a piece boundary.
 """
 
+import functools
 import re
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -25,14 +29,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cascadelab import (EdgeTag, GraphFormatError, deserialize, gen_security,
-                        serialize)
+from cascadelab import (EdgeTag, GraphFormatError, deserialize, gen_er,
+                        gen_security, load_graph, save_graph, serialize)
 from cascadelab import graph
 
 from oracles import (graph_from_edges, per_line_deserialize,
                      per_line_serialize, random_small_graph)
 
 IO_SETTINGS = settings(max_examples=200, deadline=None)
+
+
+def pieces_of(size):
+    """The reader, cutting its pieces after ``size`` bytes: at 1, after
+    every line."""
+    return mock.patch.object(graph, "_PIECE", size)
+
 
 # field values: small, many-digit, and 19-digit ones up to the int64 maximum
 values = st.one_of(st.integers(0, 30), st.integers(0, 10**18 - 1),
@@ -166,26 +177,36 @@ MUTATIONS = ("byte", "delete", "duplicate", "swap")
 NOISE = b"0159 \n\r+-_NEPLAINTKYZ\x00\xff"
 
 
-@IO_SETTINGS
-@given(graphs, st.sampled_from(MUTATIONS), st.data())
-def test_mutated_file_parses_like_oracle(g, kind, data):
+def mutation(g, kind, data):
+    """The file of g with one mutation of the kind, drawn from data."""
     raw = serialize(g)
     if kind == "byte":
         at = data.draw(st.integers(0, len(raw) - 1))
         byte = data.draw(st.sampled_from(NOISE))
-        mutated = raw[:at] + bytes([byte]) + raw[at + 1:]
+        return raw[:at] + bytes([byte]) + raw[at + 1:]
+    lines = raw.split(b"\n")[:-1]
+    i = data.draw(st.integers(0, len(lines) - 1))
+    if kind == "delete":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
     else:
-        lines = raw.split(b"\n")[:-1]
-        i = data.draw(st.integers(0, len(lines) - 1))
-        if kind == "delete":
-            del lines[i]
-        elif kind == "duplicate":
-            lines.insert(i, lines[i])
-        else:
-            j = data.draw(st.integers(0, len(lines) - 1))
-            lines[i], lines[j] = lines[j], lines[i]
-        mutated = b"".join(line + b"\n" for line in lines)
-    assert_parses_like_oracle(mutated)
+        j = data.draw(st.integers(0, len(lines) - 1))
+        lines[i], lines[j] = lines[j], lines[i]
+    return b"".join(line + b"\n" for line in lines)
+
+
+@IO_SETTINGS
+@given(graphs, st.sampled_from(MUTATIONS), st.data())
+def test_mutated_file_parses_like_oracle(g, kind, data):
+    assert_parses_like_oracle(mutation(g, kind, data))
+
+
+@IO_SETTINGS
+@given(graphs, st.sampled_from(MUTATIONS), st.data())
+def test_mutated_file_in_line_pieces_parses_like_oracle(g, kind, data):
+    with pieces_of(1):
+        assert_parses_like_oracle(mutation(g, kind, data))
 
 
 def small_file(*, newline=b"\n"):
@@ -199,7 +220,7 @@ def four_edge_file():
             b"N 3 0 0 3\nE 0 1 PLAIN\nE 0 2 PLAIN\nE 1 2 PLAIN\nE 2 3 PLAIN\n")
 
 
-@pytest.mark.parametrize("data", [
+HAND_WRITTEN = pytest.mark.parametrize("data", [
     pytest.param(small_file(newline=b"\r\n"), id="crlf"),
     pytest.param(b"cascadelab-graph v1 2 0\r\nN 0 0 0 0\r\nN 1 0 0 1\r\n",
                  id="crlf-no-edges"),
@@ -307,8 +328,17 @@ def four_edge_file():
     pytest.param(b"cascadelab-graph v1 1 0\nN a b c d\n", id="no-digits"),
     pytest.param(b"cascadelab-graph v1 -1 0\n", id="negative-header-count"),
 ])
+
+
+@HAND_WRITTEN
 def test_hand_written_file_parses_like_oracle(data):
     assert_parses_like_oracle(data)
+
+
+@HAND_WRITTEN
+def test_hand_written_file_in_line_pieces_parses_like_oracle(data):
+    with pieces_of(1):
+        assert_parses_like_oracle(data)
 
 
 @pytest.mark.parametrize("data,lineno", [
@@ -377,17 +407,15 @@ LAST_LINE_DEFECTS = {
 }
 
 
-@pytest.fixture(scope="module")
-def security_lines():
-    g = gen_security(20_000, 5, 1.5)
+@functools.cache
+def security_lines(n):
+    g = gen_security(n, 5, 1.5)
     return g.n, serialize(g).split(b"\n")[:-1]
 
 
-@pytest.mark.parametrize("defect", sorted(LAST_LINE_DEFECTS))
-def test_error_in_last_lines_hands_the_checker_one_line(security_lines, defect):
+def assert_checker_gets_one_line(n, lines, defect):
     """A defect in the last lines reaches the per-line checker as that one
     line, with the header: no error scans the file line by line."""
-    n, lines = security_lines
     lines, bad = LAST_LINE_DEFECTS[defect](lines, n)
     handed, read = [], set()
 
@@ -406,6 +434,18 @@ def test_error_in_last_lines_hands_the_checker_one_line(security_lines, defect):
             deserialize(b"".join(line + b"\n" for line in lines))
     assert handed == [bad + 1]
     assert read <= {1, bad, bad + 1}  # the header, the line and its predecessor
+
+
+@pytest.mark.parametrize("defect", sorted(LAST_LINE_DEFECTS))
+def test_error_in_last_lines_hands_the_checker_one_line(defect):
+    assert_checker_gets_one_line(*security_lines(20_000), defect)
+
+
+# a piece per line parses a line at a time, so this reads a smaller file
+@pytest.mark.parametrize("defect", sorted(LAST_LINE_DEFECTS))
+def test_error_in_last_lines_of_line_pieces_hands_the_checker_one_line(defect):
+    with pieces_of(1):
+        assert_checker_gets_one_line(*security_lines(300), defect)
 
 
 REAL_FROMSTRING = np.fromstring
@@ -455,3 +495,119 @@ def test_numpy_1_fromstring_gives_the_same_error(data, action):
                 deserialize(data)
     assert str(got.value) == str(expected.value)
     assert refused == []
+
+
+def fromstring_spy(texts):
+    """np.fromstring, appending each text it reads to ``texts``."""
+
+    def fromstring(text, dtype, sep):
+        texts.append(bytes(text))
+        return REAL_FROMSTRING(text, dtype=dtype, sep=sep)
+
+    return fromstring
+
+
+def body_bytes(data, lines):
+    """The byte count of the first ``lines`` lines after the header."""
+    return sum(len(line) + 1 for line in data.split(b"\n")[1:1 + lines])
+
+
+@pytest.mark.parametrize("data", [
+    pytest.param(four_edge_file(), id="valid"),
+    pytest.param(four_edge_file().replace(b"E 0 1", b"E 1 0"),
+                 id="reversed-first-edge"),
+    pytest.param(four_edge_file().replace(b"E 0 1 PLAIN", b"E 0 1 PLAINS"),
+                 id="bad-first-tag"),
+    pytest.param(four_edge_file().replace(b"E 0 1", b"E 0 9"),
+                 id="dangling-first-edge"),
+])
+def test_piece_starting_at_the_first_edge_line(data):
+    """The first piece holds the node lines alone, so the second starts at
+    the first edge line, which follows no edge."""
+    texts = []
+    with pieces_of(body_bytes(data, 4)), mock.patch.object(
+            graph.np, "fromstring", fromstring_spy(texts)):
+        assert_parses_like_oracle(data)
+    assert texts[0].count(b"\n") == 4
+
+
+@pytest.mark.parametrize("data", [
+    pytest.param(four_edge_file().replace(b"E 1 2", b"E 0 2"), id="duplicate"),
+    pytest.param(four_edge_file().replace(b"E 1 2", b"E 0 1"),
+                 id="out-of-order"),
+])
+def test_flagged_edge_whose_predecessor_ends_the_previous_piece(data):
+    """The last edge key of a piece carries to the next: its first edge is
+    flagged when it repeats or precedes the edge that ends the piece before."""
+    texts = []
+    with pieces_of(body_bytes(data, 4 + 2)), mock.patch.object(
+            graph.np, "fromstring", fromstring_spy(texts)):
+        with pytest.raises(GraphFormatError, match="^line 8: "):
+            deserialize(data)
+        assert_parses_like_oracle(data)
+    assert texts[0].count(b"\n") == 4 + 2
+
+
+def test_error_on_an_early_line_parses_one_piece():
+    """A bad line 6 in a file of several pieces is named, with the line and
+    message the oracle gives, before the pieces after the first are read."""
+    n, lines = security_lines(20_000)
+    lines = list(lines)
+    lines[5] += b" 7"  # node 4: one value over
+    data = b"".join(line + b"\n" for line in lines)
+    assert len(data) > 2 * graph._PIECE
+    texts = []
+    with mock.patch.object(graph.np, "fromstring", fromstring_spy(texts)):
+        with pytest.raises(GraphFormatError, match="^line 6: ") as got:
+            deserialize(data)
+    assert len(texts) <= 2
+    assert ("error", "GraphFormatError", str(got.value)) == outcome(
+        per_line_deserialize, data)
+
+
+# the reader holds a few pieces and the writer a few chunks at a time: at
+# n = 2e4, d = 10 (a 4 MiB file) they peak at about 6.5 and 7 MiB over what
+# they read and return, where a whole-file reader took 12 MiB
+TRANSIENT_BOUND = 9 * 2**20
+
+
+@pytest.mark.skipif(tracemalloc.is_tracing(), reason="tracemalloc in use")
+def test_load_and_save_hold_pieces_not_the_whole_file(tmp_path):
+    g = gen_security(20_000, 10, 1.5)
+    path = tmp_path / "g.graph"
+    save_graph(g, path)
+    size = path.stat().st_size
+    arrays = sum(a.nbytes for a in (g.color, g.is_seed, g.birth_time,
+                                    g.edge_u, g.edge_v, g.edge_tag))
+    tracemalloc.start()
+    try:
+        loaded = load_graph(path)
+        load_peak = tracemalloc.get_traced_memory()[1] - size - arrays
+        tracemalloc.stop()
+        tracemalloc.start()
+        save_graph(loaded, tmp_path / "again.graph")
+        save_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded == g
+    assert (tmp_path / "again.graph").read_bytes() == path.read_bytes()
+    assert load_peak < TRANSIENT_BOUND, f"load_graph held {load_peak} B"
+    assert save_peak < TRANSIENT_BOUND, f"save_graph held {save_peak} B"
+
+
+def test_save_graph_failing_after_its_first_chunk_keeps_the_previous_file(
+        tmp_path, monkeypatch):
+    path = tmp_path / "g.graph"
+    save_graph(gen_er(300, 4, master_seed=1), path)
+    previous = path.read_bytes()
+    lines = graph._lines
+
+    def first_then_fail(g):
+        yield next(lines(g))
+        raise RuntimeError("writer failed")
+
+    monkeypatch.setattr(graph, "_lines", first_then_fail)
+    with pytest.raises(RuntimeError, match="writer failed"):
+        save_graph(gen_er(300, 4, master_seed=2), path)
+    assert path.read_bytes() == previous
+    assert [p.name for p in tmp_path.iterdir()] == ["g.graph"]

@@ -167,6 +167,28 @@ def test_component_labels_isolated_survivors():
     assert_components_like_scipy(g, keep)
 
 
+def test_component_labels_first_round_hooks_each_edge_to_its_smaller_end(
+        monkeypatch):
+    """Labels start as ids and every edge has u < v, so the first round
+    hooks each v to its least neighbour u: stars centred on their smallest
+    ids are labelled in that one round, with no second."""
+    g = graph_from_edges(9, [(0, 1), (0, 2), (0, 3), (4, 5), (4, 8), (6, 7)])
+    rounds = []
+
+    class Minimum:  # np.minimum, counting the edges of each hooking round
+        __call__ = staticmethod(np.minimum)
+
+        def at(self, labels, at, values):
+            rounds.append(len(at))
+            np.minimum.at(labels, at, values)
+
+    monkeypatch.setattr(cl.graph, "np", types.SimpleNamespace(
+        **{**vars(np), "minimum": Minimum()}))
+    labels = _component_labels(g, np.ones(g.n, dtype=bool))
+    assert labels.tolist() == [0, 0, 0, 0, 4, 4, 6, 6, 4]
+    assert rounds == [6]
+
+
 # ---- power-law CCDF r² ---------------------------------------------------------
 
 
