@@ -249,6 +249,18 @@ def top_degree_nodes(g: LabeledGraph, k: int) -> np.ndarray:
     return np.sort(degree_order(g, k))
 
 
+def _grid_error(grid, name: str) -> str | None:
+    """What keeps grid from being a phi grid (non-empty, within (0, 1] and
+    strictly ascending), in a message naming it ``name``; None if nothing."""
+    if not grid:
+        return f"{name} must not be empty"
+    if any(not 0.0 < x <= 1.0 for x in grid):
+        return f"{name} values must lie in (0, 1]"
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        return f"{name} must be strictly ascending"
+    return None
+
+
 def security_threshold(g: LabeledGraph, s, grid, epsilon: float):
     """Smallest phi in grid whose uniform-threshold cascade from s infects
     at most epsilon * n nodes; None when no grid value qualifies.
@@ -262,12 +274,8 @@ def security_threshold(g: LabeledGraph, s, grid, epsilon: float):
     sweep.
     """
     grid = [float(x) for x in grid]
-    if not grid:
-        raise ValueError("phi grid must not be empty")
-    if any(not 0.0 < x <= 1.0 for x in grid):
-        raise ValueError("phi grid values must lie in (0, 1]")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("phi grid must be strictly ascending")
+    if error := _grid_error(grid, "phi grid"):
+        raise ValueError(error)
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     attack = _node_ids(s, g.n, "attack set", as_set=True)

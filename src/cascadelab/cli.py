@@ -15,17 +15,18 @@ error, 3 partial experiment failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
-from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .cascade import (degree_order, infection_set, prefix_injury_counts,
                       random_thresholds, top_degree_nodes, uniform_thresholds)
-from .experiment import ConfigError, fmt_number, read_config, run_experiment
+from .experiment import (ConfigError, fmt_number, numbered_lines, read_config,
+                         run_experiment)
 from .generators import generate
 from .graph import _rows, _write_atomic, load_graph, save_graph
 from .seeding import derive_trial_seed, rng_from
@@ -47,14 +48,27 @@ def _wrote(path, what: str) -> int:
     return 0
 
 
-def _write_csv(path, header: str, count: int, body: bytes) -> int:
-    _write_atomic(path, f"{header}\n".encode() + body)
+def _write_csv(path, header: str, count: int, body) -> int:
+    """Write the header line, then body's byte chunks as they come."""
+    _write_atomic(path, itertools.chain((f"{header}\n".encode(),), body))
     return _wrote(path, f"{count} row(s)")
 
 
-def _encoded(rows: list[str]) -> tuple[int, bytes]:
-    """The row count and the encoded lines of rows."""
-    return len(rows), "".join(f"{row}\n" for row in rows).encode()
+def _encoded(rows: list[str]):
+    """The row count and the encoded lines of rows, a chunk each."""
+    return len(rows), (f"{row}\n".encode() for row in rows)
+
+
+# the least value of each count flag, checked in this order before any
+# graph file is read; --k counts only for a top-degree attack
+_LEAST = {"--trials": 1, "--k": 1, "--pairs": 1, "--hop-budget": 0, "--jobs": 1}
+
+
+def _check_counts(args) -> None:
+    for flag, least in _LEAST.items():
+        value = getattr(args, flag[2:].replace("-", "_"), least)
+        if value < least and (flag != "--k" or args.attack == "top"):
+            raise ConfigError(f"{flag} must be at least {least}, got {value}")
 
 
 def _cmd_generate(args) -> int:
@@ -75,9 +89,8 @@ def _parse_attack(g, attack: str, k: int):
         return top_degree_nodes(g, _top_k(g, k))
     if attack.startswith("ids:"):
         path = attack[len("ids:"):]
-        text = Path(path).read_text(encoding="utf-8")
         ids = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        for lineno, line in numbered_lines(path):
             for token in line.split():
                 try:
                     v = int(token)
@@ -106,10 +119,7 @@ def _cmd_cascade(args) -> int:
     elif choice != "random":
         raise ConfigError(
             f"thresholds must be 'uniform:PHI' or 'random', got {choice!r}")
-    if args.trials < 1:
-        raise ConfigError(f"--trials must be at least 1, got {args.trials}")
-    if args.attack == "top" and args.k < 1:
-        raise ConfigError(f"--k must be at least 1, got {args.k}")
+    _check_counts(args)
     g = load_graph(args.graph)
     attack = _parse_attack(g, args.attack, args.k)
     if phi is not None:  # every trial is the same cascade: run it once
@@ -132,8 +142,7 @@ def _cmd_cascade(args) -> int:
 def _cmd_injure(args) -> int:
     if args.attack != "top":
         raise ConfigError("injure supports only --attack top")
-    if args.k < 1:
-        raise ConfigError(f"--k must be at least 1, got {args.k}")
+    _check_counts(args)
     g = load_graph(args.graph)
     injured = prefix_injury_counts(g, degree_order(g, _top_k(g, args.k)))
     rows = [f"{k},{count},{fmt_number(count / g.n)}"
@@ -142,71 +151,66 @@ def _cmd_injure(args) -> int:
                       *_encoded(rows))
 
 
-def _analyze_rows(g, args) -> tuple[str, list[str]]:
-    report = args.report
-    if report == "communities":
-        return "color,seed,size", [
-            f"{c.color},{c.seed},{c.size}" for c in communities(g)]
-    if report == "conductance":
-        rows = [f"{color},{r.size},{r.volume},{r.cut},"
-                f"{fmt_number(r.conductance)}"
-                for color, r in sorted(community_conductances(g).items())]
-        return "color,size,volume,cut,conductance", rows
-    if report == "powerlaw":
-        fit = powerlaw_exponent(g.degrees, args.d_min)
-        return "n_samples,d_min,exponent,ccdf_r2", [
-            f"{fit.sample_count},{fit.d_min},{fmt_number(fit.exponent)},"
-            f"{fmt_number(fit.ccdf_r2)}"]
-    if report == "distances":
-        st = distance_stats(g, args.pairs, seed=args.seed)
-        return "pairs_sampled,pairs_unreachable,avg_distance,est_diameter", [
-            f"{st.pairs_sampled},{st.pairs_unreachable},"
-            f"{fmt_number(st.avg_distance)},{st.est_diameter}"]
-    if report == "ptree":
-        tree = infection_priority_tree(g)
-        return "vertices,edges,is_tree,height,violations", [
-            f"{len(tree.vertex_colors)},{len(tree.edges)},"
-            f"{int(tree.is_tree)},{tree.height},{len(tree.violations)}"]
-    if report == "diameters":
-        rows = [f"{color},{fmt_number(dia)}"
-                for color, dia in sorted(community_diameters(g).items())]
-        return "color,diameter", rows
-    # navigate, the last of the --report choices
+def _navigate_rows(g, args):
+    """--pairs random (u, v) pairs, each navigated within --hop-budget."""
     rng = rng_from(args.seed, "cli-navigate", g.n)
-    budget = args.hop_budget
     rows = []
     for i in range(args.pairs):
         u = int(rng.integers(0, g.n))
         v = int(rng.integers(0, g.n))
-        res = navigate(g, u, v, budget)
+        res = navigate(g, u, v, args.hop_budget)
         rows.append(f"{i},{u},{v},{int(res.succeeded)},"
                     f"{res.hops if res.succeeded else ''},{res.visited}")
-    return "pair,u,v,success,hops,visited", rows
+    return _encoded(rows)
+
+
+def _degree_priority_rows(g, args):
+    """One row per node, by the array writer."""
+    s = degree_priority_summary(g)
+    return g.n, _rows(g.n, np.arange(g.n), b",", g.color, b",", g.is_seed, b",",
+                      g.degrees, b",", s.length, b",", s.first_degree, b",",
+                      s.second_degree, b",", s.own_color_first(g), b"\n")
+
+
+# each --report: its CSV header and the builder of its (row count, chunks),
+# which looks this module's names up when it runs, so rebinding one works
+_REPORTS = {
+    "communities": ("color,seed,size", lambda g, args: _encoded([
+        f"{c.color},{c.seed},{c.size}" for c in communities(g)])),
+    "conductance": ("color,size,volume,cut,conductance", lambda g, args: _encoded([
+        f"{color},{r.size},{r.volume},{r.cut},{fmt_number(r.conductance)}"
+        for color, r in sorted(community_conductances(g).items())])),
+    "degree-priority": ("node,color,is_seed,degree,length,first_degree,"
+                        "second_degree,own_color_first", _degree_priority_rows),
+    "powerlaw": ("n_samples,d_min,exponent,ccdf_r2", lambda g, args: _encoded([
+        f"{fit.sample_count},{fit.d_min},{fmt_number(fit.exponent)},"
+        f"{fmt_number(fit.ccdf_r2)}"
+        for fit in [powerlaw_exponent(g.degrees, args.d_min)]])),
+    "distances": ("pairs_sampled,pairs_unreachable,avg_distance,est_diameter",
+                  lambda g, args: _encoded([
+        f"{st.pairs_sampled},{st.pairs_unreachable},"
+        f"{fmt_number(st.avg_distance)},{st.est_diameter}"
+        for st in [distance_stats(g, args.pairs, seed=args.seed)]])),
+    "ptree": ("vertices,edges,is_tree,height,violations", lambda g, args: _encoded([
+        f"{len(tree.vertex_colors)},{len(tree.edges)},{int(tree.is_tree)},"
+        f"{tree.height},{len(tree.violations)}"
+        for tree in [infection_priority_tree(g)]])),
+    "diameters": ("color,diameter", lambda g, args: _encoded([
+        f"{color},{fmt_number(dia)}"
+        for color, dia in sorted(community_diameters(g).items())])),
+    "navigate": ("pair,u,v,success,hops,visited", _navigate_rows),
+}
 
 
 def _cmd_analyze(args) -> int:
-    if args.pairs < 1:
-        raise ConfigError(f"--pairs must be at least 1, got {args.pairs}")
-    if args.hop_budget < 0:
-        raise ConfigError(
-            f"--hop-budget must be at least 0, got {args.hop_budget}")
+    _check_counts(args)
     g = load_graph(args.graph)
-    if args.report == "degree-priority":  # one row per node, by the array writer
-        s = degree_priority_summary(g)
-        body = b"".join(_rows(
-            g.n, np.arange(g.n), b",", g.color, b",", g.is_seed, b",",
-            g.degrees, b",", s.length, b",", s.first_degree, b",",
-            s.second_degree, b",", s.own_color_first(g), b"\n"))
-        return _write_csv(args.out, "node,color,is_seed,degree,length,"
-                          "first_degree,second_degree,own_color_first",
-                          g.n, body)
-    header, rows = _analyze_rows(g, args)
-    return _write_csv(args.out, header, *_encoded(rows))
+    header, build = _REPORTS[args.report]
+    return _write_csv(args.out, header, *build(g, args))
 
 
 def _cmd_experiment(args) -> int:
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
+    _check_counts(args)
     overrides = {}
     if args.fig is not None:
         overrides["experiment"] = f"fig{args.fig}"
@@ -267,10 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="structural reports as CSV")
     p.add_argument("--graph", required=True)
-    p.add_argument("--report", required=True,
-                   choices=("communities", "conductance", "degree-priority",
-                            "powerlaw", "distances", "ptree", "diameters",
-                            "navigate"))
+    p.add_argument("--report", required=True, choices=tuple(_REPORTS))
     p.add_argument("--out", required=True)
     p.add_argument("--pairs", type=int, default=1000,
                    help="sample size for distances/navigate")

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cascade import (degree_order, prefix_infection_counts,
+from .cascade import (_grid_error, degree_order, prefix_infection_counts,
                       prefix_injury_counts, random_thresholds,
                       security_threshold)
 from .generators import generate
@@ -72,6 +72,40 @@ def attack_size(n: int, scale: float = 1.0) -> int:
     return max(1, math.ceil(scale * math.log(n)))
 
 
+# Each config field: the type of its values, which also parses them from a
+# file (int: any value with __index__; float: any real; [type]: a list),
+# and its least value, open (low, high) range, choices or check function.
+# The checks run pass by pass down this table: its order is their order.
+_FIELDS = {
+    "experiment": (lambda v: f"fig{v}" if v in ("1", "2", "3") else v, None),
+    "models": ([str.strip], None),
+    "n_list": ([int], None),
+    "d": (int, 1),
+    "a": (float, None),
+    "trials": (int, 1),
+    "epsilon": (float, (0, 1)),
+    "phi_grid": ([float], _grid_error),
+    "attack": (str, ("top", "random")),
+    "graphs_per_cell": (int, 1),
+    "master_seed": (int, None),
+}
+_KINDS = {int: ("integers", lambda x: hasattr(x, "__index__")),
+          float: ("numbers", lambda x: isinstance(x, numbers.Real))}
+_ALIASES = {"seed": "master_seed", "fig": "experiment"}
+
+
+def _bound_error(key: str, value, bound) -> str | None:
+    """What puts value outside its bound (see _FIELDS); None if nothing."""
+    if callable(bound):
+        return bound(value, key)
+    if isinstance(bound, int):
+        return f"{key} must be at least {bound}" if value < bound else None
+    if isinstance(bound[0], str):
+        return None if value in bound else (
+            f"{key} must be {' or '.join(map(repr, bound))}")
+    return None if bound[0] < value < bound[1] else f"{key} must be in {bound}"
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of one experiment run (see module docstring)."""
@@ -89,11 +123,12 @@ class ExperimentConfig:
     graphs_per_cell: int = 1
 
     def __post_init__(self):
-        for key in ("models", "n_list", "phi_grid"):  # given as lists, hashed as tuples
+        for key, (kind, _) in _FIELDS.items():  # given as lists, hashed as tuples
             value = getattr(self, key)
-            if isinstance(value, str) or not np.iterable(value):
-                raise ConfigError(f"{key} takes a list, got {value!r}", key)
-            object.__setattr__(self, key, tuple(value))
+            if isinstance(kind, list):
+                if isinstance(value, str) or not np.iterable(value):
+                    raise ConfigError(f"{key} takes a list, got {value!r}", key)
+                object.__setattr__(self, key, tuple(value))
         if self.experiment not in _EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if not self.models:
@@ -108,21 +143,33 @@ class ExperimentConfig:
                     f"(allowed: {', '.join(allowed)})", "models", "experiment")
         if not self.n_list:
             raise ConfigError("n_list must not be empty", "n_list")
-        # integers as the generators take them: any value with __index__
-        for key in ("n_list", "d", "trials", "graphs_per_cell", "master_seed"):
-            value = getattr(self, key)
-            for x in value if key == "n_list" else (value,):
-                if not hasattr(x, "__index__"):
-                    raise ConfigError(f"{key} takes integers, got {x!r}", key)
-        for key in ("a", "epsilon", "phi_grid"):
-            value = getattr(self, key)
-            for x in value if key == "phi_grid" else (value,):
-                if not isinstance(x, numbers.Real):
-                    raise ConfigError(f"{key} takes numbers, got {x!r}", key)
+        for kind, (name, holds) in _KINDS.items():  # integers, then numbers
+            for key, (key_kind, _) in _FIELDS.items():
+                if key_kind in (kind, [kind]):
+                    value = getattr(self, key)
+                    for x in value if key_kind == [kind] else (value,):
+                        if not holds(x):
+                            raise ConfigError(f"{key} takes {name}, got {x!r}",
+                                              key)
         if list(self.n_list) != sorted(set(self.n_list)):
             raise ConfigError("n_list must be strictly ascending", "n_list")
-        if self.d < 1:
-            raise ConfigError("d must be at least 1", "d")
+        for key, (_, bound) in _FIELDS.items():
+            value = getattr(self, key)
+            if bound is not None and (error := _bound_error(key, value, bound)):
+                raise ConfigError(error, key)
+            # a check across keys runs once the last key it reads is bounded
+            if key == "a":
+                self._check_model_bounds()
+            elif key == "attack" and value != "top" and self.experiment != "fig2":
+                raise ConfigError(f"{self.experiment} always attacks top-degree "
+                                  "nodes", "attack", "experiment")
+        if self.d < 4:
+            warnings.warn(
+                f"d={self.d} < 4: security-model cascade containment "
+                "weakens at small d", stacklevel=2)
+
+    def _check_model_bounds(self) -> None:
+        """The bounds that the models and the experiment set on d, a and n."""
         if "security" in self.models:
             if self.d < 2:
                 raise ConfigError("the security model requires d >= 2",
@@ -139,28 +186,6 @@ class ExperimentConfig:
                     raise ConfigError(f"fig1 attacks up to ceil(5 ln n) = "
                                       f"{k_max} nodes, more than n={n}",
                                       "n_list", "experiment")
-        if self.trials < 1:
-            raise ConfigError("trials must be at least 1", "trials")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ConfigError("epsilon must be in (0, 1)", "epsilon")
-        if not self.phi_grid:
-            raise ConfigError("phi_grid must not be empty", "phi_grid")
-        if any(not 0.0 < p <= 1.0 for p in self.phi_grid):
-            raise ConfigError("phi_grid values must lie in (0, 1]", "phi_grid")
-        if any(b <= a for a, b in zip(self.phi_grid, self.phi_grid[1:])):
-            raise ConfigError("phi_grid must be strictly ascending", "phi_grid")
-        if self.attack not in ("top", "random"):
-            raise ConfigError("attack must be 'top' or 'random'", "attack")
-        if self.attack != "top" and self.experiment != "fig2":
-            raise ConfigError(f"{self.experiment} always attacks top-degree "
-                              "nodes", "attack", "experiment")
-        if self.graphs_per_cell < 1:
-            raise ConfigError("graphs_per_cell must be at least 1",
-                              "graphs_per_cell")
-        if self.d < 4:
-            warnings.warn(
-                f"d={self.d} < 4: security-model cascade containment "
-                "weakens at small d", stacklevel=2)
 
     def canonical_text(self) -> str:
         """Deterministic key=value dump, used for hashing and the manifest."""
@@ -187,27 +212,24 @@ def default_config(experiment: str, **overrides) -> ExperimentConfig:
 
 # ---- config file parsing ----------------------------------------------------
 
-def _tuple_of(cast):
-    return lambda text: tuple(cast(v) for v in text.split(",") if v.strip())
-
-
-_PARSERS = {"d": int, "trials": int, "master_seed": int,
-            "graphs_per_cell": int, "a": float, "epsilon": float,
-            "models": _tuple_of(str.strip), "n_list": _tuple_of(int),
-            "phi_grid": _tuple_of(float),
-            "experiment": lambda v: f"fig{v}" if v in ("1", "2", "3") else v}
-_ALIASES = {"seed": "master_seed", "fig": "experiment"}
+def numbered_lines(path):
+    """The (number, text) of each line of a UTF-8 text file; a byte that is
+    not UTF-8 raises a ConfigError naming FILE:LINE."""
+    data = Path(path).read_bytes()
+    try:
+        return enumerate(data.decode("utf-8").splitlines(), start=1)
+    except UnicodeDecodeError as exc:
+        line = len((data[:exc.start].decode("utf-8") + "?").splitlines())
+        raise ConfigError(f"{path}:{line}: {exc}") from None
 
 
 def read_config(path=None, **overrides) -> ExperimentConfig:
     """The validated config of a flat key=value file ('#' comments, each
     key set once, an alias counting as its target, every error that a file
     value causes naming FILE:LINE), with typed overrides on top."""
-    known = {f.name for f in fields(ExperimentConfig)}
     values: dict = {}
     first_line: dict = {}
-    text = Path(path).read_text(encoding="utf-8") if path is not None else ""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in numbered_lines(path) if path is not None else ():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -216,14 +238,18 @@ def read_config(path=None, **overrides) -> ExperimentConfig:
             raise ConfigError(f"{where}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key = _ALIASES.get(key.strip(), key.strip())
-        if key not in known:
+        if key not in _FIELDS:
             raise ConfigError(f"{where}: unknown config key {key!r}")
         if key in first_line:
             raise ConfigError(f"{where}: {key!r} repeats the setting "
                               f"on line {first_line[key]}")
         first_line[key] = lineno
+        kind, text = _FIELDS[key][0], value.strip()
         try:
-            values[key] = _PARSERS.get(key, str)(value.strip())
+            if isinstance(kind, list):  # comma-separated, empty items skipped
+                values[key] = tuple(kind[0](v) for v in text.split(",") if v.strip())
+            else:
+                values[key] = kind(text)
         except ValueError as exc:
             raise ConfigError(
                 f"{where}: bad value for {key!r}: {exc}") from None

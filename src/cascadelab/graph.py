@@ -431,7 +431,9 @@ def deserialize(data: bytes) -> LabeledGraph:
         is_seed[i0:i1] = node[:, 2] == 1
         pu, pv = u[e0:e1], v[e0:e1]
         pu[:], pv[:] = values[4 * nodes:].reshape(-1, 2).T
-        tag[e0:e1] = _TAG_BY_LETTERS[piece[ends[nodes:] - 1], piece[ends[nodes:] - 4]]
+        # clipped: a first row shorter than a tag would index before the piece
+        tag[e0:e1] = _TAG_BY_LETTERS[piece.take(ends[nodes:] - 1, mode="clip"),
+                                     piece.take(ends[nodes:] - 4, mode="clip")]
         key = pu * n + pv  # exact up to the first v >= n
         # a sign reads as a blank, so no field is < 0
         flagged = (pu >= pv) | (pv >= n) | (np.diff(key, prepend=last) <= 0)
@@ -466,7 +468,8 @@ def _check_lines(data: bytes, flagged=None, start=0) -> None:
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise GraphFormatError(f"not valid UTF-8: {exc}") from None
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise GraphFormatError(f"line {lineno}: not valid UTF-8: {exc}") from None
 
     def line(i):  # the header, the flagged line or its predecessor
         a = 0 if i == 1 else start if i == flagged else \

@@ -2,7 +2,8 @@
 
 SUITE_SEED is the one master seed behind every statistical test in the
 suite; expensive graphs are cached per session so several test modules
-can share them.  Where the platform has SIGALRM, a watchdog fails any test
+can share them.  Property tests print the blob that reproduces a failing
+example.  Where the platform has SIGALRM, a watchdog fails any test
 that runs past WATCHDOG_S, so a hang (a cascade that never ends, say) fails
 as a named test instead of stalling the suite.
 """
@@ -15,8 +16,15 @@ import signal
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 import cascadelab as cl
+
+# a failing property test prints the blob that reproduces its example
+# (@reproduce_failure), even where its failure does not recur on its own;
+# every other setting keeps its default or the test's own
+settings.register_profile("cascadelab", print_blob=True)
+settings.load_profile("cascadelab")
 
 SUITE_SEED = 1
 WATCHDOG_S = 300  # ten times the slowest test's ~30 s

@@ -29,16 +29,22 @@ numpy once per draw (public names carry a prefix naming the method).
 ``_Replay`` (numpy's ``random``, ``integers`` and ``choice`` computed from
 raw words), ``_draw_distinct`` and ``replay_gen_security``, the security
 loop that drew through them one call per draw before ``gen_security`` made
-its draws inline.
+its draws inline.  ``branchwise_config_error`` is the branch-per-rule
+``ExperimentConfig.__post_init__`` that the field table replaced, kept
+verbatim but for returning the first failing check's message and keys.
+The graph-file oracle names the line of a byte that is not UTF-8, as the
+reader does.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from array import array
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,6 +53,8 @@ from scipy.sparse import csgraph
 
 from cascadelab.cascade import (CommunityStrength, ThresholdAssignment,
                                 infection_set, uniform_thresholds)
+from cascadelab.experiment import (_EXPERIMENTS, _FIG1_ATTACK_SCALE, _MODELS,
+                                   ConfigError, attack_size)
 from cascadelab.generators import _edges, _initial_ends, attachment_probability
 from cascadelab.graph import (FORMAT_MAGIC, FORMAT_VERSION, EdgeTag,
                               GraphFormatError, LabeledGraph,
@@ -265,7 +273,7 @@ def per_line_deserialize(data: bytes) -> LabeledGraph:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise GraphFormatError(f"not valid UTF-8: {exc}") from None
+        _fail(data.count(b"\n", 0, exc.start) + 1, f"not valid UTF-8: {exc}")
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -1075,3 +1083,84 @@ def replay_gen_security(n: int, d: int, a: float, master_seed: int = 0,
     return LabeledGraph(n, np.array(color, dtype=np.int64), is_seed,
                         np.arange(n, dtype=np.int64), *_edges(ends),
                         np.array(tags, dtype=np.uint8))
+
+
+# ---- experiment config ----------------------------------------------------------
+
+
+def branchwise_config_error(**fields):
+    """(message, keys) of the first check that the config of these fields
+    (every field given) fails, one branch per rule; None when all pass."""
+    self = SimpleNamespace(**fields)
+    try:
+        for key in ("models", "n_list", "phi_grid"):  # given as lists, hashed as tuples
+            value = getattr(self, key)
+            if isinstance(value, str) or not np.iterable(value):
+                raise ConfigError(f"{key} takes a list, got {value!r}", key)
+            setattr(self, key, tuple(value))
+        if self.experiment not in _EXPERIMENTS:
+            raise ConfigError(f"unknown experiment {self.experiment!r}")
+        if not self.models:
+            raise ConfigError("models must not be empty", "models")
+        if len(set(self.models)) != len(self.models):
+            raise ConfigError("models must not repeat", "models")
+        allowed = ("er", "pa") if self.experiment == "fig1" else _MODELS
+        for model in self.models:
+            if model not in allowed:
+                raise ConfigError(
+                    f"model {model!r} not valid for {self.experiment} "
+                    f"(allowed: {', '.join(allowed)})", "models", "experiment")
+        if not self.n_list:
+            raise ConfigError("n_list must not be empty", "n_list")
+        # integers as the generators take them: any value with __index__
+        for key in ("n_list", "d", "trials", "graphs_per_cell", "master_seed"):
+            value = getattr(self, key)
+            for x in value if key == "n_list" else (value,):
+                if not hasattr(x, "__index__"):
+                    raise ConfigError(f"{key} takes integers, got {x!r}", key)
+        for key in ("a", "epsilon", "phi_grid"):
+            value = getattr(self, key)
+            for x in value if key == "phi_grid" else (value,):
+                if not isinstance(x, numbers.Real):
+                    raise ConfigError(f"{key} takes numbers, got {x!r}", key)
+        if list(self.n_list) != sorted(set(self.n_list)):
+            raise ConfigError("n_list must be strictly ascending", "n_list")
+        if self.d < 1:
+            raise ConfigError("d must be at least 1", "d")
+        if "security" in self.models:
+            if self.d < 2:
+                raise ConfigError("the security model requires d >= 2",
+                                  "models", "d")
+            if not self.a > 1:
+                raise ConfigError("homophyly exponent a must exceed 1",
+                                  "models", "a")
+        if any(n < self.d + 1 for n in self.n_list):
+            raise ConfigError("every n must be at least d + 1", "n_list", "d")
+        if self.experiment == "fig1":
+            for n in self.n_list:
+                k_max = attack_size(n, _FIG1_ATTACK_SCALE)
+                if k_max > n:
+                    raise ConfigError(f"fig1 attacks up to ceil(5 ln n) = "
+                                      f"{k_max} nodes, more than n={n}",
+                                      "n_list", "experiment")
+        if self.trials < 1:
+            raise ConfigError("trials must be at least 1", "trials")
+        if not 0.0 < self.epsilon < 1.0:
+            raise ConfigError("epsilon must be in (0, 1)", "epsilon")
+        if not self.phi_grid:
+            raise ConfigError("phi_grid must not be empty", "phi_grid")
+        if any(not 0.0 < p <= 1.0 for p in self.phi_grid):
+            raise ConfigError("phi_grid values must lie in (0, 1]", "phi_grid")
+        if any(b <= a for a, b in zip(self.phi_grid, self.phi_grid[1:])):
+            raise ConfigError("phi_grid must be strictly ascending", "phi_grid")
+        if self.attack not in ("top", "random"):
+            raise ConfigError("attack must be 'top' or 'random'", "attack")
+        if self.attack != "top" and self.experiment != "fig2":
+            raise ConfigError(f"{self.experiment} always attacks top-degree "
+                              "nodes", "attack", "experiment")
+        if self.graphs_per_cell < 1:
+            raise ConfigError("graphs_per_cell must be at least 1",
+                              "graphs_per_cell")
+    except ConfigError as exc:
+        return str(exc), exc.keys
+    return None

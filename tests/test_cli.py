@@ -1,14 +1,23 @@
+import contextlib
 import hashlib
+import io
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import threading
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cascadelab as cl
+from cascadelab import cli, graph
 from cascadelab.cli import main
 from cascadelab.structure import degree_priority_summary
 
@@ -591,3 +600,172 @@ def test_experiment_cli_jobs_below_one_exits_2(tmp_path, capsys, jobs):
 
 def test_experiment_cli_missing_config_file(tmp_path):
     assert run_cli("experiment", "--config", tmp_path / "nope.cfg") == 2
+
+
+# ---- count flags -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command, flags, first", [
+    (["cascade", "--thresholds", "uniform:0.5"], ("--trials", "--k"),
+     "--trials"),
+    (["analyze", "--report", "navigate"], ("--pairs", "--hop-budget"),
+     "--pairs"),
+], ids=["cascade", "analyze"])
+@pytest.mark.parametrize("values", [(0, -1), (-3, -2)])
+def test_two_bad_count_flags_name_the_first_checked(tmp_path, capsys, command,
+                                                    flags, first, values):
+    out = tmp_path / "x.csv"
+    argv = [*command, "--graph", tmp_path / "missing.graph", "--out", out]
+    for flag, value in zip(flags, values):
+        argv += [flag, value]
+    assert run_cli(*argv) == 2
+    value = values[flags.index(first)]
+    least = 0 if first == "--hop-budget" else 1
+    assert capsys.readouterr().err == (
+        f"error: {first} must be at least {least}, got {value}\n")
+    assert not out.exists()
+
+
+def test_ids_attack_takes_any_k(security_file, tmp_path):
+    ids = tmp_path / "attack.txt"
+    ids.write_text("1\n5\n")
+    assert run_cli("cascade", "--graph", security_file, "--attack",
+                   f"ids:{ids}", "--k", 0, "--thresholds", "uniform:0.5",
+                   "--out", tmp_path / "c.csv") == 0
+
+
+def test_report_choices_are_the_report_table(capsys):
+    with pytest.raises(SystemExit):
+        run_cli("analyze", "--graph", "g", "--out", "o", "--report", "nope")
+    assert f"choose from {', '.join(map(repr, cli._REPORTS))}" in (
+        capsys.readouterr().err)
+    assert list(cli._REPORTS) == [
+        "communities", "conductance", "degree-priority", "powerlaw",
+        "distances", "ptree", "diameters", "navigate"]
+
+
+def test_csv_body_reaches_the_file_as_chunks(security_file, tmp_path,
+                                             monkeypatch):
+    """The CSV writer hands on the header and the body's chunks (the array
+    writer's for degree-priority) without joining them."""
+    written = []
+    real = cli._write_atomic
+
+    def spy(path, data):
+        data = list(data)
+        written.append([type(chunk).__name__ for chunk in data])
+        real(path, data)
+
+    monkeypatch.setattr(cli, "_write_atomic", spy)
+    for report in ("degree-priority", "communities"):
+        assert run_cli("analyze", "--graph", security_file, "--report", report,
+                       "--out", tmp_path / f"{report}.csv") == 0
+    assert written[0][0] == "bytes" and set(written[0][1:]) == {"ndarray"}
+    assert written[1][0] == "bytes" and len(written[1]) > 2
+
+
+def test_ids_file_byte_not_utf8_names_its_line(security_file, tmp_path,
+                                               capsys):
+    ids = tmp_path / "attack.txt"
+    ids.write_bytes(b"1\n5 \xff7\n9\n")
+    assert run_cli("cascade", "--graph", security_file, "--attack",
+                   f"ids:{ids}", "--thresholds", "uniform:0.5",
+                   "--out", tmp_path / "c.csv") == 2
+    assert f"error: {ids}:2: 'utf-8' codec can't decode byte 0xff in " \
+           "position 4: invalid start byte" in capsys.readouterr().err
+
+
+# ---- bad input exits 2 from every subcommand ----------------------------------
+
+# bytes a corruption writes: digits, separators of the graph, ids and config
+# files, signs, letters, a carriage return, a NUL and a byte that is not UTF-8
+NOISE = b"0159 \n\r+-_=,#NEPLAINTKYZfig\x00\xff"
+SMALL_GRAPH = cl.serialize(cl.gen_security(120, 4, 1.5, master_seed=3))
+IDS = b"1\n5 7\n9\n"
+CONFIG = b"experiment=fig2\nmodels=er\nn_list=60\nd=4\ntrials=2\n"
+GRAPH_COMMANDS = [
+    ["cascade", "--k", "3", "--thresholds", "random", "--trials", "2"],
+    ["cascade", "--attack", "ids:{ids}", "--thresholds", "uniform:0.3"],
+    ["injure", "--k", "3"],
+    *(["analyze", "--report", report, "--pairs", "20"]
+      for report in cli._REPORTS),
+]
+
+
+@st.composite
+def corrupted(draw, raw):
+    """raw with one byte replaced, or one line deleted, repeated or cut
+    short."""
+    kind = draw(st.sampled_from(("byte", "delete", "repeat", "truncate")))
+    if kind == "byte":
+        at = draw(st.integers(0, len(raw) - 1))
+        return raw[:at] + bytes([draw(st.sampled_from(NOISE))]) + raw[at + 1:]
+    lines = raw.split(b"\n")[:-1]
+    i = draw(st.integers(0, len(lines) - 1))
+    if kind == "delete":
+        del lines[i]
+    elif kind == "repeat":
+        lines.insert(i, lines[i])
+    else:
+        lines[i] = lines[i][:draw(st.integers(0, len(lines[i]) - 1))]
+    return b"".join(line + b"\n" for line in lines)
+
+
+def run_on_files(command, **files):
+    """main(command) with each named file written to a fresh directory and
+    put in place of its {name} in the command: (exit code, stderr)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: Path(tmp) / name for name in files}
+        for name, data in files.items():
+            paths[name].write_bytes(data)
+        argv = [arg.format(**paths) for arg in command]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a config's d < 4, say
+            code = main(argv)
+        return code, err.getvalue().replace(tmp + os.sep, "")
+
+
+@settings(max_examples=150, deadline=None)
+@given(corrupted(SMALL_GRAPH), st.sampled_from([1, 64, graph._PIECE]),
+       st.sampled_from(GRAPH_COMMANDS))
+def test_corrupted_graph_file_exits_0_or_2(data, piece, command):
+    """A graph file that does not parse exits 2 naming its line; one that
+    parses (a changed color, say) runs, or exits 2 on a check of its
+    values; nothing ends in a traceback."""
+    try:
+        cl.deserialize(data)
+        parses = True
+    except cl.GraphFormatError:
+        parses = False
+    with mock.patch.object(graph, "_PIECE", piece):
+        code, err = run_on_files(
+            [*command, "--graph", "{graph}", "--out", "{graph}.csv"],
+            graph=data, ids=IDS)
+    assert code in (0, 2), err
+    if not parses:
+        assert code == 2 and re.match(r"error: line \d+: ", err), err
+
+
+@settings(max_examples=100, deadline=None)
+@given(corrupted(IDS))
+def test_corrupted_ids_file_exits_0_or_2(data):
+    code, err = run_on_files(
+        ["cascade", "--graph", "{graph}", "--attack", "ids:{ids}",
+         "--thresholds", "uniform:0.3", "--out", "{graph}.csv"],
+        graph=SMALL_GRAPH, ids=data)
+    assert code in (0, 2), err
+    assert code == 0 or re.match(r"error: ids:\d+: ", err), err
+
+
+@settings(max_examples=100, deadline=None)
+@given(corrupted(CONFIG))
+def test_corrupted_config_file_exits_0_or_2(data):
+    """A config whose error comes from the file names FILE:LINE; only a
+    missing experiment, which no line sets, names none."""
+    code, err = run_on_files(["experiment", "--config", "{config}"],
+                             config=data)
+    assert code in (0, 2), err
+    assert code == 0 or re.match(r"error: config:\d+: ", err) or (
+        err == "error: config must set experiment (fig1, fig2 or fig3)\n"), err

@@ -1,13 +1,18 @@
+import dataclasses
 import hashlib
+import itertools
 import math
 import multiprocessing
 import os
 import signal
 import time
+import warnings
 from concurrent.futures import Future
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cascadelab as cl
 import cascadelab.experiment as xp
@@ -17,6 +22,7 @@ from cascadelab.cli import main
 from cascadelab.seeding import derive_seed
 
 from conftest import Hang, figure_csv, fill_disk
+from oracles import branchwise_config_error
 
 
 def tiny_cfg(**over):
@@ -105,6 +111,69 @@ def test_config_list_given_one_value_names_its_key(key, value):
                        match=f"^{key} takes a list, got {value!r}$") as info:
         xp.default_config("fig2", **{key: value})
     assert info.value.keys == (key,)
+
+
+# test_config_rejections' cases, then a bad value for every other check, so
+# that each pass over the field table meets two bad fields
+REJECTED = [over for over, _ in test_config_rejections.pytestmark[0].args[1]]
+BAD_FIELDS = REJECTED + [
+    dict(models="er"), dict(n_list=100), dict(phi_grid=0.5),
+    dict(models=("er", "er")), dict(models=("er", "security"), experiment="fig1"),
+    dict(n_list=(120, 60)), dict(n_list=(3,)), dict(n_list=(0, 1), d=-1),
+    dict(models=("security",), a=1.0), dict(experiment="fig1", n_list=(12,)),
+    dict(trials=0), dict(epsilon=0.0), dict(epsilon=float("nan")),
+    dict(phi_grid=(0.2, 0.1)), dict(attack="sideways"),
+    dict(experiment="fig3", attack="random"), dict(d=True, master_seed="5"),
+]
+
+
+def config_error(over):
+    """(message, keys) of tiny_cfg(**over)'s ConfigError, or None."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # d < 4
+            tiny_cfg(**over)
+    except ConfigError as exc:
+        return str(exc), exc.keys
+    return None
+
+
+def branchwise_error(over):
+    values = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+    values.update(experiment="fig2", models=("er", "pa"), n_list=(60, 120),
+                  d=4, trials=3, master_seed=5)
+    return branchwise_config_error(**{**values, **over})
+
+
+def test_field_table_lists_every_field():
+    assert sorted(xp._FIELDS) == sorted(f.name for f in
+                                       dataclasses.fields(ExperimentConfig))
+    assert config_error({}) is None
+
+
+def test_every_pair_of_bad_fields_fails_the_branchwise_check():
+    """Two bad fields at once: the field table reports the check, message
+    and keys that the branch-per-rule checks reported first."""
+    assert all(config_error(over) for over in BAD_FIELDS)
+    differ = [(a, b) for a, b in itertools.combinations(BAD_FIELDS, 2)
+              for over in ({**a, **b}, {**b, **a})
+              if config_error(over) != branchwise_error(over)]
+    assert differ == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(BAD_FIELDS), min_size=1, max_size=5))
+def test_bad_fields_fail_the_branchwise_check(cases):
+    over = {key: value for case in cases for key, value in case.items()}
+    assert config_error(over) == branchwise_error(over)
+
+
+def test_config_file_byte_not_utf8_names_its_line(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_bytes(b"experiment=fig2\r\nmodels=er\nd=\xff\n")
+    with pytest.raises(ConfigError, match=r"exp\.cfg:3: 'utf-8' codec can't "
+                                          r"decode byte 0xff in position 29"):
+        xp.read_config(path)
 
 
 def test_config_takes_numpy_integers():

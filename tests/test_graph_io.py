@@ -32,6 +32,7 @@ from hypothesis import strategies as st
 from cascadelab import (EdgeTag, GraphFormatError, deserialize, gen_er,
                         gen_security, load_graph, save_graph, serialize)
 from cascadelab import graph
+from cascadelab.cli import main
 
 from oracles import (graph_from_edges, per_line_deserialize,
                      per_line_serialize, random_small_graph)
@@ -202,8 +203,24 @@ def test_mutated_file_parses_like_oracle(g, kind, data):
     assert_parses_like_oracle(mutation(g, kind, data))
 
 
+class Replay:
+    """Fixed draws in place of ``st.data()``, for an ``@example``."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def draw(self, strategy):
+        return self.values.pop(0)
+
+
+SHORT_EDGE_LINE = graph_from_edges(3, [(0, 1)])
+
+
 @IO_SETTINGS
 @given(graphs, st.sampled_from(MUTATIONS), st.data())
+# the edge line's E made a newline: a one-byte piece then holds an edge row
+@example(SHORT_EDGE_LINE, "byte",
+         Replay(serialize(SHORT_EDGE_LINE).index(b"E"), ord("\n")))
 def test_mutated_file_in_line_pieces_parses_like_oracle(g, kind, data):
     with pieces_of(1):
         assert_parses_like_oracle(mutation(g, kind, data))
@@ -611,3 +628,43 @@ def test_save_graph_failing_after_its_first_chunk_keeps_the_previous_file(
         save_graph(gen_er(300, 4, master_seed=2), path)
     assert path.read_bytes() == previous
     assert [p.name for p in tmp_path.iterdir()] == ["g.graph"]
+
+
+def piece_ends(data):
+    """The end of each piece the reader cuts data into, at the default
+    piece size."""
+    ends, at = [], data.index(b"\n") + 1
+    while at < len(data):
+        at = data.find(b"\n", at + graph._PIECE - 1) + 1 or len(data)
+        ends.append(at)
+    return ends
+
+
+@pytest.fixture(scope="module")
+def er_file():
+    """A 7 MB file whose first piece ends among the node lines and whose
+    second ends among the edge lines."""
+    data = serialize(gen_er(60_000, 10, 1))
+    first, second = piece_ends(data)[:2]
+    assert data[first:first + 2] == b"N " and data[second:second + 2] == b"E "
+    return data
+
+
+@pytest.mark.parametrize("piece", [0, 1], ids=["node-lines", "edge-lines"])
+@pytest.mark.parametrize("tail", [b"E\n", b"\n"], ids=["E", "empty"])
+def test_short_last_line_after_a_piece_boundary_names_its_line(
+        er_file, tmp_path, capsys, piece, tail):
+    """A file cut where a piece ends, then given one short line, makes a
+    last piece of one short row; the error names a line, as the oracle's
+    does, and the CLI exits 2."""
+    data = er_file[:piece_ends(er_file)[piece]] + tail
+    lines = data.count(b"\n")
+    with pytest.raises(GraphFormatError, match=f"^line {lines}: ") as got:
+        deserialize(data)
+    assert ("error", "GraphFormatError", str(got.value)) == outcome(
+        per_line_deserialize, data)
+    path = tmp_path / "cut.graph"
+    path.write_bytes(data)
+    assert main(["injure", "--graph", str(path), "--k", "3",
+                 "--out", str(tmp_path / "i.csv")]) == 2
+    assert f"error: line {lines}: " in capsys.readouterr().err
