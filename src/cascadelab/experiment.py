@@ -163,10 +163,10 @@ class ExperimentConfig:
             elif key == "attack" and value != "top" and self.experiment != "fig2":
                 raise ConfigError(f"{self.experiment} always attacks top-degree "
                                   "nodes", "attack", "experiment")
-        if self.d < 4:
-            warnings.warn(
+        if self.d < 4 and "security" in self.models:
+            warnings.warn(  # named at the line that built the config
                 f"d={self.d} < 4: security-model cascade containment "
-                "weakens at small d", stacklevel=2)
+                "weakens at small d", stacklevel=3)
 
     def _check_model_bounds(self) -> None:
         """The bounds that the models and the experiment set on d, a and n."""

@@ -298,14 +298,21 @@ def gen_security(n: int, d: int, a: float, master_seed: int = 0) -> LabeledGraph
     # past K_{d+1}, an edge's first endpoint is its step's node, so those
     # endpoints ascend, and a seed step's first edge is its PA_GLOBAL one
     k0 = d * (d + 1) // 2
-    tags = np.full(len(eu), int(EdgeTag.HOMOPHYLY), dtype=np.uint8)
-    tags[:k0] = EdgeTag.INITIAL
-    tags[k0:][is_seed[eu[k0:]]] = EdgeTag.SEED_LINK
-    tags[k0 + np.searchsorted(eu[k0:], seeds[d + 1:])] = EdgeTag.PA_GLOBAL
-    # contiguous columns, the older endpoint first, so u < v throughout
-    older, newer = ev.copy(), eu.copy()
-    older[:k0], newer[:k0] = eu[:k0], ev[:k0]  # K_{d+1} is written (i, j), i < j
+    pa_keys = ev[k0 + np.searchsorted(eu[k0:], seeds[d + 1:])] * n + seeds[d + 1:]
+    # one key older * n + newer per edge, sorted: the canonical (u, v) order
+    key = np.multiply(ev, n)
+    key += eu
+    key[:k0] = eu[:k0] * n + ev[:k0]  # K_{d+1} is written (i, j), i < j
     del eu, ev, ends
+    key.sort()
+    pa_rows = np.searchsorted(key, pa_keys)
+    newer = key % n
+    older = np.floor_divide(key, n, out=key)
+    # an edge's newer endpoint is its step's node: below d + 1 in K_{d+1}
+    tags = np.full(len(key), int(EdgeTag.HOMOPHYLY), dtype=np.uint8)
+    tags[is_seed[newer]] = EdgeTag.SEED_LINK
+    tags[newer <= d] = EdgeTag.INITIAL
+    tags[pa_rows] = EdgeTag.PA_GLOBAL
     return LabeledGraph(n, np.array(color, dtype=np.int64), is_seed,
                         np.arange(n, dtype=np.int64), older, newer, tags)
 

@@ -22,29 +22,34 @@ The format is canonical: node lines must appear in id order and edge lines
 in ascending (u, v) order, so serialization round-trips bit-exactly.
 
 Both directions work on column slices of bounded size, so neither holds
-more than the graph's arrays and a few MB beside the bytes it reads.  The
-writer builds each chunk of _CHUNK rows as one byte matrix: right-aligned
-digit tables (node ids and edge endpoints share one), broadcast separators
-and a tag-name table, with leading zeros held as 0 bytes that one compress
-drops.  :func:`save_graph` streams those chunks to the file; only
-:func:`serialize` joins them.
+more than the graph's arrays and a few MB.  The writer builds each chunk
+of _CHUNK rows as one byte matrix: right-aligned digit tables (node ids
+and edge endpoints share one), broadcast separators and a tag-name table,
+with leading zeros held as 0 bytes that one compress drops.
+:func:`save_graph` streams those chunks to the file, and :func:`serialize`
+writes them into one buffer.
 
-:func:`deserialize` has no grammar of its own: the writer defines the
-format.  It reads the body in pieces of about _PIECE bytes, cut after a
-newline, straight into preallocated node and edge columns.  In each piece
-it reads every digit run with one ``np.fromstring`` call (any other byte
-reads as a blank) and each tag from two of its letters, checks ``u < v <
-n`` and the edge order with array operations (the last edge key carries to
-the next piece), and writes the piece's rows back against its input before
-it reads the next piece.  A file is canonical exactly when every byte
-matches; a sign, a leading zero, a ``\r``, a wrong id, tag or seed flag and
-a field past int64 (read as 2**63 - 1) each change one.  The first bad line
-stops the read and goes to the per-line checker, which writes every format
+The reader has no grammar of its own: the writer defines the format.  It
+checks the header's counts against the input's size, then reads the body
+from the open file (or from the bytes given to :func:`deserialize`) in
+pieces of _PIECE bytes, each carried on to its line's end, straight into
+preallocated node and edge columns; only a pipe, of unknown size, is read
+whole.  In each piece it reads every digit run with one ``np.fromstring``
+call (any other byte reads as a blank) and each tag from two of its
+letters, checks ``u < v < n`` and the edge order with array operations
+(the last edge key carries to the next piece), and writes the piece's rows
+back against its input before it reads the next piece.  A file is
+canonical exactly when every byte matches; a sign, a leading zero, a
+``\r``, a wrong id, tag or seed flag and a field past int64 (read as
+2**63 - 1) each change one.  The first bad line stops the read and goes
+to the per-line checker, which reads the input again, decodes only the
+header and that line (with its predecessor) and writes every format
 error.  The one leniency is a missing final newline.
 """
 
 from __future__ import annotations
 
+import io
 import itertools
 import os
 import re
@@ -169,11 +174,13 @@ class LabeledGraph:
             if n > 3_000_000_000:
                 raise ValueError(f"CSR keys u*n + v overflow int64 for n={n}; "
                                  "at most 3e9 nodes")
-            keys = np.concatenate([self.edge_u * n + self.edge_v,
-                                   self.edge_v * n + self.edge_u])
+            m, u, v = self.m, self.edge_u, self.edge_v
+            keys = np.empty(2 * m, dtype=np.int64)  # sorted, then turned into indices
+            np.add(np.multiply(u, n, out=keys[:m]), v, out=keys[:m])
+            np.add(np.multiply(v, n, out=keys[m:]), u, out=keys[m:])
             keys.sort()
             indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
-            return indptr, keys % n
+            return indptr, np.remainder(keys, n, out=keys)
 
         return self.cached("csr", build)
 
@@ -268,20 +275,26 @@ def _component_labels(g: LabeledGraph, keep: np.ndarray) -> np.ndarray:
     Each round hooks every root to its least neighbouring root over the
     kept edges, then pointer-jumps every label to its root; it stops when
     no kept edge joins two labels.  Labels only fall, so the root of a
-    component is its smallest id.
+    component is its smallest id.  The first round leaves few kept edges
+    apart, so it runs over slices of _CHUNK edges and copies only those.
     """
     labels = np.arange(g.n, dtype=np.int64)
-    u, v = g.edge_u, g.edge_v
-    both = keep[u] & keep[v]
-    if not both.all():
-        u, v = u[both], v[both]
-    np.minimum.at(labels, v, u)  # the first round: labels are still ids, u < v
+    spans = [(g.edge_u[a:a + _CHUNK], g.edge_v[a:a + _CHUNK])
+             for a in range(0, g.m or 1, _CHUNK)]
+    for u, v in spans:  # the first round: labels are still ids, u < v
+        both = keep[u] & keep[v]
+        np.minimum.at(labels, v[both], u[both])
+    u = None
     while True:
         while True:
             jumped = labels[labels]
             if np.array_equal(jumped, labels):
                 break
             labels = jumped
+        if u is None:  # after the first round: the kept edges still apart
+            u, v = map(np.concatenate, zip(*[
+                (su[a], sv[a]) for su, sv in spans
+                for a in [keep[su] & keep[sv] & (labels[su] != labels[sv])]]))
         lu, lv = labels[u], labels[v]
         apart = lu != lv
         if not apart.any():
@@ -377,7 +390,9 @@ def _lines(g: LabeledGraph):
 
 def serialize(g: LabeledGraph) -> bytes:
     """Serialize to the canonical v1 text format (UTF-8 bytes, LF endings)."""
-    return b"".join(_lines(g))
+    out = io.BytesIO()  # one growing buffer, never the chunks and their join
+    out.writelines(_lines(g))
+    return out.getvalue()
 
 
 _HEADER = re.compile(re.escape(f"{FORMAT_MAGIC} {FORMAT_VERSION} ".encode())
@@ -392,38 +407,40 @@ _CANONICAL_INT = re.compile(r"0|[1-9][0-9]*")
 
 
 def deserialize(data: bytes) -> LabeledGraph:
-    """Parse the v1 format; errors name the offending line.
+    """Parse the v1 format; errors name the offending line."""
+    return _read(io.BytesIO(data), len(data))
 
-    Each piece of the body is parsed leniently into preallocated columns,
-    checked for what writing it back cannot show (edge order, ``u < v <
-    n``), and written back against its input before the next is read: a
-    full match of every piece proves the file canonical.  Only the first
-    bad line goes to :func:`_check_lines`.
-    """
-    if data and not data.endswith(b"\n"):
-        data += b"\n"
-    head = _HEADER.match(data)
+
+def _read(fh, size: int) -> LabeledGraph:
+    """Parse the v1 format from the binary stream fh of ``size`` bytes."""
+
+    def fail(flagged=None, start=0):  # raises
+        fh.seek(0)
+        _check_lines(fh.read(), flagged, start)
+
+    header = fh.readline()
+    head = _HEADER.match(header.rstrip(b"\n") + b"\n")
     n, m = (int(head[1]), int(head[2])) if head else (0, 0)
-    if head is None or n + m > len(data) - head.end():
-        _check_lines(data)  # raises: the header is bad, or too few lines follow
+    if head is None or n + m > size - len(header):
+        fail()  # the header is bad, or too few lines follow
     # each line holds a newline, so n and m may size arrays from here on
     color, birth_time = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
     is_seed = np.empty(n, dtype=bool)
     u, v = np.empty(m, dtype=np.int64), np.empty(m, dtype=np.int64)
     tag = np.empty(m, dtype=np.uint8)
     ids = _digits(np.arange(n))
-    at, row, last = head.end(), 0, -1  # the piece's first byte and row; the last edge key
-    while at < len(data):
-        stop = data.find(b"\n", at + _PIECE - 1) + 1 or len(data)
-        piece = np.frombuffer(data, dtype=np.uint8, count=stop - at, offset=at)
+    at, row, last = len(header), 0, -1  # the piece's first byte and row; the last edge key
+    while data := fh.read(_PIECE):
+        if not data.endswith(b"\n"):  # on to the line's end, which may lack its newline
+            data += fh.readline().rstrip(b"\n") + b"\n"
+        piece = np.frombuffer(data, dtype=np.uint8)
         ends = np.flatnonzero(piece == ord("\n"))  # ends[j] closes the piece's row j
         if row + len(ends) > n + m:
-            _check_lines(data)  # raises: too many lines
+            fail()  # too many lines
         i0, i1 = min(row, n), min(row + len(ends), n)  # its node rows, then
         e0, e1 = row - i0, row + len(ends) - i1  # its edge rows
         nodes = i1 - i0
-        values = np.fromstring(data[at:stop].translate(_DIGITS_ONLY),
-                               dtype=np.int64, sep=" ")
+        values = np.fromstring(data.translate(_DIGITS_ONLY), dtype=np.int64, sep=" ")
         if values.size != 4 * nodes + 2 * (e1 - e0):  # a miscounted line will not write back
             values = np.resize(values, 4 * nodes + 2 * (e1 - e0))
         node = values[:4 * nodes].reshape(-1, 4)
@@ -441,7 +458,7 @@ def deserialize(data: bytes) -> LabeledGraph:
         last = key[-1] if e1 > e0 else last
         bad = nodes + f  # the piece's first bad row, past its last while none is known
         # the rows before the flagged one must write back unchanged
-        given = 0
+        given, chunk, rest = 0, None, None  # the last piece's chunk and view go first
         for chunk in itertools.chain(
                 _node_rows(ids, i0, color[i0:i1], is_seed[i0:i1],
                            birth_time[i0:i1]),
@@ -453,11 +470,10 @@ def deserialize(data: bytes) -> LabeledGraph:
                 break
             given += chunk.size
         if bad < len(ends):
-            _check_lines(data, 2 + row + bad,
-                         at + int(ends[bad - 1]) + 1 if bad else at)
-        at, row = stop, row + len(ends)
+            fail(2 + row + bad, at + int(ends[bad - 1]) + 1 if bad else at)
+        at, row = at + len(data), row + len(ends)
     if row < n + m:
-        _check_lines(data)  # raises: too few lines
+        fail()  # too few lines
     return LabeledGraph(n, color, is_seed, birth_time, u, v, tag)
 
 
@@ -465,16 +481,16 @@ def _check_lines(data: bytes, flagged=None, start=0) -> None:
     """Raise the format error of the first bad one of the header, the line
     count and the flagged line, which starts at byte ``start``, decoding
     only the lines it reads."""
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        raise GraphFormatError(f"line {lineno}: not valid UTF-8: {exc}") from None
+    if data and not data.endswith(b"\n"):
+        data += b"\n"
 
     def line(i):  # the header, the flagged line or its predecessor
         a = 0 if i == 1 else start if i == flagged else \
             data.rfind(b"\n", 0, start - 1) + 1
-        return data[a:data.find(b"\n", a)].decode()  # data ends with one
+        try:
+            return data[a:data.find(b"\n", a)].decode()
+        except UnicodeDecodeError as exc:
+            raise GraphFormatError(f"line {i}: not valid UTF-8: {exc}") from None
 
     raise GraphFormatError(
         "line %d: %s" % _first_error(line, data.count(b"\n"), flagged))
@@ -579,4 +595,10 @@ def save_graph(g: LabeledGraph, path) -> None:
 
 
 def load_graph(path) -> LabeledGraph:
-    return deserialize(Path(path).read_bytes())
+    """Read the v1 graph file at path piece by piece; a pipe or another
+    file of unknown size is read whole."""
+    with open(path, "rb") as fh:
+        info = os.fstat(fh.fileno())
+        if not stat.S_ISREG(info.st_mode):
+            return deserialize(fh.read())
+        return _read(fh, info.st_size)

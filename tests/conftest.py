@@ -13,6 +13,7 @@ from __future__ import annotations
 import io
 import multiprocessing
 import signal
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -58,6 +59,19 @@ def security_big():
 def security_mid():
     """A shared n=1e4 security-model graph (d=10, a=1.5)."""
     return cached_graph("security", 10_000, 10, 1.5)
+
+
+def traced_peak(fn):
+    """fn() and the most memory, in bytes, that tracemalloc traced while it
+    ran (since the last ``tracemalloc.reset_peak()`` inside it); skips the
+    test where tracemalloc is already in use."""
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc in use")
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class DiskFull(io.FileIO):

@@ -269,42 +269,47 @@ def _fail(lineno: int, message: str):
 
 
 def per_line_deserialize(data: bytes) -> LabeledGraph:
-    """Parse the canonical v1 format; errors name the offending line."""
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        _fail(data.count(b"\n", 0, exc.start) + 1, f"not valid UTF-8: {exc}")
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
+    """Parse the canonical v1 format; errors name the offending line.  The
+    header, the line count, then each line in file order is checked, and a
+    line is decoded only when it is read."""
+    raw = data.split(b"\n")
+    if raw and raw[-1] == b"":
+        raw.pop()
+    if not raw:
         _fail(1, "empty file, expected header")
-    head = lines[0].split(" ")
+
+    def line(i):  # line i + 1 of the file, decoded where it is read
+        try:
+            return raw[i].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            _fail(i + 1, f"not valid UTF-8: {exc}")
+
+    head = line(0).split(" ")
     if len(head) != 4 or head[0] != FORMAT_MAGIC or head[1] != FORMAT_VERSION:
-        _fail(1, f"malformed header {lines[0]!r}")
+        _fail(1, f"malformed header {line(0)!r}")
     try:
         n, m = int(head[2]), int(head[3])
     except ValueError:
-        _fail(1, f"malformed header counts {lines[0]!r}")
+        _fail(1, f"malformed header counts {line(0)!r}")
     if n < 0 or m < 0:
         _fail(1, "negative node or edge count")
-    if len(lines) != 1 + n + m:
-        _fail(len(lines), f"expected {1 + n + m} lines for n={n}, m={m}, "
-                          f"found {len(lines)}")
+    if len(raw) != 1 + n + m:
+        _fail(len(raw), f"expected {1 + n + m} lines for n={n}, m={m}, "
+                        f"found {len(raw)}")
 
     color = np.empty(n, dtype=np.int64)
     is_seed = np.empty(n, dtype=bool)
     birth = np.empty(n, dtype=np.int64)
     for i in range(n):
         lineno = 2 + i
-        parts = lines[1 + i].split(" ")
+        parts = line(1 + i).split(" ")
         if len(parts) != 5 or parts[0] != "N":
-            _fail(lineno, f"malformed node line {lines[1 + i]!r}")
+            _fail(lineno, f"malformed node line {line(1 + i)!r}")
         try:
             nid, col, seed, bt = (int(parts[1]), int(parts[2]),
                                   int(parts[3]), int(parts[4]))
         except ValueError:
-            _fail(lineno, f"non-integer field in node line {lines[1 + i]!r}")
+            _fail(lineno, f"non-integer field in node line {line(1 + i)!r}")
         if nid != i:
             _fail(lineno, f"node lines must be sorted by id; expected {i}, got {nid}")
         if seed not in (0, 1):
@@ -319,13 +324,13 @@ def per_line_deserialize(data: bytes) -> LabeledGraph:
     prev = (-1, -1)
     for j in range(m):
         lineno = 2 + n + j
-        parts = lines[1 + n + j].split(" ")
+        parts = line(1 + n + j).split(" ")
         if len(parts) != 4 or parts[0] != "E":
-            _fail(lineno, f"malformed edge line {lines[1 + n + j]!r}")
+            _fail(lineno, f"malformed edge line {line(1 + n + j)!r}")
         try:
             u, v = int(parts[1]), int(parts[2])
         except ValueError:
-            _fail(lineno, f"non-integer endpoint in {lines[1 + n + j]!r}")
+            _fail(lineno, f"non-integer endpoint in {line(1 + n + j)!r}")
         tag = _TAG_BY_NAME.get(parts[3])
         if tag is None:
             _fail(lineno, f"unknown provenance {parts[3]!r}")

@@ -199,8 +199,16 @@ def test_repeated_model_rejected():
 
 
 def test_small_d_warns():
-    with pytest.warns(UserWarning, match="d=2"):
+    with pytest.warns(UserWarning, match="d=2") as caught:
+        tiny_cfg(models=("er", "security"), d=2)
+    assert [w.filename for w in caught] == [__file__]  # the line that built it
+
+
+def test_small_d_without_security_does_not_warn():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         tiny_cfg(d=2)
+        xp.default_config("fig2", models=("er",), d=2)
 
 
 def test_config_file_roundtrip(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from cascadelab import (EdgeTag, attachment_probability, expected_seed_count,
                         gen_er, gen_pa, gen_security, generate, serialize)
 from cascadelab import generators
+
+from conftest import traced_peak
 
 
 # ---- parameter validation ------------------------------------------------------
@@ -222,3 +225,20 @@ def test_generate_dispatch_errors():
         generate("wat", 10, 2)
     with pytest.raises(ValueError):
         generate("security", 10, 2)  # missing a
+
+
+def test_gen_security_hands_over_its_edges_without_a_second_copy(monkeypatch):
+    """From the endpoint buffer to the graph, gen_security adds less than
+    one copy of the (u, v) columns: one key array, sorted and decoded in
+    place, where copied columns and the constructor's argsort took four."""
+    edges, held = generators._edges, []
+
+    def edges_after_the_loop(ends):  # the hand-over's peak counts from here
+        held.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return edges(ends)
+
+    monkeypatch.setattr(generators, "_edges", edges_after_the_loop)
+    g, peak = traced_peak(lambda: gen_security(50_000, 10, 1.5))
+    assert len(held) == 1
+    assert peak - held[0] < g.edge_u.nbytes + g.edge_v.nbytes

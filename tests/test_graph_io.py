@@ -19,7 +19,9 @@ line sits on a piece boundary.
 """
 
 import functools
+import os
 import re
+import threading
 import tracemalloc
 import warnings
 from unittest import mock
@@ -34,6 +36,7 @@ from cascadelab import (EdgeTag, GraphFormatError, deserialize, gen_er,
 from cascadelab import graph
 from cascadelab.cli import main
 
+from conftest import traced_peak
 from oracles import (graph_from_edges, per_line_deserialize,
                      per_line_serialize, random_small_graph)
 
@@ -610,6 +613,66 @@ def test_load_and_save_hold_pieces_not_the_whole_file(tmp_path):
     assert (tmp_path / "again.graph").read_bytes() == path.read_bytes()
     assert load_peak < TRANSIENT_BOUND, f"load_graph held {load_peak} B"
     assert save_peak < TRANSIENT_BOUND, f"save_graph held {save_peak} B"
+
+
+def test_load_graph_streams_the_file(tmp_path):
+    """load_graph reads its pieces from the open file: it peaks below the
+    graph's arrays plus the transient bound, with nothing for the file."""
+    g = gen_security(20_000, 10, 1.5)
+    path = tmp_path / "g.graph"
+    save_graph(g, path)
+    arrays = sum(a.nbytes for a in (g.color, g.is_seed, g.birth_time,
+                                    g.edge_u, g.edge_v, g.edge_tag))
+    loaded, peak = traced_peak(lambda: load_graph(path))
+    assert loaded == g
+    assert peak - arrays < TRANSIENT_BOUND, f"load_graph held {peak - arrays} B"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
+@pytest.mark.parametrize("bad", [False, True], ids=["valid", "bad-line-6"])
+def test_load_graph_reads_a_fifo_whole(tmp_path, bad):
+    """A FIFO has no size to check the header against, so it is read whole;
+    it gives the same graph, or the same error, as the same bytes."""
+    data = serialize(gen_er(300, 4, master_seed=1))
+    if bad:
+        data = data.replace(b"\nN 4 ", b"\nN 4 7 ", 1)
+    fifo = tmp_path / "g.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    try:
+        assert outcome(load_graph, fifo) == outcome(deserialize, data)
+    finally:
+        writer.join(10)
+    assert not writer.is_alive()
+
+
+def test_serialize_holds_the_file_once(security_big):
+    """serialize writes its chunks into one buffer, which grows by up to
+    an eighth: it peaks near the file's size plus one chunk's transients,
+    where joining held every chunk and the joined bytes at once."""
+    data, peak = traced_peak(lambda: serialize(security_big))
+    assert peak < len(data) + len(data) // 8 + TRANSIENT_BOUND, \
+        f"serialize held {peak} B for a {len(data)} B file"
+
+
+@pytest.mark.parametrize("over", [True, False], ids=["value-over-first",
+                                                     "bad-byte-first"])
+def test_first_bad_line_is_named_before_a_later_bad_byte(over):
+    """Lines are decoded only as the checker reads them: a value too many
+    on line 6 is named before a byte that is not UTF-8 on line 41, which
+    is named by its own line when it comes first."""
+    lines = serialize(gen_er(50, 4, master_seed=1)).split(b"\n")
+    if over:
+        lines[5] += b" 7"
+    lines[40] = lines[40].replace(b" ", b" \xff", 1)
+    data = b"\n".join(lines)
+    with pytest.raises(GraphFormatError) as got:
+        deserialize(data)
+    expected = "line 6: " if over else "line 41: not valid UTF-8: "
+    assert str(got.value).startswith(expected)
+    assert ("error", "GraphFormatError", str(got.value)) == outcome(
+        per_line_deserialize, data)
 
 
 def test_save_graph_failing_after_its_first_chunk_keeps_the_previous_file(

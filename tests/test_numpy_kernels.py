@@ -20,6 +20,7 @@ import cascadelab as cl
 from cascadelab import LabeledGraph, largest_connected_component
 from cascadelab.graph import _component_labels
 
+from conftest import traced_peak
 from oracles import (graph_from_edges, linregress_r2, random_small_graph,
                      scipy_component_labels, scipy_csr)
 
@@ -113,6 +114,15 @@ def test_csr_rejects_node_counts_past_int64_keys():
         LabeledGraph.csr(huge)
 
 
+def test_csr_holds_one_keys_array_beside_its_result():
+    """The keys are written into one array that becomes the indices, so
+    the build holds less than one edge column beside its result, where
+    concatenated key halves held two."""
+    g = cl.gen_security(20_000, 10, 1.5)
+    (indptr, indices), peak = traced_peak(g.csr)
+    assert peak - indptr.nbytes - indices.nbytes < g.edge_u.nbytes
+
+
 # ---- components ---------------------------------------------------------------
 
 
@@ -187,6 +197,17 @@ def test_component_labels_first_round_hooks_each_edge_to_its_smaller_end(
     labels = _component_labels(g, np.ones(g.n, dtype=bool))
     assert labels.tolist() == [0, 0, 0, 0, 4, 4, 6, 6, 4]
     assert rounds == [6]
+
+
+def test_component_labels_hold_less_than_an_edge_column(security_big):
+    """With a few nodes removed, the first round leaves few kept edges
+    apart; only those are copied, so the labelling holds less than one
+    edge column beside its labels."""
+    keep = np.ones(security_big.n, dtype=bool)
+    keep[cl.top_degree_nodes(security_big, 12)] = False
+    labels, peak = traced_peak(lambda: _component_labels(security_big, keep))
+    assert peak - labels.nbytes < security_big.edge_u.nbytes
+    assert_components_like_scipy(security_big, keep)
 
 
 # ---- power-law CCDF r² ---------------------------------------------------------
