@@ -72,38 +72,21 @@ def attack_size(n: int, scale: float = 1.0) -> int:
     return max(1, math.ceil(scale * math.log(n)))
 
 
-# Each config field: the type of its values, which also parses them from a
-# file (int: any value with __index__; float: any real; [type]: a list),
-# and its least value, open (low, high) range, choices or check function.
-# The checks run pass by pass down this table: its order is their order.
+# the parser of each config field's value in a file ([parser]: a list)
 _FIELDS = {
-    "experiment": (lambda v: f"fig{v}" if v in ("1", "2", "3") else v, None),
-    "models": ([str.strip], None),
-    "n_list": ([int], None),
-    "d": (int, 1),
-    "a": (float, None),
-    "trials": (int, 1),
-    "epsilon": (float, (0, 1)),
-    "phi_grid": ([float], _grid_error),
-    "attack": (str, ("top", "random")),
-    "graphs_per_cell": (int, 1),
-    "master_seed": (int, None),
+    "experiment": lambda v: f"fig{v}" if v in ("1", "2", "3") else v,
+    "models": [str.strip],
+    "n_list": [int],
+    "d": int,
+    "a": float,
+    "trials": int,
+    "epsilon": float,
+    "phi_grid": [float],
+    "attack": str,
+    "graphs_per_cell": int,
+    "master_seed": int,
 }
-_KINDS = {int: ("integers", lambda x: hasattr(x, "__index__")),
-          float: ("numbers", lambda x: isinstance(x, numbers.Real))}
 _ALIASES = {"seed": "master_seed", "fig": "experiment"}
-
-
-def _bound_error(key: str, value, bound) -> str | None:
-    """What puts value outside its bound (see _FIELDS); None if nothing."""
-    if callable(bound):
-        return bound(value, key)
-    if isinstance(bound, int):
-        return f"{key} must be at least {bound}" if value < bound else None
-    if isinstance(bound[0], str):
-        return None if value in bound else (
-            f"{key} must be {' or '.join(map(repr, bound))}")
-    return None if bound[0] < value < bound[1] else f"{key} must be in {bound}"
 
 
 @dataclass(frozen=True)
@@ -123,12 +106,11 @@ class ExperimentConfig:
     graphs_per_cell: int = 1
 
     def __post_init__(self):
-        for key, (kind, _) in _FIELDS.items():  # given as lists, hashed as tuples
+        for key in ("models", "n_list", "phi_grid"):  # given as lists, hashed as tuples
             value = getattr(self, key)
-            if isinstance(kind, list):
-                if isinstance(value, str) or not np.iterable(value):
-                    raise ConfigError(f"{key} takes a list, got {value!r}", key)
-                object.__setattr__(self, key, tuple(value))
+            if isinstance(value, str) or not np.iterable(value):
+                raise ConfigError(f"{key} takes a list, got {value!r}", key)
+            object.__setattr__(self, key, tuple(value))
         if self.experiment not in _EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if not self.models:
@@ -143,33 +125,21 @@ class ExperimentConfig:
                     f"(allowed: {', '.join(allowed)})", "models", "experiment")
         if not self.n_list:
             raise ConfigError("n_list must not be empty", "n_list")
-        for kind, (name, holds) in _KINDS.items():  # integers, then numbers
-            for key, (key_kind, _) in _FIELDS.items():
-                if key_kind in (kind, [kind]):
-                    value = getattr(self, key)
-                    for x in value if key_kind == [kind] else (value,):
-                        if not holds(x):
-                            raise ConfigError(f"{key} takes {name}, got {x!r}",
-                                              key)
+        # integers as the generators take them: any value with __index__
+        for key in ("n_list", "d", "trials", "graphs_per_cell", "master_seed"):
+            value = getattr(self, key)
+            for x in value if key == "n_list" else (value,):
+                if not hasattr(x, "__index__"):
+                    raise ConfigError(f"{key} takes integers, got {x!r}", key)
+        for key in ("a", "epsilon", "phi_grid"):
+            value = getattr(self, key)
+            for x in value if key == "phi_grid" else (value,):
+                if not isinstance(x, numbers.Real):
+                    raise ConfigError(f"{key} takes numbers, got {x!r}", key)
         if list(self.n_list) != sorted(set(self.n_list)):
             raise ConfigError("n_list must be strictly ascending", "n_list")
-        for key, (_, bound) in _FIELDS.items():
-            value = getattr(self, key)
-            if bound is not None and (error := _bound_error(key, value, bound)):
-                raise ConfigError(error, key)
-            # a check across keys runs once the last key it reads is bounded
-            if key == "a":
-                self._check_model_bounds()
-            elif key == "attack" and value != "top" and self.experiment != "fig2":
-                raise ConfigError(f"{self.experiment} always attacks top-degree "
-                                  "nodes", "attack", "experiment")
-        if self.d < 4 and "security" in self.models:
-            warnings.warn(  # named at the line that built the config
-                f"d={self.d} < 4: security-model cascade containment "
-                "weakens at small d", stacklevel=3)
-
-    def _check_model_bounds(self) -> None:
-        """The bounds that the models and the experiment set on d, a and n."""
+        if self.d < 1:
+            raise ConfigError("d must be at least 1", "d")
         if "security" in self.models:
             if self.d < 2:
                 raise ConfigError("the security model requires d >= 2",
@@ -186,6 +156,24 @@ class ExperimentConfig:
                     raise ConfigError(f"fig1 attacks up to ceil(5 ln n) = "
                                       f"{k_max} nodes, more than n={n}",
                                       "n_list", "experiment")
+        if self.trials < 1:
+            raise ConfigError("trials must be at least 1", "trials")
+        if not 0 < self.epsilon < 1:
+            raise ConfigError("epsilon must be in (0, 1)", "epsilon")
+        if error := _grid_error(self.phi_grid, "phi_grid"):
+            raise ConfigError(error, "phi_grid")
+        if self.attack not in ("top", "random"):
+            raise ConfigError("attack must be 'top' or 'random'", "attack")
+        if self.attack != "top" and self.experiment != "fig2":
+            raise ConfigError(f"{self.experiment} always attacks top-degree "
+                              "nodes", "attack", "experiment")
+        if self.graphs_per_cell < 1:
+            raise ConfigError("graphs_per_cell must be at least 1",
+                              "graphs_per_cell")
+        if self.d < 4 and "security" in self.models:
+            warnings.warn(  # named at the line that built the config
+                f"d={self.d} < 4: security-model cascade containment "
+                "weakens at small d", stacklevel=3)
 
     def canonical_text(self) -> str:
         """Deterministic key=value dump, used for hashing and the manifest."""
@@ -213,14 +201,19 @@ def default_config(experiment: str, **overrides) -> ExperimentConfig:
 # ---- config file parsing ----------------------------------------------------
 
 def numbered_lines(path):
-    """The (number, text) of each line of a UTF-8 text file; a byte that is
-    not UTF-8 raises a ConfigError naming FILE:LINE."""
+    """The (number, text) of each line of a UTF-8 text file, one at a time; a
+    byte that is not UTF-8 raises a ConfigError naming FILE:LINE at its line."""
     data = Path(path).read_bytes()
-    try:
-        return enumerate(data.decode("utf-8").splitlines(), start=1)
-    except UnicodeDecodeError as exc:
-        line = len((data[:exc.start].decode("utf-8") + "?").splitlines())
-        raise ConfigError(f"{path}:{line}: {exc}") from None
+    lines = data.decode("utf-8", "surrogateescape").splitlines()  # as if strict
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:  # an escaped byte: the strict decode's message
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from None
+        yield lineno, line
 
 
 def read_config(path=None, **overrides) -> ExperimentConfig:
@@ -244,7 +237,7 @@ def read_config(path=None, **overrides) -> ExperimentConfig:
             raise ConfigError(f"{where}: {key!r} repeats the setting "
                               f"on line {first_line[key]}")
         first_line[key] = lineno
-        kind, text = _FIELDS[key][0], value.strip()
+        kind, text = _FIELDS[key], value.strip()
         try:
             if isinstance(kind, list):  # comma-separated, empty items skipped
                 values[key] = tuple(kind[0](v) for v in text.split(",") if v.strip())

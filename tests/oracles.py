@@ -29,9 +29,11 @@ numpy once per draw (public names carry a prefix naming the method).
 ``_Replay`` (numpy's ``random``, ``integers`` and ``choice`` computed from
 raw words), ``_draw_distinct`` and ``replay_gen_security``, the security
 loop that drew through them one call per draw before ``gen_security`` made
-its draws inline.  ``branchwise_config_error`` is the branch-per-rule
-``ExperimentConfig.__post_init__`` that the field table replaced, kept
-verbatim but for returning the first failing check's message and keys.
+its draws inline.  ``branchwise_config_error`` pins the order of
+``ExperimentConfig.__post_init__``'s checks, one branch per rule, which
+the library runs as the same straight code; it returns the first failing
+check's message and keys, and writes out the phi-grid rules that the
+library reads from ``_grid_error``.
 The graph-file oracle names the line of a byte that is not UTF-8, as the
 reader does.
 """

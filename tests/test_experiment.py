@@ -176,6 +176,20 @@ def test_config_file_byte_not_utf8_names_its_line(tmp_path):
         xp.read_config(path)
 
 
+def test_config_file_names_the_first_bad_line(tmp_path):
+    """A bad line and a byte that is not UTF-8, in both orders: the first
+    is named, so a later bad byte does not hide an earlier bad line."""
+    path = tmp_path / "exp.cfg"
+    for text, message in [
+            (b"experiment=fig2\nbogus=3\nd=\xff\n", "unknown config key 'bogus'"),
+            (b"experiment=fig2\nd=\xff\nbogus=3\n",
+             "'utf-8' codec can't decode byte 0xff in position 18")]:
+        path.write_bytes(text)
+        with pytest.raises(ConfigError) as info:
+            xp.read_config(path)
+        assert str(info.value).startswith(f"{path}:2: {message}")
+
+
 def test_config_takes_numpy_integers():
     cfg = tiny_cfg(n_list=(np.int64(60), np.int32(120)), d=np.int64(4),
                    trials=np.int16(3), master_seed=np.uint8(5),
