@@ -7,13 +7,14 @@ set is the least fixed point and does not depend on update order; the
 implementation propagates round-synchronously with vectorized frontier
 expansion, O(m) work per cascade.
 
-Two steps run every cascade, and after set-up only they change its state.
+One int64 array, ``cnt``, is a cascade's whole state: a healthy node's
+count of infected neighbors, or ``_INFECTED`` for an infected node, so
+``cnt < 0`` is the infected set.  After set-up only two steps change it.
 The infect step, ``_infect``, marks nodes infected and counts them into
 their neighbors.  The qualify loop, ``_propagate``, infects through it the
-healthy candidates that meet ``cnt / deg >= phi`` in IEEE doubles (so it
-agrees bit-for-bit with a naive rescan comparing fractions), then tests
-their neighbors.  Every candidate has ``cnt > 0``, so deg >= 1: no phi
-above 0 is met without an infected neighbor.
+candidates that meet ``cnt / deg >= phi`` in IEEE doubles (so it agrees
+bit-for-bit with a naive rescan comparing fractions), then tests their
+neighbors; an infected node's negative count never qualifies.
 
 Top-degree attack sets are nested prefixes of one degree order, so
 ``prefix_infection_counts`` resumes each attack size from the previous
@@ -108,29 +109,32 @@ def _phi(g: LabeledGraph, theta: ThresholdAssignment) -> np.ndarray:
     return theta.phi
 
 
-def _infect(indptr, indices, infected, cnt, nodes) -> np.ndarray:
+_INFECTED = -(1 << 62)  # an infected node's count: far below what it can gain
+
+
+def _infect(indptr, indices, cnt, nodes) -> np.ndarray:
     """The infect step: mark ``nodes`` (healthy, no repeats) infected and
     count each into its neighbors; returns those neighbors, with repeats."""
-    infected[nodes] = True
+    cnt[nodes] = _INFECTED
     nbrs = _gather_neighbors(indptr, indices, nodes)
     np.add.at(cnt, nbrs, 1)
     return nbrs
 
 
-def _propagate(indptr, indices, deg, phi, infected, cnt, cand) -> list[int]:
-    """The qualify loop: infect the healthy candidates ``cand`` with
-    ``cnt / deg >= phi``, then test their neighbors, until none qualifies.
-    Every candidate must have ``cnt > 0``, so deg >= 1.  ``infected`` and
-    ``cnt`` are the caller's state.  Returns the count infected per round.
-    """
+def _propagate(indptr, indices, deg, phi, cnt, cand) -> list[int]:
+    """The qualify loop: infect the candidates ``cand`` (with repeats, and
+    infected ones among them) with ``cnt / deg >= phi``, then test their
+    neighbors, until none qualifies.  An infected candidate's negative count
+    never qualifies; a healthy one must have ``cnt > 0``, so deg >= 1.
+    ``cnt`` is the caller's state.  Returns the count infected per round."""
     growth = []
     while True:
-        hit = cand[(~infected[cand]) & (cnt[cand] / deg[cand] >= phi[cand])]
+        hit = cand[cnt[cand] / deg[cand] >= phi[cand]]
         if hit.size == 0:
             return growth
         frontier = hit if hit.size == 1 else _distinct(hit)
         growth.append(int(frontier.size))
-        cand = _infect(indptr, indices, infected, cnt, frontier)
+        cand = _infect(indptr, indices, cnt, frontier)
 
 
 def infection_set(g: LabeledGraph, s, theta: ThresholdAssignment) -> CascadeOutcome:
@@ -141,13 +145,12 @@ def infection_set(g: LabeledGraph, s, theta: ThresholdAssignment) -> CascadeOutc
     """
     attack = _node_ids(s, g.n, "attack set", as_set=True)
     indptr, indices = g.adjacency()
-    infected = np.zeros(g.n, dtype=bool)
     cnt = np.zeros(g.n, dtype=np.int64)
-    nbrs = _infect(indptr, indices, infected, cnt, attack)
+    nbrs = _infect(indptr, indices, cnt, attack)
     growth = [int(attack.size)] + _propagate(
-        indptr, indices, g.degrees, _phi(g, theta), infected, cnt, nbrs)
+        indptr, indices, g.degrees, _phi(g, theta), cnt, nbrs)
     return CascadeOutcome(
-        infected=np.flatnonzero(infected).astype(np.int64),
+        infected=np.flatnonzero(cnt < 0).astype(np.int64),
         rounds=len(growth) - 1,
         growth=tuple(growth),
         num_nodes=g.n,
@@ -166,15 +169,13 @@ def prefix_infection_counts(g: LabeledGraph, order,
     phi = _phi(g, theta)
     deg = g.degrees
     indptr, indices = g.adjacency()
-    infected = np.zeros(g.n, dtype=bool)
     cnt = np.zeros(g.n, dtype=np.int64)
     counts = np.empty(order.size, dtype=np.int64)
     total = 0
     for i in range(order.size):
-        if not infected[order[i]]:
-            nbrs = _infect(indptr, indices, infected, cnt, order[i:i + 1])
-            total += 1 + sum(_propagate(indptr, indices, deg, phi, infected,
-                                        cnt, nbrs))
+        if cnt[order[i]] >= 0:
+            nbrs = _infect(indptr, indices, cnt, order[i:i + 1])
+            total += 1 + sum(_propagate(indptr, indices, deg, phi, cnt, nbrs))
         counts[i] = total
     return counts
 
@@ -208,14 +209,14 @@ def prefix_injury_counts(g: LabeledGraph, order) -> np.ndarray:
     keep = np.ones(n, dtype=bool)
     keep[order] = False
     # union-find over components named by their smallest id; a removed
-    # node is a singleton under its own id
+    # node is a singleton under its own id, and only a merged name has a parent
     comp_of = _component_labels(g, keep)
-    sizes = np.bincount(comp_of, minlength=n).tolist()
-    parent = list(range(n))
+    sizes = np.bincount(comp_of, minlength=n)
+    parent = {}
 
     def find(c):
-        while parent[c] != c:
-            parent[c] = c = parent[parent[c]]  # path halving
+        while c in parent:
+            parent[c] = c = parent.get(parent[c], parent[c])  # path halving
         return c
 
     indptr, indices = g.adjacency()
@@ -226,7 +227,7 @@ def prefix_injury_counts(g: LabeledGraph, order) -> np.ndarray:
         v = order[k - 1]
         keep[v] = True  # v rejoins: state of prefix k-1
         nbrs = indices[indptr[v]:indptr[v + 1]]
-        root = find(comp_of[v])
+        root = find(int(comp_of[v]))
         for c in np.unique(comp_of[nbrs[keep[nbrs]]]).tolist():
             other = find(c)
             if other != root:
@@ -281,16 +282,15 @@ def security_threshold(g: LabeledGraph, s, grid, epsilon: float):
     attack = _node_ids(s, g.n, "attack set", as_set=True)
     budget = epsilon * g.n
     indptr, indices = g.adjacency()
-    infected = np.zeros(g.n, dtype=bool)
     cnt = np.zeros(g.n, dtype=np.int64)
-    _infect(indptr, indices, infected, cnt, attack)
+    _infect(indptr, indices, cnt, attack)
     total = attack.size
     answer = None
     for phi in reversed(grid):
         # a zero-stride view gives the kernel phi per node without an array
         total += sum(_propagate(
-            indptr, indices, g.degrees, np.broadcast_to(phi, g.n), infected,
-            cnt, np.flatnonzero(~infected & (cnt > 0))))
+            indptr, indices, g.degrees, np.broadcast_to(phi, g.n), cnt,
+            np.flatnonzero(cnt > 0)))
         if total > budget:
             break
         answer = phi
@@ -313,10 +313,8 @@ def _contained(g: LabeledGraph, theta: ThresholdAssignment,
     phi = _phi(g, theta)
     indptr, indices = intra_color_adjacency(g)
     cnt = g.degrees - np.diff(indptr)
-    infected = np.zeros(g.n, dtype=bool)
-    _propagate(indptr, indices, g.degrees, phi, infected, cnt,
-               nodes[cnt[nodes] > 0])
-    return infected
+    _propagate(indptr, indices, g.degrees, phi, cnt, nodes[cnt[nodes] > 0])
+    return cnt < 0
 
 
 def classify_community(g: LabeledGraph, x: Community,

@@ -428,9 +428,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None,
     csv_text = csv_path = None
     if not failed:
         lines = [_HEADERS[cfg.experiment]]
-        for model in cfg.models:
-            for n in cfg.n_list:
-                lines.extend(rows[cell_id(cfg, model, n)])
+        for cid in cells:  # in config order: models, then n_list
+            lines.extend(rows[cid])
         csv_text = "\n".join(lines) + "\n"
         if out_dir is not None:
             csv_path = out_dir / f"{cfg.experiment}.csv"

@@ -272,35 +272,28 @@ def _component_labels(g: LabeledGraph, keep: np.ndarray) -> np.ndarray:
     of the subgraph induced by the `keep` mask; a removed node keeps its
     own id.
 
-    Each round hooks every root to its least neighbouring root over the
-    kept edges, then pointer-jumps every label to its root; it stops when
-    no kept edge joins two labels.  Labels only fall, so the root of a
-    component is its smallest id.  The first round leaves few kept edges
-    apart, so it runs over slices of _CHUNK edges and copies only those.
+    Every round runs over _CHUNK slices of the edges, copying no edge
+    column: it hooks the larger label of each kept edge still apart to the
+    smaller one, then pointer-jumps every label to its root.  Labels stay
+    ids in their component and only fall, so a component's root is its
+    smallest id.  The round that hooks nothing is the last.
     """
     labels = np.arange(g.n, dtype=np.int64)
-    spans = [(g.edge_u[a:a + _CHUNK], g.edge_v[a:a + _CHUNK])
-             for a in range(0, g.m or 1, _CHUNK)]
-    for u, v in spans:  # the first round: labels are still ids, u < v
-        both = keep[u] & keep[v]
-        np.minimum.at(labels, v[both], u[both])
-    u = None
-    while True:
-        while True:
-            jumped = labels[labels]
-            if np.array_equal(jumped, labels):
-                break
+    joined = True
+    while joined:
+        joined = False
+        for a in range(0, g.m, _CHUNK):
+            u, v = g.edge_u[a:a + _CHUNK], g.edge_v[a:a + _CHUNK]
+            lu, lv = labels[u], labels[v]
+            apart = np.flatnonzero(lu != lv)  # after round one, few edges
+            apart = apart[keep[u[apart]] & keep[v[apart]]]
+            if apart.size:
+                joined = True
+                lu, lv = lu[apart], lv[apart]
+                np.minimum.at(labels, np.maximum(lu, lv), np.minimum(lu, lv))
+        while not np.array_equal(jumped := labels[labels], labels):
             labels = jumped
-        if u is None:  # after the first round: the kept edges still apart
-            u, v = map(np.concatenate, zip(*[
-                (su[a], sv[a]) for su, sv in spans
-                for a in [keep[su] & keep[sv] & (labels[su] != labels[sv])]]))
-        lu, lv = labels[u], labels[v]
-        apart = lu != lv
-        if not apart.any():
-            return labels
-        u, v, lu, lv = u[apart], v[apart], lu[apart], lv[apart]
-        np.minimum.at(labels, np.maximum(lu, lv), np.minimum(lu, lv))
+    return labels
 
 
 def _lcc_of(g: LabeledGraph, keep: np.ndarray) -> np.ndarray:

@@ -287,6 +287,19 @@ def test_failed_graph_write_keeps_previous_graph(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["er.graph"]
 
 
+def test_report_goes_to_stdout_when_a_stat_fails(tmp_path, capsys):
+    """A written output that cannot be compared with stdout, because the
+    output or fd 1 cannot be stat'ed, is reported on stdout."""
+    gone = tmp_path / "gone.csv"  # removed before the report, say
+    assert cli._wrote(gone, "1 row(s)") == 0
+    with mock.patch.object(cli.os, "fstat",
+                           side_effect=OSError(9, "Bad file descriptor")):
+        assert cli._wrote(tmp_path, "1 row(s)") == 0
+    out, err = capsys.readouterr()
+    assert out == f"wrote {gone}: 1 row(s)\nwrote {tmp_path}: 1 row(s)\n"
+    assert err == ""
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
 def test_generate_to_piped_stdout_writes_the_graph():
     """--out /dev/stdout with stdout a pipe: the path resolves to a pipe,

@@ -182,6 +182,12 @@ def test_equal_graphs_hash_equal():
     assert table == {a: "second"} and table[b] == "second"
 
 
+def test_graph_never_equals_a_non_graph():
+    g = complete_graph(3)
+    assert g.__eq__((g.n, g.edge_u, g.edge_v)) is NotImplemented
+    assert g != (g.n, g.edge_u, g.edge_v)
+
+
 @pytest.mark.parametrize("ids", [
     [1.5, 2.9], (0.0,), np.array([0.9]), np.array([True, False]), [True],
     ["1"]], ids=["floats", "integral-float", "float-array", "bool-array",

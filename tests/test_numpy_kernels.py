@@ -181,7 +181,7 @@ def test_component_labels_first_round_hooks_each_edge_to_its_smaller_end(
         monkeypatch):
     """Labels start as ids and every edge has u < v, so the first round
     hooks each v to its least neighbour u: stars centred on their smallest
-    ids are labelled in that one round, with no second."""
+    ids are labelled in that one round, and the next hooks nothing."""
     g = graph_from_edges(9, [(0, 1), (0, 2), (0, 3), (4, 5), (4, 8), (6, 7)])
     rounds = []
 
@@ -200,8 +200,8 @@ def test_component_labels_first_round_hooks_each_edge_to_its_smaller_end(
 
 
 def test_component_labels_hold_less_than_an_edge_column(security_big):
-    """With a few nodes removed, the first round leaves few kept edges
-    apart; only those are copied, so the labelling holds less than one
+    """Every round runs over slices of _CHUNK edges and copies no edge
+    column, so with a few nodes removed the labelling holds less than one
     edge column beside its labels."""
     keep = np.ones(security_big.n, dtype=bool)
     keep[cl.top_degree_nodes(security_big, 12)] = False

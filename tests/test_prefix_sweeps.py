@@ -21,8 +21,8 @@ from cascadelab import cascade
 from cascadelab.cascade import (degree_order, prefix_infection_counts,
                                 prefix_injury_counts)
 
-from oracles import (graph_from_edges, linear_security_threshold,
-                     random_small_graph, sync_round_growth)
+from oracles import (graph_from_edges, linear_security_threshold, neighbors,
+                     random_small_graph, rescan_infection, sync_round_growth)
 
 SWEEP_SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -61,6 +61,31 @@ def orders(draw, g):
         return degree_order(g, draw(st.integers(0, g.n)))
     perm = draw(st.permutations(range(g.n)))
     return np.asarray(perm[:draw(st.integers(0, g.n))], dtype=np.int64)
+
+
+@SWEEP_SETTINGS
+@given(st.data())
+def test_kernel_state_is_the_count_array(data):
+    """``cnt`` alone holds a cascade, through an attack and a resumed second
+    attack: ``cnt < 0`` is exactly the rescan oracle's infected set, and each
+    healthy node's entry is its number of infected neighbors."""
+    g = data.draw(graphs)
+    theta = data.draw(thresholds(g))
+    indptr, indices = g.adjacency()
+    cnt = np.zeros(g.n, dtype=np.int64)
+    attack = set()
+    for _ in range(2):
+        more = data.draw(st.sets(st.integers(0, g.n - 1), max_size=4))
+        nodes = np.array(sorted(v for v in more if cnt[v] >= 0), dtype=np.int64)
+        attack |= more
+        nbrs = cascade._infect(indptr, indices, cnt, nodes)
+        growth = cascade._propagate(indptr, indices, g.degrees, theta.phi,
+                                    cnt, nbrs)
+        infected = rescan_infection(g, attack, theta)
+        assert set(np.flatnonzero(cnt < 0).tolist()) == infected
+        assert all(x > 0 for x in growth)
+        for v in set(range(g.n)) - infected:
+            assert cnt[v] == sum(int(w) in infected for w in neighbors(g, v))
 
 
 @SWEEP_SETTINGS
