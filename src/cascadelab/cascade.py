@@ -14,7 +14,9 @@ The infect step, ``_infect``, marks nodes infected and counts them into
 their neighbors.  The qualify loop, ``_propagate``, infects through it the
 candidates that meet ``cnt / deg >= phi`` in IEEE doubles (so it agrees
 bit-for-bit with a naive rescan comparing fractions), then tests their
-neighbors; an infected node's negative count never qualifies.
+neighbors; an infected node's negative count never qualifies.  It yields
+each round's count before infecting that round, so a caller can stop a
+cascade between rounds; the others exhaust it.
 
 Top-degree attack sets are nested prefixes of one degree order, so
 ``prefix_infection_counts`` resumes each attack size from the previous
@@ -26,7 +28,7 @@ attack sets: under a uniform phi a node that qualifies at some phi
 qualifies at every lower one, so the infected set at a lower phi contains
 the set at any higher phi (threshold infection is monotone; Kempe,
 Kleinberg & Tardos, KDD 2003).  It walks the grid from its top value down
-in one cascade state.
+in one cascade state, and stops in the round that passes its budget.
 ``classify_community`` and ``count_vulnerable`` share one containment
 cascade, ``_contained``: over the intra-color CSR, with every count
 preloaded from the node's cross-color degree, for one color class or for
@@ -79,7 +81,7 @@ def random_thresholds(g: LabeledGraph, trial_seed: int = 0) -> ThresholdAssignme
     """
     deg = g.degrees
     rng = rng_from(trial_seed, "random-thresholds")
-    # one draw per node regardless of degree keeps the stream layout fixed
+    # a bound admitting one value (deg <= 1) takes no bits from the stream
     r = rng.integers(1, np.maximum(deg, 1) + 1)
     return ThresholdAssignment(r / np.maximum(deg, 1))
 
@@ -121,19 +123,18 @@ def _infect(indptr, indices, cnt, nodes) -> np.ndarray:
     return nbrs
 
 
-def _propagate(indptr, indices, deg, phi, cnt, cand) -> list[int]:
+def _propagate(indptr, indices, deg, phi, cnt, cand):
     """The qualify loop: infect the candidates ``cand`` (with repeats, and
     infected ones among them) with ``cnt / deg >= phi``, then test their
     neighbors, until none qualifies.  An infected candidate's negative count
     never qualifies; a healthy one must have ``cnt > 0``, so deg >= 1.
-    ``cnt`` is the caller's state.  Returns the count infected per round."""
-    growth = []
+    ``cnt`` is the caller's state.  Yields each round's count, then infects it."""
     while True:
         hit = cand[cnt[cand] / deg[cand] >= phi[cand]]
         if hit.size == 0:
-            return growth
+            return
         frontier = hit if hit.size == 1 else _distinct(hit)
-        growth.append(int(frontier.size))
+        yield int(frontier.size)
         cand = _infect(indptr, indices, cnt, frontier)
 
 
@@ -147,8 +148,8 @@ def infection_set(g: LabeledGraph, s, theta: ThresholdAssignment) -> CascadeOutc
     indptr, indices = g.adjacency()
     cnt = np.zeros(g.n, dtype=np.int64)
     nbrs = _infect(indptr, indices, cnt, attack)
-    growth = [int(attack.size)] + _propagate(
-        indptr, indices, g.degrees, _phi(g, theta), cnt, nbrs)
+    growth = [int(attack.size), *_propagate(
+        indptr, indices, g.degrees, _phi(g, theta), cnt, nbrs)]
     return CascadeOutcome(
         infected=np.flatnonzero(cnt < 0).astype(np.int64),
         rounds=len(growth) - 1,
@@ -271,8 +272,8 @@ def security_threshold(g: LabeledGraph, s, grid, epsilon: float):
     One descending sweep, about one cascade in all: the infected set only
     grows as phi falls, so each lower grid value resumes the cascade from
     the fixed point above it, with every healthy node that has an infected
-    neighbor as a candidate.  The first value past the budget ends the
-    sweep.
+    neighbor as a candidate.  The sweep ends inside the cascade that
+    passes the budget, before the round that passes it is infected.
     """
     grid = [float(x) for x in grid]
     if error := _grid_error(grid, "phi grid"):
@@ -285,14 +286,16 @@ def security_threshold(g: LabeledGraph, s, grid, epsilon: float):
     cnt = np.zeros(g.n, dtype=np.int64)
     _infect(indptr, indices, cnt, attack)
     total = attack.size
+    if total > budget:
+        return None
     answer = None
     for phi in reversed(grid):
         # a zero-stride view gives the kernel phi per node without an array
-        total += sum(_propagate(
-            indptr, indices, g.degrees, np.broadcast_to(phi, g.n), cnt,
-            np.flatnonzero(cnt > 0)))
-        if total > budget:
-            break
+        for grown in _propagate(indptr, indices, g.degrees, np.broadcast_to(phi, g.n),
+                                cnt, np.flatnonzero(cnt > 0)):
+            total += grown
+            if total > budget:
+                return answer
         answer = phi
     return answer
 
@@ -313,7 +316,8 @@ def _contained(g: LabeledGraph, theta: ThresholdAssignment,
     phi = _phi(g, theta)
     indptr, indices = intra_color_adjacency(g)
     cnt = g.degrees - np.diff(indptr)
-    _propagate(indptr, indices, g.degrees, phi, cnt, nodes[cnt[nodes] > 0])
+    for _ in _propagate(indptr, indices, g.degrees, phi, cnt, nodes[cnt[nodes] > 0]):
+        pass  # run to the fixed point
     return cnt < 0
 
 

@@ -9,11 +9,12 @@ are re-sampled, never kept.
 Degree-proportional sampling draws a uniform endpoint: each edge adds its
 two endpoints, u then v, to an endpoint buffer, so global endpoint k is
 endpoint ``k & 1`` of edge ``k >> 1`` in creation order and a node appears
-once per incident edge.  The PA and security generators keep that buffer
-as their edge list, with no second copy, and the security model keeps one
-more buffer per color class, holding the same endpoints restricted to the
-class (a node's multiplicity there equals its global degree).  ER draws its
-Batagelj–Brandes skips in chunks.
+once per incident edge.  The security model keeps one more buffer per color
+class, holding the same endpoints restricted to the class (a node's
+multiplicity there equals its global degree).  ER draws its Batagelj–Brandes
+skips in chunks.  Each generator hands its edges over as one int64 key
+array ``u * n + v``, sorted in place and decoded into the (u, v) columns,
+so no second copy of the columns is made and the graph needs no argsort.
 
 The security model computes numpy's values inline from raw 64-bit words
 fetched in bulk.  A coin is ``random()``, a whole word: ``(word >> 11) *
@@ -82,11 +83,18 @@ def _integer(name: str, value, least: int) -> int:
     return int(value)
 
 
-def _plain_graph(n: int, eu: np.ndarray, ev: np.ndarray) -> LabeledGraph:
-    """Single color 0, no seeds, every edge PLAIN."""
+def _decode(key: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (u, v) columns of the keys u * n + v; u reuses key's memory."""
+    v = key % n
+    return np.floor_divide(key, n, out=key), v
+
+
+def _plain_graph(n: int, key: np.ndarray) -> LabeledGraph:
+    """Single color 0, no seeds, every edge PLAIN: the keys u * n + v, u < v, sorted here."""
+    key.sort()
     return LabeledGraph(n, np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool),
-                        np.arange(n, dtype=np.int64), eu, ev,
-                        np.full(len(eu), int(EdgeTag.PLAIN), dtype=np.uint8))
+                        np.arange(n, dtype=np.int64), *_decode(key, n),
+                        np.full(len(key), int(EdgeTag.PLAIN), dtype=np.uint8))
 
 
 def gen_er(n: int, d: int, master_seed: int = 0) -> LabeledGraph:
@@ -99,15 +107,13 @@ def gen_er(n: int, d: int, master_seed: int = 0) -> LabeledGraph:
     if n > 1 and d >= n:
         raise ValueError(f"d={d} with n={n} gives edge probability above 1")
     p = d / (n - 1) if n > 1 else 1.0
-    if p >= 1.0:
-        return _plain_graph(n, *_edges(_initial_ends(n - 1)))
     rng = rng_from(master_seed, "er", n, d)
     # Batagelj–Brandes geometric skipping over the pairs (w, v), w < v, in
-    # the order of their triangular index t = v(v-1)/2 + w
+    # the order of their triangular index t = v(v-1)/2 + w; at p = 1 each skip is 1
     pairs = n * (n - 1) // 2
-    eu, ev = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    keys = [np.empty(0, np.int64)]
     if p > 0.0:
-        log1p = math.log(1.0 - p)
+        log1p = math.log(1.0 - p) if p < 1.0 else -math.inf
         # about p * pairs skips reach the last pair; 10% + 64 over that
         # is several standard deviations, so a small graph draws one chunk
         chunk = min(_ER_CHUNK, 64 + int(1.1 * p * pairs))
@@ -117,9 +123,9 @@ def gen_er(n: int, d: int, master_seed: int = 0) -> LabeledGraph:
             ts = t + np.cumsum((gaps / log1p).astype(np.int64) + 1)
             t = int(ts[-1])
             w, v = _triangular_pairs(ts[:np.searchsorted(ts, pairs)])
-            eu.append(w)
-            ev.append(v)
-    return _plain_graph(n, np.concatenate(eu), np.concatenate(ev))
+            keys.append(w * n + v)
+    keys = np.concatenate(keys)  # the chunks are freed before the sort
+    return _plain_graph(n, keys)
 
 
 def _triangular_pairs(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -169,7 +175,10 @@ def gen_pa(n: int, d: int, master_seed: int = 0) -> LabeledGraph:
             t += 1
             grow = draws == d  # a step that would have passed as a block of one
         size = 2 * size if grow else max(1, size // 2)
-    return _plain_graph(n, *_edges(ends))
+    key = np.multiply(ends[::2], n)  # an edge is (older, newer) in ends
+    key += ends[1::2]
+    del ends  # freed before the sort
+    return _plain_graph(n, key)
 
 
 def _halves(bits: np.random.BitGenerator, rest: np.ndarray, k: int) -> np.ndarray:
@@ -306,8 +315,7 @@ def gen_security(n: int, d: int, a: float, master_seed: int = 0) -> LabeledGraph
     del eu, ev, ends
     key.sort()
     pa_rows = np.searchsorted(key, pa_keys)
-    newer = key % n
-    older = np.floor_divide(key, n, out=key)
+    older, newer = _decode(key, n)
     # an edge's newer endpoint is its step's node: below d + 1 in K_{d+1}
     tags = np.full(len(key), int(EdgeTag.HOMOPHYLY), dtype=np.uint8)
     tags[is_seed[newer]] = EdgeTag.SEED_LINK

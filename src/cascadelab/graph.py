@@ -241,7 +241,8 @@ def _distinct(a: np.ndarray) -> np.ndarray:
 
 
 def _gather_neighbors(indptr, indices, frontier) -> np.ndarray:
-    """All neighbors of the frontier nodes, concatenated (with repeats)."""
+    """All neighbors of the frontier nodes, concatenated (with repeats); for
+    one node, a view of the cached CSR's ``indices``: never change it in place."""
     if frontier.size == 1:  # one row: a view, without the index arithmetic
         return indices[indptr[frontier[0]]:indptr[frontier[0] + 1]]
     starts = indptr[frontier]

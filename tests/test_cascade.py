@@ -75,6 +75,23 @@ def test_random_thresholds_degree_zero_uninfectable():
     assert infection_set(g, {0, 1}, theta).infected.tolist() == [0, 1]
 
 
+def test_random_thresholds_draw_nothing_for_degree_zero_and_one():
+    """numpy draws no bits for a bound that admits one value, so a node of
+    degree 0 or 1 leaves the stream to the others: r over the nodes of
+    degree >= 2 is the same draw as if those nodes were alone."""
+    rng = np.random.default_rng
+    assert rng(5).integers(1, [2, 2, 2, 11, 11]).tolist() == [1, 1, 1, 7, 9]
+    assert rng(5).integers(1, [11, 11]).tolist() == [7, 9]
+    # degrees 3, 1, 2, 1, 2, 1, 0 in id order
+    g = graph_from_edges(7, [(0, 1), (0, 2), (0, 4), (2, 3), (4, 5)])
+    deg = g.degrees
+    phi = random_thresholds(g, 11).phi
+    many = deg >= 2
+    r = cl.rng_from(11, "random-thresholds").integers(1, deg[many] + 1)
+    assert phi[many].tolist() == (r / deg[many]).tolist()
+    assert (phi[~many] == 1.0).all()
+
+
 def test_random_thresholds_degree_four_frequencies():
     # circulant graph: every node has degree 4, 10^4 draws in one assignment
     n = 10_000

@@ -4,8 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cascadelab import (EdgeTag, attachment_probability, expected_seed_count,
-                        gen_er, gen_pa, gen_security, generate, serialize)
+from cascadelab import (EdgeTag, LabeledGraph, attachment_probability,
+                        expected_seed_count, gen_er, gen_pa, gen_security,
+                        generate, serialize)
 from cascadelab import generators
 
 from conftest import traced_peak
@@ -242,3 +243,35 @@ def test_gen_security_hands_over_its_edges_without_a_second_copy(monkeypatch):
     g, peak = traced_peak(lambda: gen_security(50_000, 10, 1.5))
     assert len(held) == 1
     assert peak - held[0] < g.edge_u.nbytes + g.edge_v.nbytes
+
+
+@pytest.mark.parametrize("generate", [gen_er, gen_pa])
+def test_er_and_pa_hand_over_their_edges_as_one_sorted_key(generate):
+    """Above the graph it returns, ER or PA generation holds less than half
+    a copy of the (u, v) columns at any time: one key array u * n + v,
+    sorted in place, whose memory becomes u, with PA's endpoint buffer
+    dropped before the sort.  Copied columns and the constructor's argsort
+    held more than 2.5 copies."""
+    generate(1_000, 10)  # what a first call sets up once is not the hand-over's
+    g, peak = traced_peak(lambda: generate(50_000, 10))
+    graph = sum(x.nbytes for x in (g.color, g.is_seed, g.birth_time,
+                                   g.edge_u, g.edge_v, g.edge_tag))
+    assert peak - graph < (g.edge_u.nbytes + g.edge_v.nbytes) / 2
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_er(3_000, 10, 1), lambda: gen_er(40, 39, 2),
+    lambda: gen_pa(3_000, 10, 1), lambda: gen_security(3_000, 10, 1.5, 1)],
+    ids=["er", "er-complete", "pa", "security"])
+def test_generators_hand_the_constructor_canonical_edges(monkeypatch, make):
+    """Every generator sorts its edges itself, so the constructor's argsort
+    never runs on a generated graph."""
+    handed = []
+
+    def constructor(n, color, is_seed, birth_time, u, v, tag):
+        handed.append(((u < v).all(), (np.diff(u * n + v) > 0).all()))
+        return LabeledGraph(n, color, is_seed, birth_time, u, v, tag)
+
+    monkeypatch.setattr(generators, "LabeledGraph", constructor)
+    g = make()
+    assert handed == [(True, True)] and g.m > 0

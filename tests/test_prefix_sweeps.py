@@ -9,7 +9,7 @@ equal-size components) and the three generators through
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cascadelab as cl
@@ -79,8 +79,8 @@ def test_kernel_state_is_the_count_array(data):
         nodes = np.array(sorted(v for v in more if cnt[v] >= 0), dtype=np.int64)
         attack |= more
         nbrs = cascade._infect(indptr, indices, cnt, nodes)
-        growth = cascade._propagate(indptr, indices, g.degrees, theta.phi,
-                                    cnt, nbrs)
+        growth = list(cascade._propagate(indptr, indices, g.degrees,
+                                         theta.phi, cnt, nbrs))
         infected = rescan_infection(g, attack, theta)
         assert set(np.flatnonzero(cnt < 0).tolist()) == infected
         assert all(x > 0 for x in growth)
@@ -175,12 +175,13 @@ def phi_grids(draw):
     return sorted(set(values))
 
 
-@SWEEP_SETTINGS
-@given(st.data())
-def test_security_threshold_matches_linear_scan(data):
-    g = data.draw(st.one_of(graphs, generator_graphs()))
-    attack = data.draw(attacks(g))
-    grid = data.draw(phi_grids())
+@st.composite
+def security_cases(draw):
+    """(g, attack, grid, epsilon), the budget placed so that each answer,
+    None included, comes up."""
+    g = draw(st.one_of(graphs, generator_graphs()))
+    attack = draw(attacks(g))
+    grid = draw(phi_grids())
     counts = [infection_set(g, attack, uniform_thresholds(g, phi)).infected.size
               for phi in grid]
     # answer j (None for j = len(grid)) needs low[j] <= epsilon * n <
@@ -191,15 +192,42 @@ def test_security_threshold_matches_linear_scan(data):
     feasible = [j for j in range(len(grid) + 1) if low[j] < high[j]]
     wanted = {"none": [len(grid)], "first": [0], "last": [len(grid) - 1],
               "middle": list(range(1, len(grid) - 1))}
-    target = data.draw(st.sampled_from(sorted(wanted)))
-    j = data.draw(st.sampled_from(
+    target = draw(st.sampled_from(sorted(wanted)))
+    j = draw(st.sampled_from(
         [j for j in feasible if j in wanted[target]] or feasible))
-    if low[j] > 0 and data.draw(st.booleans()):
+    if low[j] > 0 and draw(st.booleans()):
         epsilon = low[j] / g.n  # the budget sits on the count itself
     else:
         epsilon = (low[j] + high[j]) / (2 * g.n)
+    return g, attack, grid, epsilon
+
+
+@SWEEP_SETTINGS
+@given(security_cases())
+# the attack alone passes the budget, and no round runs
+@example((graph_from_edges(1, []), [0], [1 / 12], 0.5))
+def test_security_threshold_matches_linear_scan(case):
+    g, attack, grid, epsilon = case
     expected = linear_security_threshold(g, attack, grid, epsilon)
     assert security_threshold(g, attack, grid, epsilon) == expected
+
+
+def test_security_threshold_stops_in_the_round_past_its_budget(monkeypatch):
+    """On a path attacked at one end, the cascade at phi = 0.5 would take
+    every node, one a round; the sweep infects the budget's worth and
+    stops in the round that passes it."""
+    n = 200
+    g = graph_from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    infect, infected = cascade._infect, []
+
+    def counted(indptr, indices, cnt, nodes):
+        infected.append(len(nodes))
+        return infect(indptr, indices, cnt, nodes)
+
+    monkeypatch.setattr(cascade, "_infect", counted)
+    # at 1.0 and 0.6 node 1, with one of two neighbors infected, holds
+    assert security_threshold(g, [0], [0.5, 0.6, 1.0], 0.1) == 0.6
+    assert sum(infected) <= 0.1 * n + 2
 
 
 def test_security_threshold_runs_no_cold_cascade(monkeypatch):
