@@ -327,9 +327,10 @@ def classify_community(g: LabeledGraph, x: Community,
     outside the community is infected and infection propagates inside.
 
     Raises ValueError when x is not homochromatic, is not its whole color
-    class, or its seed is wrong.
+    class, or its seed is wrong; TypeError or IndexError for a member id
+    that is not an integer or not a node.
     """
-    members = np.asarray(x.members, dtype=np.int64)
+    members = _node_ids(x.members, g.n, "community members")
     if members.size == 0:
         raise ValueError("community has no members")
     cols = g.color[members]

@@ -162,27 +162,8 @@ class LabeledGraph:
         return self.csr()
 
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """The cached CSR (indptr, indices) of both edge directions.
-
-        Each directed edge is the int64 key ``u * n + v``; sorted, the keys
-        list row u's neighbors in ascending order, so row u starts at the
-        first key >= u * n.  n * n must fit in int64.
-        """
-
-        def build():
-            n = self.n
-            if n > 3_000_000_000:
-                raise ValueError(f"CSR keys u*n + v overflow int64 for n={n}; "
-                                 "at most 3e9 nodes")
-            m, u, v = self.m, self.edge_u, self.edge_v
-            keys = np.empty(2 * m, dtype=np.int64)  # sorted, then turned into indices
-            np.add(np.multiply(u, n, out=keys[:m]), v, out=keys[:m])
-            np.add(np.multiply(v, n, out=keys[m:]), u, out=keys[m:])
-            keys.sort()
-            indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
-            return indptr, np.remainder(keys, n, out=keys)
-
-        return self.cached("csr", build)
+        """The cached CSR (indptr, indices) of both edge directions (see _csr)."""
+        return self.cached("csr", lambda: _csr(self.n, self.edge_u, self.edge_v))
 
     def cached(self, key: str, builder):
         """Memoize a derived structure on this (immutable) graph."""
@@ -216,6 +197,25 @@ class LabeledGraph:
         tags = ", ".join(
             f"{EdgeTag(i).name}={int(c)}" for i, c in enumerate(kinds) if c)
         return f"LabeledGraph(n={self.n}, m={self.m}, {tags or 'no edges'})"
+
+
+def _csr(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR (indptr, indices) of the n-node edges (u[i], v[i]), both ways.
+
+    Each directed edge is the int64 key ``u * n + v``; sorted, the keys
+    list row u's neighbors in ascending order, so row u starts at the
+    first key >= u * n.  n * n must fit in int64.
+    """
+    if n > 3_000_000_000:
+        raise ValueError(f"CSR keys u*n + v overflow int64 for n={n}; "
+                         "at most 3e9 nodes")
+    m = u.shape[0]
+    keys = np.empty(2 * m, dtype=np.int64)  # sorted, then turned into indices
+    np.add(np.multiply(u, n, out=keys[:m]), v, out=keys[:m])
+    np.add(np.multiply(v, n, out=keys[m:]), u, out=keys[m:])
+    keys.sort()
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    return indptr, np.remainder(keys, n, out=keys)
 
 
 def _node_ids(ids, n: int, what: str, *, as_set: bool = False) -> np.ndarray:

@@ -12,6 +12,8 @@ from these PCG64 streams' raw words (:mod:`cascadelab.generators`).
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -33,8 +35,8 @@ def splitmix64(x: int) -> int:
 
 def _token64(token: int | str) -> int:
     """Reduce a context token to 64 bits (FNV-1a for strings)."""
-    if isinstance(token, int):
-        return token & _MASK64
+    if hasattr(token, "__index__"):  # a numpy integer too
+        return operator.index(token) & _MASK64
     if isinstance(token, str):
         h = _FNV_OFFSET
         for byte in token.encode("utf-8"):
@@ -49,7 +51,7 @@ def derive_seed(master_seed: int, *tokens: int | str) -> int:
     The same (master_seed, tokens) always yields the same seed; different
     token sequences collide only with probability ~2^-64 per pair.
     """
-    state = splitmix64(master_seed & _MASK64)
+    state = splitmix64(operator.index(master_seed) & _MASK64)
     for token in tokens:
         state = splitmix64(state ^ _token64(token))
     return state

@@ -8,9 +8,9 @@ on the same graph are cheap.  One community index (``_community_layout``,
 built from one ``np.unique`` of the colors) is the only map from nodes to
 communities: every community report, navigation and both containment
 cascades in ``cascade`` read its arrays.  The other memoized structures
-are two CSR views of ``g.adjacency()``: the intra-color CSR (same-color
-edges only) and the seed CSR (seed-seed edges only), whose rows stay
-ascending.
+are two CSRs built from the edge list by the graph's CSR builder: the
+intra-color CSR (same-color edges only) and the seed CSR (seed-seed
+edges only), whose rows stay ascending.
 
 Distances and community diameters run one bit-parallel BFS
 (``_bfs_levels``): up to 64 sources share a uint64 word per node.  At
@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (EdgeTag, LabeledGraph, _gather_neighbors, _node_ids,
-                    largest_connected_component)
+from .graph import (EdgeTag, LabeledGraph, _csr, _gather_neighbors,
+                    _node_ids, largest_connected_component)
 from .seeding import rng_from
 
 
@@ -248,8 +248,11 @@ def powerlaw_exponent(degrees, d_min: int) -> PowerlawFit:
     x_i >= d_min (the Clauset–Shalizi–Newman discrete approximation).
     The diagnostic R^2 comes from a linear fit of the log-log CCDF.
     Requires at least 100 tail samples; identical samples are rejected
-    (the exponent is unidentifiable).
+    (the exponent is unidentifiable).  A d_min without ``__index__``
+    raises TypeError.
     """
+    if not hasattr(d_min, "__index__"):
+        raise TypeError(f"d_min takes integers, got {d_min!r}")
     if d_min < 1:
         raise ValueError("d_min must be at least 1")
     x = np.asarray(degrees, dtype=np.float64)
@@ -560,19 +563,10 @@ class NavigationResult:
         return self.path is not None
 
 
-def _sub_adjacency(g: LabeledGraph, key: str, keep_edge):
-    """CSR (indptr, indices) of the edges (u, v) where keep_edge(u, v)
-    holds, as a cached view of g.adjacency(); rows stay ascending."""
-
-    def build():
-        indptr, indices = g.adjacency()
-        rows = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(indptr))
-        keep = keep_edge(rows, indices)
-        counts = np.bincount(rows[keep], minlength=g.n)
-        return (np.concatenate([[0], np.cumsum(counts)]).astype(np.int64),
-                indices[keep])
-
-    return g.cached(key, build)
+def _sub_adjacency(g: LabeledGraph, keep: np.ndarray):
+    """CSR (indptr, indices) of the edges i where keep[i] holds, built from
+    the edge list by the graph's CSR builder; rows stay ascending."""
+    return _csr(g.n, g.edge_u[keep], g.edge_v[keep])
 
 
 def intra_color_adjacency(g: LabeledGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -580,14 +574,14 @@ def intra_color_adjacency(g: LabeledGraph) -> tuple[np.ndarray, np.ndarray]:
 
     Every row lists a node's neighbors in its own community, ascending.
     """
-    return _sub_adjacency(g, "intra-color-adjacency",
-                          lambda u, v: g.color[u] == g.color[v])
+    return g.cached("intra-color-adjacency", lambda: _sub_adjacency(
+        g, g.color[g.edge_u] == g.color[g.edge_v]))
 
 
 def _seed_adjacency(g: LabeledGraph) -> tuple[np.ndarray, np.ndarray]:
     """CSR (indptr, indices) of the seed-seed edges only (cached)."""
-    return _sub_adjacency(g, "seed-adjacency",
-                          lambda u, v: g.is_seed[u] & g.is_seed[v])
+    return g.cached("seed-adjacency", lambda: _sub_adjacency(
+        g, g.is_seed[g.edge_u] & g.is_seed[g.edge_v]))
 
 
 def _to_root(parent: dict, v: int) -> list[int]:

@@ -16,6 +16,9 @@ one ``infection_set`` per grid value that the descending sweep of
 are the per-line writer and parser that the bulk
 ``serialize``/``deserialize`` replaced, kept verbatim.  So are
 the structure oracles: the ``np.split`` build of ``communities``,
+``row_filter_sub_adjacency`` (the intra-color and seed CSRs filtered
+row by row out of the whole CSR, before the graph's CSR builder made
+them from the edge list),
 Dijkstra distances and community diameters, ``pull_bfs_levels`` (the
 bit-parallel BFS before it pushed small frontiers), the per-community
 ``_classify`` loop of ``count_vulnerable`` (with its own copy of the
@@ -632,6 +635,21 @@ def dict_navigate(g: LabeledGraph, u: int, v: int, hop_budget: int) -> Navigatio
     if len(path) - 1 > hop_budget:
         return NavigationResult(path=None, hops=-1, visited=visited)
     return NavigationResult(path=tuple(path), hops=len(path) - 1, visited=visited)
+
+
+def row_filter_sub_adjacency(g: LabeledGraph, key: str, keep_edge):
+    """CSR (indptr, indices) of the edges (u, v) where keep_edge(u, v)
+    holds, as a cached view of g.adjacency(); rows stay ascending."""
+
+    def build():
+        indptr, indices = g.adjacency()
+        rows = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(indptr))
+        keep = keep_edge(rows, indices)
+        counts = np.bincount(rows[keep], minlength=g.n)
+        return (np.concatenate([[0], np.cumsum(counts)]).astype(np.int64),
+                indices[keep])
+
+    return g.cached(key, build)
 
 
 def split_communities(g: LabeledGraph) -> list[Community]:

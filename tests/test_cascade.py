@@ -361,6 +361,21 @@ def test_classify_rejects_bad_community(case, message):
         classify_community(g, x, uniform_thresholds(g, 0.5))
 
 
+@pytest.mark.parametrize("members, error, message", [
+    ([-1], IndexError, r"community members holds a node id out of range \[0, 5\)"),
+    ([5], IndexError, r"community members holds a node id out of range \[0, 5\)"),
+    ([1.5], TypeError, "community members holds a non-integer node id"),
+])
+def test_classify_checks_member_ids(members, error, message):
+    # colors 0 = {0 (seed), 1, 2} and 1 = {3 (seed), 4}; node 4 is n - 1
+    g = graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)],
+                         color=np.array([0, 0, 0, 1, 1]),
+                         is_seed=np.array([1, 0, 0, 1, 0], dtype=bool))
+    x = cl.Community(color=1, members=np.array(members), seed=3)
+    with pytest.raises(error, match=message):
+        classify_community(g, x, uniform_thresholds(g, 0.5))
+
+
 def test_classify_requires_whole_color_class():
     g = cl.gen_security(200, 3, 1.5, master_seed=2)
     theta = uniform_thresholds(g, 0.5)

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from cascadelab import ExperimentConfig, gen_er, run_experiment
 from cascadelab.seeding import (_MIX_MUL1, _MIX_MUL2, _SPLITMIX_GAMMA,
                                 derive_seed, derive_trial_seed, rng_from,
                                 splitmix64)
@@ -44,6 +47,35 @@ def test_seed_is_64_bit():
 def test_rejects_bad_token_type():
     with pytest.raises(TypeError):
         derive_seed(0, 1.5)
+
+
+@pytest.mark.parametrize("bad", [
+    (1.5,), (0, np.float64(2.0)), (0, 2.0), (0, None), (0, b"x")])
+def test_rejects_non_integer_seeds_and_tokens(bad):
+    with pytest.raises(TypeError):
+        derive_seed(*bad)
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.uint64, np.int32, np.uint8])
+def test_numpy_integer_seeds_and_tokens_match_python_ints(kind):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning either
+        assert derive_seed(kind(5), "x", kind(3)) == derive_seed(5, "x", 3)
+        top = np.iinfo(kind).max
+        assert derive_seed(kind(top), kind(top)) == derive_seed(int(top), int(top))
+        assert gen_er(100, 4, master_seed=kind(7)) == gen_er(100, 4, master_seed=7)
+    assert derive_seed(np.int64(-3), np.int64(-1)) == derive_seed(-3, -1)
+
+
+@pytest.mark.parametrize("over", [
+    dict(experiment="fig3", models=("er",), n_list=(100,)),
+    dict(experiment="fig2", models=("er",), n_list=(60,), trials=2)])
+def test_numpy_master_seed_runs_an_experiment(over):
+    cfg = dict(d=4, **over)
+    ours = run_experiment(ExperimentConfig(master_seed=np.int64(0), **cfg))
+    assert ours.failed == {}
+    assert ours.csv_text == run_experiment(
+        ExperimentConfig(master_seed=0, **cfg)).csv_text
 
 
 def test_array_matches_scalar():

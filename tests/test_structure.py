@@ -185,6 +185,17 @@ def test_powerlaw_rejects_d_min_below_one():
         powerlaw_exponent(np.arange(200) + 1, 0)
 
 
+@pytest.mark.parametrize("d_min", [2.5, 2.0, np.float64(3.0), "2", None])
+def test_powerlaw_rejects_non_integer_d_min(d_min):
+    with pytest.raises(TypeError, match="d_min"):
+        powerlaw_exponent(np.arange(200) + 1, d_min)
+
+
+def test_powerlaw_takes_numpy_integer_d_min():
+    x = np.arange(200) + 1
+    assert powerlaw_exponent(x, np.int64(3)) == powerlaw_exponent(x, 3)
+
+
 def test_powerlaw_pa_exponent_single_run():
     g = cl.gen_pa(50_000, 10, master_seed=4)
     fit = powerlaw_exponent(g.degrees, 10)

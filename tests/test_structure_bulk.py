@@ -1,5 +1,8 @@
 """Whole-graph structure reports, checked against the code they replaced.
 
+The intra-color and seed CSRs, built from the edge list, must equal
+``row_filter_sub_adjacency``, the row-by-row filter of the whole CSR that
+they replaced, and must build without the whole CSR.
 The push/pull BFS kernel must yield the same levels, nodes and bits as
 ``pull_bfs_levels``, the kernel that pulled over the whole CSR at every
 level, with the switch forced to push, forced to pull and at its default;
@@ -30,11 +33,12 @@ from cascadelab import (community_diameters, count_vulnerable,
 from cascadelab import structure
 from cascadelab.structure import pair_distances
 
+from conftest import traced_peak
 from oracles import (classify_loop_count_vulnerable, dict_navigate,
                      graph_from_edges,
                      dijkstra_community_diameters, dijkstra_distance_stats,
                      dijkstra_pair_distances, pull_bfs_levels,
-                     split_communities)
+                     row_filter_sub_adjacency, split_communities)
 
 BULK_SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -427,3 +431,99 @@ def test_security_graph_mid_size():
     assert_navigation_matches(g, some_queries(g, 500), 64)
     assert (outcome(distance_stats, g, 1000, 4)
             == outcome(dijkstra_distance_stats, g, 1000, 4))
+
+
+# ---- intra-color and seed CSRs ----------------------------------------------
+
+
+@st.composite
+def sub_csr_graphs(draw, max_n=24):
+    """Random edges (possibly none) over 0..max_n nodes with one color, a
+    color per node (every edge crosses colors) or random colors, and no,
+    all or random seeds."""
+    n = draw(st.integers(0, max_n))
+    edges = set()
+    if n > 1:
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        edges = {(min(u, v), max(u, v))
+                 for u, v in draw(st.lists(pairs, max_size=2 * n)) if u != v}
+    coloring = draw(st.sampled_from(("one", "per-node", "random")))
+    if coloring == "random":
+        color = np.asarray(draw(st.lists(st.integers(0, 3), min_size=n,
+                                         max_size=n)), dtype=np.int64)
+    else:
+        color = np.arange(n) if coloring == "per-node" else np.zeros(n)
+    seeding = draw(st.sampled_from(("none", "all", "random")))
+    if seeding == "random":
+        is_seed = np.asarray(draw(st.lists(st.booleans(), min_size=n,
+                                           max_size=n)), dtype=bool)
+    else:
+        is_seed = np.full(n, seeding == "all")
+    return graph_from_edges(n, sorted(edges), color=color.astype(np.int64),
+                            is_seed=is_seed)
+
+
+def assert_sub_csrs_match_row_filter(g):
+    for ours, key, keep_edge in (
+            (structure.intra_color_adjacency(g), "row-filter-intra-color",
+             lambda u, v: g.color[u] == g.color[v]),
+            (structure._seed_adjacency(g), "row-filter-seed",
+             lambda u, v: g.is_seed[u] & g.is_seed[v])):
+        theirs = row_filter_sub_adjacency(g, key, keep_edge)
+        for a, b in zip(ours, theirs):
+            assert a.dtype == np.int64
+            assert np.array_equal(a, b)
+
+
+@BULK_SETTINGS
+@given(st.one_of(sub_csr_graphs(), security_graphs()))
+def test_sub_csrs_match_row_filter(g):
+    assert_sub_csrs_match_row_filter(g)
+
+
+@pytest.mark.parametrize("g", [
+    graph_from_edges(0, []), graph_from_edges(1, [], is_seed=np.ones(1, bool)),
+    graph_from_edges(5, []), graph_from_edges(6, [(1, 4), (2, 3)])],
+    ids=["n0", "n1", "no-edges", "isolated-nodes"])
+def test_sub_csrs_match_row_filter_small_cases(g):
+    assert_sub_csrs_match_row_filter(g)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sub_csrs_match_row_filter_on_security_graphs(seed):
+    assert_sub_csrs_match_row_filter(
+        cl.gen_security(3000, 10, 1.5, master_seed=seed))
+
+
+def test_community_queries_never_build_the_whole_csr():
+    """The sub-CSRs come from the edge list, so containment, diameters and
+    navigation on a fresh graph leave the whole CSR unbuilt."""
+    def fresh():
+        return cl.gen_security(300, 4, 1.5, master_seed=5)
+
+    g = fresh()
+    lay = structure._community_layout(g)
+    u, v = lay.members[lay.starts[1] - 1], lay.members[-1]  # two communities
+    queries = {
+        "intra_color_adjacency": structure.intra_color_adjacency,
+        "_seed_adjacency": structure._seed_adjacency,
+        "count_vulnerable": lambda g: count_vulnerable(
+            g, uniform_thresholds(g, 0.3)),
+        "community_diameters": community_diameters,
+        "navigate": lambda g: navigate(g, int(u), int(v), 100),
+    }
+    for name, query in queries.items():
+        g = fresh()
+        query(g)
+        assert "csr" not in g._derived, name
+
+
+def test_intra_color_build_holds_under_three_edge_columns():
+    """On a fresh graph the intra-color CSR build holds under three edge
+    columns beside its result (the colors of both endpoints, then the kept
+    endpoints), where the row filter kept the whole CSR in the graph's
+    cache and held four columns more."""
+    g = cl.gen_security(20_000, 10, 1.5)
+    (indptr, indices), peak = traced_peak(
+        lambda: structure.intra_color_adjacency(g))
+    assert peak - indptr.nbytes - indices.nbytes < 3 * g.edge_u.nbytes
