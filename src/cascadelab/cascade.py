@@ -221,7 +221,7 @@ def prefix_injury_counts(g: LabeledGraph, order) -> np.ndarray:
         return c
 
     indptr, indices = g.adjacency()
-    lcc = int(np.bincount(comp_of[keep]).max(initial=0))
+    lcc = int(sizes[comp_of[keep]].max(initial=0))  # no removed id labels a kept node
     counts = np.empty(size, dtype=np.int64)
     for k in range(size, 0, -1):
         counts[k - 1] = n - k - lcc

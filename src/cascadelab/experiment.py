@@ -7,13 +7,17 @@ per figure.  One master seed determines every byte of output: graphs and
 threshold trials draw from seeds derived per (experiment, model, n,
 trial), and cells are independent work units, so results are identical
 for any worker count.  Configs come from :func:`read_config` (a key=value
-file whose errors name FILE:LINE, and typed overrides).
+file whose errors name FILE:LINE, and typed overrides); it and the CLI's
+``ids:`` files read lines through :func:`numbered_lines`, which decodes
+each line once.
 
 Outputs per experiment: ``<experiment>.csv`` plus ``manifest.txt``
 recording the config hash, tool version and completed cells; per-cell row
-fragments under ``cells/`` make interrupted runs resumable.  Each file is
-written under a per-process temp name in its directory and renamed into
-place, so an interrupted write leaves the previous file whole.
+fragments under ``cells/`` make interrupted runs resumable.  A manifest
+whose head does not match (malformed, not UTF-8, or another version or
+config) starts the run over.  Each file is written under a per-process
+temp name in its directory and renamed into place, so an interrupted
+write leaves the previous file whole.
 """
 
 from __future__ import annotations
@@ -201,19 +205,20 @@ def default_config(experiment: str, **overrides) -> ExperimentConfig:
 # ---- config file parsing ----------------------------------------------------
 
 def numbered_lines(path):
-    """The (number, text) of each line of a UTF-8 text file, one at a time; a
-    byte that is not UTF-8 raises a ConfigError naming FILE:LINE at its line."""
+    """The (number, text) of each line of a UTF-8 text file, one at a time:
+    lines end at LF, and a CR just before the LF is dropped.  A byte that
+    is not UTF-8 raises a ConfigError naming FILE:LINE at its line."""
     data = Path(path).read_bytes()
-    lines = data.decode("utf-8", "surrogateescape").splitlines()  # as if strict
-    for lineno, line in enumerate(lines, start=1):
-        try:
-            line.encode("utf-8")
-        except UnicodeEncodeError:  # an escaped byte: the strict decode's message
-            try:
-                data.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from None
-        yield lineno, line
+    start, lineno = 0, 1
+    while start < len(data):
+        end = data.find(b"\n", start) + 1 or len(data)  # past the line's LF
+        try:  # with its LF, so an error reads as in the whole file's decode
+            line = data[start:end].decode("utf-8")
+        except UnicodeDecodeError as exc:  # at its position in the whole file
+            exc.object, exc.start, exc.end = data, start + exc.start, start + exc.end
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
+        yield lineno, (line[:-1].removesuffix("\r") if line.endswith("\n") else line)
+        start, lineno = end, lineno + 1
 
 
 def read_config(path=None, **overrides) -> ExperimentConfig:
@@ -352,7 +357,7 @@ def _read_manifest(out_dir: Path, cfg: ExperimentConfig) -> set[str]:
     path = out_dir / "manifest.txt"
     if not path.exists():
         return set()
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = path.read_text(encoding="utf-8", errors="replace").splitlines()
     if lines[:3] != _manifest_head(cfg):
         return set()  # malformed, or another version or config: start over
     return {line.removeprefix("cell ").strip()

@@ -7,8 +7,10 @@ recording which construction rule created them.
 
 Storage is array-based (numpy): edge endpoint arrays plus lazily built CSR
 adjacency arrays (``indptr``, ``indices``), so a 10^5-node graph with 10^6
-edges costs a few tens of MB and all bulk queries are vectorized.  Graphs are immutable after construction
-and safe to share across worker processes or threads.
+edges costs a few tens of MB and all bulk queries are vectorized.  Graphs
+are immutable after construction: their arrays are read-only views, and
+every array that :meth:`LabeledGraph.cached` memoizes is read-only, so
+graphs are safe to share across worker processes or threads.
 
 File format (version 1, UTF-8, LF line endings)::
 
@@ -93,9 +95,9 @@ class LabeledGraph:
     def __init__(self, n, color, is_seed, birth_time, edge_u, edge_v, edge_tag,
                  *, validate: bool = True):
         self.n = int(n)
-        self.color = np.ascontiguousarray(color, dtype=np.int64)
-        self.is_seed = np.ascontiguousarray(is_seed, dtype=bool)
-        self.birth_time = np.ascontiguousarray(birth_time, dtype=np.int64)
+        self.color = _frozen(np.ascontiguousarray(color, dtype=np.int64))
+        self.is_seed = _frozen(np.ascontiguousarray(is_seed, dtype=bool))
+        self.birth_time = _frozen(np.ascontiguousarray(birth_time, dtype=np.int64))
         u = np.ascontiguousarray(edge_u, dtype=np.int64)
         v = np.ascontiguousarray(edge_v, dtype=np.int64)
         tag = np.ascontiguousarray(edge_tag, dtype=np.uint8)
@@ -107,9 +109,9 @@ class LabeledGraph:
         if ((u[1:] < u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] < v[:-1]))).any():
             order = np.argsort(u * self.n + v)
             u, v, tag = u[order], v[order], tag[order]
-        self.edge_u = u
-        self.edge_v = v
-        self.edge_tag = tag
+        self.edge_u = _frozen(u)
+        self.edge_v = _frozen(v)
+        self.edge_tag = _frozen(tag)
         self._derived: dict = {}
         if validate:
             self._validate()
@@ -166,11 +168,17 @@ class LabeledGraph:
         return self.cached("csr", lambda: _csr(self.n, self.edge_u, self.edge_v))
 
     def cached(self, key: str, builder):
-        """Memoize a derived structure on this (immutable) graph."""
+        """Memoize a derived structure on this (immutable) graph, with every
+        array it holds (alone, in a tuple or as a field) made read-only."""
         try:
             return self._derived[key]
         except KeyError:
             value = builder()
+            parts = value if isinstance(value, tuple) else (
+                value, *getattr(value, "__dict__", {}).values())
+            for part in parts:
+                if isinstance(part, np.ndarray):
+                    part.flags.writeable = False
             self._derived[key] = value
             return value
 
@@ -197,6 +205,13 @@ class LabeledGraph:
         tags = ", ".join(
             f"{EdgeTag(i).name}={int(c)}" for i, c in enumerate(kinds) if c)
         return f"LabeledGraph(n={self.n}, m={self.m}, {tags or 'no edges'})"
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """A read-only view of a; a itself (a caller's array, say) stays writeable."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
 
 def _csr(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -242,7 +257,7 @@ def _distinct(a: np.ndarray) -> np.ndarray:
 
 def _gather_neighbors(indptr, indices, frontier) -> np.ndarray:
     """All neighbors of the frontier nodes, concatenated (with repeats); for
-    one node, a view of the cached CSR's ``indices``: never change it in place."""
+    one node, a view of ``indices``, read-only when the CSR is cached."""
     if frontier.size == 1:  # one row: a view, without the index arithmetic
         return indices[indptr[frontier[0]]:indptr[frontier[0] + 1]]
     starts = indptr[frontier]

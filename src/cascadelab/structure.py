@@ -3,14 +3,15 @@ degree priority, power-law fitting, distances, the community priority
 tree, and seed-routed navigation.
 
 Everything here is a pure function of an immutable graph; expensive
-derived structures are memoized on the graph object, so repeated queries
-on the same graph are cheap.  One community index (``_community_layout``,
-built from one ``np.unique`` of the colors) is the only map from nodes to
-communities: every community report, navigation and both containment
-cascades in ``cascade`` read its arrays.  The other memoized structures
-are two CSRs built from the edge list by the graph's CSR builder: the
-intra-color CSR (same-color edges only) and the seed CSR (seed-seed
-edges only), whose rows stay ascending.
+derived structures are memoized on the graph object, read-only, so
+repeated queries on the same graph are cheap.  One community index
+(``_community_layout``, built from one ``np.unique`` of the colors) is the
+only map from nodes to communities: every community report, navigation
+and both containment cascades in ``cascade`` read its arrays, and
+:func:`communities` builds a new list of views into it on each call.  The
+other memoized structures are two CSRs built from the edge list by the
+graph's CSR builder: the intra-color CSR (same-color edges only) and the
+seed CSR (seed-seed edges only), whose rows stay ascending.
 
 Distances and community diameters run one bit-parallel BFS
 (``_bfs_levels``): up to 64 sources share a uint64 word per node.  At
@@ -94,20 +95,19 @@ def _community_layout(g: LabeledGraph) -> _Layout:
 
 
 def communities(g: LabeledGraph) -> list[Community]:
-    """One community per color, in color order, partitioning the nodes.
+    """One community per color, in color order, partitioning the nodes:
+    a new list on each call, whose members are read-only views of the
+    community index.
 
     Raises ValueError when some color has no seed, or more than one
     (baseline ER/PA graphs have no seeds at all, so they are rejected).
     """
 
-    def build() -> list[Community]:
-        lay = _community_layout(g)
-        return [Community(color=c, members=lay.members[a:b], seed=s)
-                for c, s, a, b in zip(lay.colors.tolist(), lay.seeds.tolist(),
-                                      lay.starts[:-1].tolist(),
-                                      lay.starts[1:].tolist())]
-
-    return g.cached("communities", build)
+    lay = _community_layout(g)
+    return [Community(color=c, members=lay.members[a:b], seed=s)
+            for c, s, a, b in zip(lay.colors.tolist(), lay.seeds.tolist(),
+                                  lay.starts[:-1].tolist(),
+                                  lay.starts[1:].tolist())]
 
 
 def conductance(g: LabeledGraph, w) -> float:
@@ -150,8 +150,8 @@ def community_conductances(g: LabeledGraph) -> dict[int, CommunityConductance]:
     """
     lay = _community_layout(g)
     n_coms = lay.colors.shape[0]
-    vol = np.bincount(lay.index, weights=g.degrees.astype(np.float64),
-                      minlength=n_coms).astype(np.int64)
+    # every community holds its seed, so no segment is empty
+    vol = np.add.reduceat(g.degrees[lay.members], lay.starts[:-1])
     cu, cv = lay.index[g.edge_u], lay.index[g.edge_v]
     cross = cu != cv
     cut = (np.bincount(cu[cross], minlength=n_coms)
@@ -210,23 +210,23 @@ def degree_priority_summary(g: LabeledGraph) -> DegreePrioritySummary:
     keys = packed[starts]
     del packed, distinct
     counts = np.diff(starts, append=2 * m)
-    owner_k = keys // n_colors
+    owner_k = keys // n_colors  # ascending, and the sort's primary key
     color_k = keys % n_colors
     order = np.lexsort((color_k, -counts, owner_k))
-    owner_s, color_s, count_s = owner_k[order], color_k[order], counts[order]
-    _, first_idx = np.unique(owner_s, return_index=True)
+    color_s, count_s = color_k[order], counts[order]
+    first_idx = np.flatnonzero(np.diff(owner_k, prepend=-1))  # each owner's first pair
 
-    length = np.bincount(owner_s, minlength=g.n).astype(np.int64)
+    length = np.bincount(owner_k, minlength=g.n).astype(np.int64)
     first = np.zeros(g.n, dtype=np.int64)
     second = np.zeros(g.n, dtype=np.int64)
     top = np.full(g.n, -1, dtype=np.int64)
-    heads = owner_s[first_idx]
+    heads = owner_k[first_idx]
     first[heads] = count_s[first_idx]
     top[heads] = colors[color_s[first_idx]]
     nxt = first_idx + 1
-    ok = nxt < owner_s.shape[0]
-    ok[ok] = owner_s[nxt[ok]] == heads[ok]
-    second[owner_s[nxt[ok]]] = count_s[nxt[ok]]
+    ok = nxt < owner_k.shape[0]
+    ok[ok] = owner_k[nxt[ok]] == heads[ok]
+    second[owner_k[nxt[ok]]] = count_s[nxt[ok]]
     return DegreePrioritySummary(length=length, first_degree=first,
                                  second_degree=second, top_color=top)
 

@@ -688,6 +688,17 @@ def test_ids_file_byte_not_utf8_names_its_line(security_file, tmp_path,
            "position 4: invalid start byte" in capsys.readouterr().err
 
 
+def test_ids_file_form_feed_does_not_start_a_line(security_file, tmp_path,
+                                                 capsys):
+    ids = tmp_path / "attack.txt"
+    ids.write_bytes(b"1 2\x0c3\nx\n")
+    assert run_cli("cascade", "--graph", security_file, "--attack",
+                   f"ids:{ids}", "--thresholds", "uniform:0.5",
+                   "--out", tmp_path / "c.csv") == 2
+    assert f"error: {ids}:2: attack id 'x' is not an integer" in (
+        capsys.readouterr().err)
+
+
 def test_ids_file_names_a_bad_id_before_a_later_bad_byte(security_file,
                                                          tmp_path, capsys):
     ids = tmp_path / "attack.txt"

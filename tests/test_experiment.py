@@ -190,6 +190,40 @@ def test_config_file_names_the_first_bad_line(tmp_path):
         assert str(info.value).startswith(f"{path}:2: {message}")
 
 
+def test_config_file_cut_sequence_reads_as_in_the_whole_file(tmp_path):
+    """A multi-byte sequence cut short by its line's end is decoded with the
+    LF after it, so the message is the whole file's, not end of data."""
+    path = tmp_path / "exp.cfg"
+    path.write_bytes(b"experiment=fig2\nd=\xe2\x82\nmodels=er\n")
+    with pytest.raises(ConfigError, match=r"exp\.cfg:2: 'utf-8' codec can't "
+                                          r"decode bytes in position 18-19: "
+                                          r"invalid continuation byte$"):
+        xp.read_config(path)
+
+
+def test_config_line_holding_a_line_separator_is_one_line(tmp_path):
+    """Lines end at LF only: a U+2028 inside a comment does not start a
+    line, so the bad value is named on its own line."""
+    path = tmp_path / "exp.cfg"
+    path.write_text("experiment=fig2\n# note\u2028 more\nd=ten\n",
+                    encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"exp\.cfg:3: bad value for 'd'"):
+        xp.read_config(path)
+
+
+def test_lone_carriage_return_stays_inside_its_line(tmp_path):
+    """A CR just before an LF is dropped; any other CR is text of its line,
+    as in graph files."""
+    path = tmp_path / "exp.cfg"
+    path.write_bytes(b"a\rb\r\nc\n\rd\r\r\ne\r")
+    assert list(xp.numbered_lines(path)) == [
+        (1, "a\rb"), (2, "c"), (3, "\rd\r"), (4, "e\r")]
+    path.write_bytes(b"experiment=fig2\rd=ten\nmodels=er\n")
+    with pytest.raises(ConfigError, match=r"exp\.cfg:1: unknown experiment "
+                                          r"'fig2\\rd=ten'"):
+        xp.read_config(path)
+
+
 def test_config_takes_numpy_integers():
     cfg = tiny_cfg(n_list=(np.int64(60), np.int32(120)), d=np.int64(4),
                    trials=np.int16(3), master_seed=np.uint8(5),
@@ -589,6 +623,19 @@ def test_malformed_manifest_starts_over(tmp_path, lines):
     assert rerun.ok and rerun.skipped == ()
     assert len(rerun.computed) == 4
     assert rerun.csv_text == first.csv_text
+
+
+def test_manifest_not_utf8_starts_over(tmp_path):
+    cfg = xp.default_config("fig3", models=("er",), n_list=(200,))
+    clean, broken = tmp_path / "clean", tmp_path / "broken"
+    xp.run_experiment(cfg, out_dir=clean)
+    xp.run_experiment(cfg, out_dir=broken)
+    (broken / "manifest.txt").write_bytes(b"\xff\xfe garbage\n")
+    rerun = xp.run_experiment(cfg, out_dir=broken)
+    assert rerun.ok and rerun.skipped == ()
+    assert rerun.computed == ("fig3_er_n200",)
+    for name in ("fig3.csv", "manifest.txt"):
+        assert (broken / name).read_bytes() == (clean / name).read_bytes()
 
 
 def test_parallel_matches_serial(tmp_path):

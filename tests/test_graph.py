@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cascadelab import (EdgeTag, GraphFormatError, LabeledGraph, deserialize,
-                        gen_security, generate, largest_connected_component,
-                        serialize)
+from cascadelab import (EdgeTag, GraphFormatError, LabeledGraph, communities,
+                        deserialize, gen_security, generate,
+                        largest_connected_component, serialize)
+from cascadelab.graph import _gather_neighbors
+from cascadelab.structure import _community_layout, intra_color_adjacency
 
 from oracles import graph_from_edges, neighbors
 
@@ -52,6 +54,38 @@ def test_adjacency_symmetry():
     for v in (0, 5, 100, 499):
         for w in neighbors(g, v):
             assert v in neighbors(g, int(w))
+
+
+# ---- read-only arrays ----------------------------------------------------------
+
+def _one_row(g):
+    indptr, indices = g.csr()
+    return _gather_neighbors(indptr, indices, np.array([0]))
+
+
+@pytest.mark.parametrize("array", [
+    lambda g: g.color, lambda g: g.is_seed, lambda g: g.birth_time,
+    lambda g: g.edge_u, lambda g: g.edge_v, lambda g: g.edge_tag,
+    lambda g: g.degrees, largest_connected_component, _one_row,
+    lambda g: g.csr()[0], lambda g: intra_color_adjacency(g)[1],
+    lambda g: _community_layout(g).index, lambda g: communities(g)[0].members,
+], ids=["color", "is_seed", "birth_time", "edge_u", "edge_v", "edge_tag",
+        "degrees", "lcc", "one-row", "indptr", "intra-color", "layout",
+        "members"])
+def test_graph_arrays_refuse_writes(array):
+    """The graph's arrays and every array it caches are read-only, so no
+    caller can change what later queries read."""
+    g = gen_security(3000, 5, 1.5, master_seed=1)
+    with pytest.raises(ValueError, match="read-only"):
+        array(g)[:] = 1
+
+
+def test_constructor_leaves_the_callers_arrays_writeable():
+    color, u = np.zeros(3, dtype=np.int64), np.array([0, 1], dtype=np.int64)
+    g = LabeledGraph(3, color, np.zeros(3, bool), np.arange(3), u,
+                     np.array([1, 2]), np.full(2, EdgeTag.PLAIN))
+    color[0], u[0] = 4, 1  # still the caller's to write
+    assert not g.color.flags.writeable and not g.edge_u.flags.writeable
 
 
 # ---- construction validation --------------------------------------------------

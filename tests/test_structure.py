@@ -44,6 +44,16 @@ def test_community_count_equals_seed_count(security_mid):
     assert sum(c.size for c in coms) == security_mid.n
 
 
+def test_communities_returns_a_new_list_each_call():
+    g = cl.gen_security(2000, 5, 1.5, master_seed=1)
+    first = communities(g)
+    count = len(first)
+    first.pop()
+    again = communities(g)
+    assert again is not first and len(again) == count
+    assert all(not c.members.flags.writeable for c in again)
+
+
 def test_two_seeds_one_color_rejected():
     g = colored_graph(2, [(0, 1)], [0, 0], seeds=[0, 1])
     with pytest.raises(ValueError, match="seeds"):
